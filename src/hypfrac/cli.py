@@ -370,6 +370,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except ArithmeticError as exc:
+        # float overflow and its kin, e.g. the barrier floor beyond alpha ~ 70
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return NUMERIC_ERROR
     except HypfracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

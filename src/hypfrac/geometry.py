@@ -29,6 +29,7 @@ __all__ = [
     "distance",
     "ball_distance_to_origin",
     "law_of_cosines",
+    "acosh1p",
     "ball_volume",
     "ball_volume_quadrature",
     "doubling_bounds",
@@ -164,6 +165,12 @@ def ball_distance_to_origin(y: BallPoint, m: ModelParams = DEFAULT_MODEL) -> flo
     return m.tau * math.log((m.t + n) / (m.t - n))
 
 
+def acosh1p(x):
+    """arccosh(1 + x) for x >= 0 (floats or numpy arrays), accurate where
+    arccosh of a rounded argument near 1 loses small distances."""
+    return np.log1p(x + np.sqrt(x * (2.0 + x)))
+
+
 def law_of_cosines(r: float, R0: float, omega1: float):
     """Distances to a base point from the two antipodal points at geodesic
     polar coordinates (r, omega) around a center at distance R0 from the base.
@@ -190,13 +197,11 @@ def law_of_cosines(r: float, R0: float, omega1: float):
             math.sqrt(r * r + R0 * R0 + cross),
         )
     s = math.sinh(r) * math.sinh(R0)
-    base = math.cosh(r - R0)
-    arg_minus = base + (1.0 - omega1) * s
-    arg_plus = base + (1.0 + omega1) * s
-    scale = math.cosh(r) * math.cosh(R0)
-    d_minus = _acosh_clamped(arg_minus, scale, "law_of_cosines")
-    d_plus = _acosh_clamped(arg_plus, scale, "law_of_cosines")
-    return d_minus, d_plus
+    # cosh(d) - 1 = cosh(r - R0) - 1 + (1 -+ omega1) s, with cosh(r - R0) - 1
+    # written as 2 sinh^2((r - R0)/2) so that no cancellation occurs
+    base = 2.0 * math.sinh(0.5 * (r - R0)) ** 2
+    return (float(acosh1p(base + (1.0 - omega1) * s)),
+            float(acosh1p(base + (1.0 + omega1) * s)))
 
 
 def ball_volume(r: float) -> float:

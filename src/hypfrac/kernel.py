@@ -11,6 +11,8 @@ multiplier (lambda^2 + 4/t^2)^gamma.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError
 from .quadrature import (
     QuadratureConfig,
@@ -89,17 +91,25 @@ def _sinh2_prefactor(gamma: float) -> float:
     return 2.0 ** (gamma - 0.5) / (math.pi ** 1.5 * gamma_abs_neg(gamma))
 
 
-def kernel_sinh2(gamma: float, rho: float) -> float:
+def kernel_sinh2(gamma: float, rho):
     """kernel(rho) * sinh(rho)^2 at tau = 1, stable for arbitrarily large rho.
 
     This is the density against which every radial integral is taken; the
     exponential growth of sinh^2 exactly cancels the kernel's decay, leaving
-    an algebraic rho^(-1-gamma) tail.
+    an algebraic rho^(-1-gamma) tail.  rho may be a numpy array (one
+    broadcast Bessel trapezoid for all entries); a scalar rho takes the
+    scalar path.
     """
-    if rho <= 0.0:
-        raise DomainError("kernel_sinh2 requires rho > 0")
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
+    if isinstance(rho, np.ndarray):
+        rho = rho.astype(float, copy=False)
+        if np.any(~(rho > 0.0)):
+            raise DomainError("kernel_sinh2 requires rho > 0")
+        ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-np.expm1(-2.0 * rho)) / 2.0
+        return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
+    if rho <= 0.0:
+        raise DomainError("kernel_sinh2 requires rho > 0")
     # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow
     ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-math.expm1(-2.0 * rho)) / 2.0
     return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh

@@ -8,15 +8,15 @@ points enter only through the law of cosines.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import CalibrationError, DomainError
-from .geometry import aux_H, law_of_cosines
+from .errors import CalibrationError, DomainError, NumericError
+from .geometry import acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, quad_finite
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, gk21_batch, quad_finite
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -57,7 +57,8 @@ class RadialProfile:
     ``support_radius`` is math.inf for unbounded supports; ``tail_width``
     then converts a tolerance eps into a radius beyond which |f| <= eps.
     ``kink_radii`` lists radii where f is only Lipschitz; the declared C2
-    class is understood away from those radii.
+    class is understood away from those radii.  ``f_array`` evaluates f on a
+    numpy array; without it, f is wrapped once with ``np.frompyfunc``.
     """
 
     f: callable
@@ -68,9 +69,20 @@ class RadialProfile:
     tail_width: callable = None
     limit_at_infinity: float = 0.0
     name: str = "custom"
+    f_array: callable = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.f_array is None:
+            ufunc = np.frompyfunc(self.f, 1, 1)
+            object.__setattr__(
+                self, "f_array", lambda r: ufunc(r).astype(float))
 
     def __call__(self, r):
         return self.f(r)
+
+    def values(self, r) -> np.ndarray:
+        """f at every entry of the array r (``__call__`` stays scalar)."""
+        return self.f_array(np.asarray(r, dtype=float))
 
     def tail_radius(self, eps: float) -> float:
         if math.isfinite(self.support_radius):
@@ -90,6 +102,7 @@ def constant_profile(value: float = 1.0) -> RadialProfile:
         tail_width=lambda eps: 1.0,
         limit_at_infinity=value,
         name="constant",
+        f_array=lambda r: np.full(r.shape, float(value)),
     )
 
 
@@ -103,6 +116,7 @@ def gaussian_bump(width: float = 1.0) -> RadialProfile:
         support_radius=math.inf,
         tail_width=lambda eps: width * math.sqrt(math.log(1.0 / eps)) + 1.0,
         name="gaussian-bump",
+        f_array=lambda r: np.exp(-((r / width) ** 2)),
     )
 
 
@@ -115,7 +129,12 @@ def polynomial_bump(radius: float = 1.0) -> RadialProfile:
         u = r / radius
         return (1.0 - u * u) ** 3 if u < 1.0 else 0.0
 
-    return RadialProfile(f=f, support_radius=radius, name="polynomial-bump")
+    def f_array(r):
+        u = r / radius
+        return np.where(u < 1.0, (1.0 - u * u) ** 3, 0.0)
+
+    return RadialProfile(f=f, support_radius=radius, name="polynomial-bump",
+                         f_array=f_array)
 
 
 def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> RadialProfile:
@@ -127,6 +146,7 @@ def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> R
         support_radius=math.inf,
         bounded=False,
         name="paraboloid",
+        f_array=lambda r: offset - curvature * r * r / (2.0 * R * R),
     )
 
 
@@ -145,7 +165,10 @@ def tabulated(r_samples, values) -> RadialProfile:
         v = spline(min(max(r, float(r_samples[0])), top))
         return float(v)
 
-    return RadialProfile(f=f, support_radius=top, name="tabulated")
+    def f_array(r):
+        return np.where(r > top, 0.0, spline(np.clip(r, float(r_samples[0]), top)))
+
+    return RadialProfile(f=f, support_radius=top, name="tabulated", f_array=f_array)
 
 
 _PROFILE_FAMILIES = {
@@ -239,12 +262,21 @@ def barrier_profile(spec: BarrierSpec) -> RadialProfile:
     def tail_width(eps):
         return 5.0 * spec.R * eps ** (-0.5 / spec.alpha) + 1.0
 
+    def f_array(r):
+        # spec.floor raises OverflowError where the floor overflows a float,
+        # as barrier_value does; every value lies between it and 0
+        floor = spec.floor
+        with np.errstate(over="ignore", divide="ignore"):
+            power = -((r / (5.0 * spec.R)) ** (-2.0 * spec.alpha))
+        return np.where(r <= spec.kink_radius, floor, power)
+
     return RadialProfile(
         f=lambda r: barrier_value(spec, r),
         support_radius=math.inf,
         kink_radii=(spec.kink_radius,),
         tail_width=tail_width,
         name="barrier",
+        f_array=f_array,
     )
 
 
@@ -259,30 +291,120 @@ def second_difference(u: RadialProfile, R0: float, r: float, omega1: float) -> f
     return 0.5 * (u(d_minus) + u(d_plus) - 2.0 * u(R0))
 
 
-def _quad_accept(f, a, b, points, rel, abs_, limit, accept_rel, what):
-    """Adaptive quad that tolerates QUADPACK warnings up to accept_rel."""
-    from scipy.integrate import quad
+# Below this radius the second differences of u drown in rounding noise
+# (delta ~ r^2 against absolute noise ~1e-16 |u|); the smooth factor is
+# frozen at its value here, a relative modeling error of O(_R_FLOOR^2).
+_R_FLOOR = 1e-3
+# outer panels halve toward each kink image, down to 2**-_GRADE_DEPTH of the
+# gap between the image and its neighbouring break point
+_GRADE_DEPTH = 16
 
-    pts = sorted(p for p in points if a < p < b) or None
-    res = quad(f, a, b, epsabs=abs_, epsrel=rel, limit=limit, points=pts,
-               full_output=1)
-    val, err = res[0], res[1]
-    if err > max(10.0 * abs_, accept_rel * abs(val)):
-        raise NumericError(f"{what}: error {err:.2e} too large for value {val:.4e}")
-    return val
+
+def _graded_cuts(a, b, marks, depth):
+    """Break points of [a, b]: the marks inside it, with panel widths halving
+    geometrically toward every mark from both sides."""
+    ends = [a] + sorted(p for p in set(marks) if a < p < b) + [b]
+    cuts = set(ends)
+    for p, q in zip(ends, ends[1:]):
+        for k in range(1, depth + 1):
+            if p in marks:
+                cuts.add(p + (q - p) * 2.0 ** -k)
+            if q in marks:
+                cuts.add(q - (q - p) * 2.0 ** -k)
+    return np.array(sorted(cuts))
+
+
+def _angular(u, R0, u0, r, combine, limit):
+    """2 * integral over omega1 in [0, 1] of combine(delta) at each radius of
+    the 1-D array r, in the distance variable w = d_minus (see
+    ``_nonlocal_integral``)."""
+    if R0 == 0.0:
+        return 2.0 * combine(u.values(r) - u0)
+    # distances through x = cosh(d) - 1, free of the cancellation of acosh
+    # near 1: cosh(w_hi) - 1 = cosh r cosh R0 - 1 = 2 sinh^2((r - R0)/2) + b
+    b = np.sinh(r) * math.sinh(R0)
+    x_hi = 2.0 * np.sinh(0.5 * (r - R0)) ** 2 + b
+    w_lo, w_hi = np.abs(r - R0), acosh1p(x_hi)
+    # for R0 << r the w-range shrinks to width ~R0, where rounding of w
+    # would distort the omega1-measure; there the sphere average of delta is
+    # u(r) - u0 up to O(R0^2) (relative < 1e-11 below the cut)
+    out = 2.0 * combine(u.values(r) - u0)
+    live = w_hi - w_lo > 1e-6 * w_hi
+    r, b, x_hi, w_lo, w_hi = r[live], b[live], x_hi[live], w_lo[live], w_hi[live]
+    cols = [w_lo, w_hi]
+    for rk in u.kink_radii:
+        cols.append(np.full_like(r, rk))
+        cols.append(acosh1p(np.maximum(2.0 * x_hi - 2.0 * math.sinh(0.5 * rk) ** 2, 0.0)))
+    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_hi[:, None]), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    node = np.broadcast_to(np.arange(r.size)[:, None], lo.shape)
+    keep = hi > lo
+    lo, hi, node = lo[keep], hi[keep], node[keep]
+    # the power-law ramps start at a kink: pieces above one run in log w
+    log_w = np.zeros(lo.shape, dtype=bool)
+    if u.kink_radii:
+        log_w = lo >= max(min(u.kink_radii), np.finfo(float).tiny)
+    lo = np.where(log_w, np.log(np.where(log_w, lo, 1.0)), lo)
+    hi = np.where(log_w, np.log(hi), hi)
+    two_x, b_piece = 2.0 * x_hi[node], b[node]
+
+    def g(x, own):
+        lw = log_w[own][:, None]
+        w = np.where(lw, np.exp(x), x) if lw.any() else x
+        # the mirror distance: cosh(w_hat) = 2 cosh r cosh R0 - cosh w
+        w_hat = acosh1p(np.maximum(two_x[own][:, None] - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
+        delta = 0.5 * (u.values(w) + u.values(w_hat)) - u0
+        jac = np.sinh(w) / b_piece[own][:, None]
+        return combine(delta) * np.where(lw, jac * w, jac)
+
+    val, err, _ = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, 1e-9, 1e-15, limit)
+    val = np.bincount(node, val, r.size)
+    err = np.bincount(node, err, r.size)
+    bad = err > np.maximum(1e-14, 1e-5 * np.abs(val))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericError(
+            f"angular integral at r={r[k]:.6g}: error {err[k]:.2e} too large "
+            f"for value {val[k]:.4e}")
+    out[live] = 2.0 * val
+    return out
 
 
 def _nonlocal_integral(u, R0, gamma, cfg, combine):
     """Common quadrature core: integral of combine(delta) against the kernel.
 
+    ``combine`` acts elementwise on numpy arrays of second differences.
+
     The angular integral is taken in the distance variable w = d_minus, which
     is monotone in omega1; the second difference is even in omega1, so the
-    integral runs over half the sphere doubled.  In w the profile's kinks sit
-    at known locations and power-law ramps are resolved by plain adaptivity.
-    The outer r-integral handles the r^(1-2 gamma) singularity with an
-    algebraic-weight rule near 0 and replaces the algebraic far tail by its
-    analytic value.  Wild integrands (barriers) may leave relative errors up
-    to 1e-4; results are rejected beyond that.
+    integral runs over half the sphere doubled.  In w the profile's kinks
+    and their mirror images sit at known locations and split it into pieces;
+    a piece above a kink, where the power-law ramps of a barrier start,
+    is integrated in log w.  The outer r-integral has three parts:
+
+    * below r = 1e-3 (or A/2 if smaller) the smooth factor of the
+      r^(1-2 gamma) singularity is frozen and integrated analytically;
+    * from there to A = R0 + min(tail radius, 80), near and mid field alike,
+      one integral in log r, which flattens the singularity and the
+      algebraic decay.  It is one integral with one tolerance so that the
+      rounding noise of second differences near r = 1e-3 is weighed
+      against the whole radial mass, not against a small near field;
+    * the far tail beyond A, where delta tends to (limit of u) - u(R0)
+      uniformly, by its analytic kernel mass iinf_closed(A)/A^2.
+
+    Outer panels are graded geometrically toward both kink images
+    |R0 - r_k| and R0 + r_k, where the integrand of a steep barrier climbs
+    by tens of orders of magnitude within a narrow ramp that a coarse panel
+    steps over.  Both levels are adaptive Gauss-Kronrod (``gk21_batch``):
+    every outer node's angular pieces are integrated together in one batch,
+    and a panel is accepted only once its two halves confirm it, never on a
+    single estimate.  The batched integrand sees at most ``NODE_BUDGET``
+    nodes per numpy call, which bounds the memory whatever the panel count.
+    Angular integrals are taken to 1e-9 of their |f| mass (of 1e3 times
+    their value under stronger cancellation) and rejected (``NumericError``)
+    when their error exceeds 1e-5 of the value; the radial integral is
+    taken to max(cfg.rel_tol, 1e-8) in the same sense and rejected beyond
+    1e-4, the thresholds of the QUADPACK core before it.
     """
     tail_eps = min(1e-10, cfg.abs_tol)
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
@@ -291,79 +413,32 @@ def _nonlocal_integral(u, R0, gamma, cfg, combine):
     rel = max(cfg.rel_tol, 1e-8)
     abs_ = max(cfg.abs_tol, 1e-12)
     limit = max(cfg.max_subdiv, 200)
-    kinks = tuple(u.kink_radii)
+    u0 = u(R0)
 
-    def inner(r: float) -> float:
-        # 2 * integral over omega1 in [0, 1] of combine(delta), via w = d_minus
-        if R0 == 0.0 or r == 0.0:
-            d = max(R0, r)
-            return 2.0 * combine(0.5 * (u(d) + u(d) - 2.0 * u(R0)) if r > 0.0 else 0.0)
-        b_fac = math.sinh(r) * math.sinh(R0)
-        a_fac = math.cosh(r) * math.cosh(R0)
-        w_lo, w_hi = abs(r - R0), math.acosh(a_fac)
+    def angular(r):
+        return _angular(u, R0, u0, r, combine, limit)
 
-        def g(w: float) -> float:
-            arg = 2.0 * a_fac - math.cosh(w)
-            w_hat = math.acosh(arg) if arg > 1.0 else 0.0
-            delta = 0.5 * (u(w) + u(w_hat) - 2.0 * u(R0))
-            return combine(delta) * math.sinh(w) / b_fac
+    def radial(t, own):
+        r = np.exp(t)
+        dens = 2.0 * math.pi * kernel_sinh2(gamma, r) * r
+        return dens * angular(r.ravel()).reshape(r.shape)
 
-        pts = []
-        for rk in kinks:
-            pts.append(rk)
-            mirror = 2.0 * a_fac - math.cosh(rk)
-            if mirror > 1.0:
-                pts.append(math.acosh(mirror))
-        if w_hi <= w_lo:
-            return 0.0
-        return 2.0 * _quad_accept(
-            g, w_lo, w_hi, pts, 1e-9, 1e-15, limit, 1e-5, "angular integral"
-        )
+    r_frozen = min(_R_FLOOR, 0.5 * A)
+    smooth = (2.0 * math.pi * kernel_sinh2(gamma, r_frozen)
+              * r_frozen ** (2.0 * gamma - 1.0) * angular(np.array([r_frozen]))[0])
+    total = smooth * r_frozen ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
 
-    # Below this radius the second differences of u drown in rounding noise
-    # (delta ~ r^2 against absolute noise ~1e-16 |u|); the smooth factor is
-    # frozen at its r_floor value, a relative modeling error of O(r_floor^2).
-    r_floor = 1e-3
-    floor_cache = {}
+    images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
+    cuts = np.log(_graded_cuts(r_frozen, A, images, _GRADE_DEPTH))
+    val, err, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1,
+                             rel, abs_, limit)
+    if err[0] > max(10.0 * abs_, 1e-4 * abs(val[0])):
+        raise NumericError(f"radial integral error {err[0]:.2e} for value {val[0]:.4e}")
+    total += val[0]
 
-    def smooth_near_zero(r: float) -> float:
-        if r < r_floor:
-            if "v" not in floor_cache:
-                floor_cache["v"] = smooth_near_zero(r_floor)
-            return floor_cache["v"]
-        return 2.0 * math.pi * kernel_sinh2(gamma, r) * r ** (2.0 * gamma - 1.0) * inner(r)
-
-    # near field: integrand ~ r^(1-2 gamma) * smooth
-    from scipy.integrate import quad
-
-    split = min(1.0, 0.5 * A)
-    res = quad(
-        smooth_near_zero, 0.0, split,
-        weight="alg", wvar=(1.0 - 2.0 * gamma, 0.0),
-        epsabs=abs_, epsrel=rel, limit=limit, full_output=1,
-    )
-    if res[1] > max(10.0 * abs_, 1e-4 * abs(res[0])):
-        raise NumericError(
-            f"near-field integral error {res[1]:.2e} for value {res[0]:.4e}"
-        )
-    total = res[0]
-
-    # mid field up to the cut radius A, splitting at kink images
-    pts = []
-    for rk in kinks:
-        for cand in (abs(R0 - rk), R0 + rk):
-            if split < cand < A:
-                pts.append(cand)
-    total += _quad_accept(
-        lambda r: 2.0 * math.pi * kernel_sinh2(gamma, r) * inner(r),
-        split, A, pts, rel, abs_, limit, 1e-4, "mid-field integral",
-    )
-
-    # far tail: delta -> (limit of u) - u(R0) uniformly, so the omega1
-    # integral is constant there
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
-    total += combine(u.limit_at_infinity - u(R0)) * tail_mass
-    return total
+    total += combine(u.limit_at_infinity - u0) * tail_mass
+    return float(total)
 
 
 def _require_c2_bounded(u: RadialProfile, what: str):
@@ -404,7 +479,7 @@ def pucci_plus(
     lo, hi = bounds.lambda_lo, bounds.lambda_hi
 
     def combine(d):
-        return hi * d if d >= 0.0 else lo * d
+        return np.where(d >= 0.0, hi * d, lo * d)
 
     return _nonlocal_integral(u, R0, gamma, cfg, combine)
 
@@ -421,7 +496,7 @@ def pucci_minus(
     lo, hi = bounds.lambda_lo, bounds.lambda_hi
 
     def combine(d):
-        return lo * d if d >= 0.0 else hi * d
+        return np.where(d >= 0.0, lo * d, hi * d)
 
     return _nonlocal_integral(u, R0, gamma, cfg, combine)
 

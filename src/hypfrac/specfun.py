@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, NumericError, UnsupportedRangeError
+from .quadrature import NODE_BUDGET
 from .quadrature import QuadratureConfig, DEFAULT_QUAD  # noqa: F401  (re-export)
 
 __all__ = [
@@ -135,6 +136,31 @@ def _k_trapezoid(nu: float, x: float, scaled: bool) -> float:
     return float(val)
 
 
+def _k_trapezoid_array(nu: float, x):
+    """exp(x) K_nu(x) at every entry of the 1-D array x: the rule of
+    ``_k_trapezoid`` with one common node count per block of rows, so each
+    row's step is at most its scalar step."""
+    nu = abs(nu)
+    decay = 45.0
+    u = np.arccosh(1.0 + decay / x)
+    for _ in range(4):
+        u = np.arccosh(1.0 + (decay + nu * u) / x)
+    cut = 1.05 * u + 0.25
+    n = np.maximum(80.0, np.ceil(cut / np.minimum(1.0 / 16.0, 0.5 / np.sqrt(x))))
+    out = np.empty_like(x)
+    rows = max(1, NODE_BUDGET // (int(n.max()) + 1))
+    for s in range(0, x.size, rows):
+        sl = slice(s, s + rows)
+        m = int(n[sl].max())
+        t = np.linspace(0.0, 1.0, m + 1)
+        uu = cut[sl, None] * t
+        f = np.exp(-2.0 * x[sl, None] * np.sinh(0.5 * uu) ** 2 + _log_cosh(nu * uu))
+        out[sl] = cut[sl] / m * (f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1]))
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"bessel_k overflow at nu={nu}")
+    return out
+
+
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x); even in nu."""
     if x <= 0.0:
@@ -142,8 +168,17 @@ def bessel_k(nu: float, x: float) -> float:
     return _k_trapezoid(nu, x, scaled=False)
 
 
-def bessel_k_scaled(nu: float, x: float) -> float:
-    """exp(x) * K_nu(x), stable for arbitrarily large x."""
+def bessel_k_scaled(nu: float, x):
+    """exp(x) * K_nu(x), stable for arbitrarily large x.
+
+    x may be a numpy array; all entries are then evaluated in one broadcast
+    trapezoid.  A scalar x takes the scalar path.
+    """
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)
+        if np.any(~(x > 0.0)):
+            raise DomainError("bessel_k_scaled requires x > 0")
+        return _k_trapezoid_array(nu, x.ravel()).reshape(x.shape)
     if x <= 0.0:
         raise DomainError("bessel_k_scaled requires x > 0")
     return _k_trapezoid(nu, x, scaled=True)

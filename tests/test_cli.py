@@ -139,6 +139,19 @@ class TestBarrierCheck:
         assert all(float(r["margin"]) <= 0.0 for r in recs)
 
 
+class TestBarrierOverflow:
+    def test_overflow_is_a_numeric_failure(self, capsys):
+        # the barrier floor (kappa delta / 20)^(-2 alpha) overflows a float
+        code, out, err = run(
+            capsys, "--command", "barrier-check",
+            "--alpha-start", "128", "--alpha-cap", "128", "--n-samples", "2",
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err and "OverflowError" in err
+        assert "Traceback" not in err
+
+
 class TestGammaLimit:
     def test_error_column_decreasing(self, capsys):
         code, out, _ = run(

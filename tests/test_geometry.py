@@ -132,6 +132,15 @@ class TestLawOfCosines:
                 got = distance(HyperPoint(*z), origin())
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
+    def test_small_distances_keep_their_digits(self):
+        # just above the flat-space branch (max(r, R0) < 1e-6), arccosh of
+        # cosh(1e-6) rounded near 1 used to return 1.00004e-6
+        for r, R0 in [(1e-6, 4.2e-139), (2e-6, 1e-6), (1e-5, 1e-300)]:
+            dm, dp = law_of_cosines(r, R0, 0.3)
+            flat = math.sqrt(r * r + R0 * R0 - 2.0 * r * R0 * 0.3)
+            assert dm == pytest.approx(flat, rel=1e-9)
+            assert abs(r - R0) - 1e-15 <= dm <= dp <= r + R0 + 1e-15
+
     def test_domain(self):
         with pytest.raises(DomainError):
             law_of_cosines(-1.0, 1.0, 0.0)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypfrac.errors import DomainError
+from hypfrac.errors import DomainError, NumericError
 from hypfrac.geometry import aux_H
 from hypfrac.operator import (
     ArccosReport,
@@ -62,6 +63,38 @@ class TestProfiles:
     def test_paraboloid_not_bounded(self):
         with pytest.raises(DomainError):
             apply_fraclap(paraboloid(), 0.0, 0.5)
+
+
+class TestArrayEvaluation:
+    """``RadialProfile.values`` agrees with the scalar ``__call__`` entrywise."""
+
+    def check(self, u, radii):
+        radii = np.asarray(radii, dtype=float)
+        got = u.values(radii.reshape(-1, 1)).ravel()
+        want = np.array([u(float(r)) for r in radii])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_families(self):
+        r = np.linspace(0.0, 4.0, 41)
+        self.check(constant_profile(2.5), r)
+        self.check(gaussian_bump(0.7), r)
+        self.check(polynomial_bump(1.5), np.concatenate([r, [1.5, 1.5 - 1e-12]]))
+        self.check(paraboloid(1.0, 2.0, 0.5), r)
+
+    def test_tabulated_beyond_last_sample(self):
+        samples = np.linspace(0.0, 2.0, 12)
+        u = tabulated(samples, np.cos(samples))
+        self.check(u, np.concatenate([np.linspace(0.0, 3.0, 31), [2.0, 2.0 + 1e-12]]))
+
+    def test_barrier_both_sides_of_kink(self):
+        spec = BarrierSpec(delta=0.5, alpha=8.0, R=1.0, gamma=0.99)
+        rk = spec.kink_radius
+        r = [0.0, 0.5 * rk, rk * (1 - 1e-12), rk, rk * (1 + 1e-12), 2 * rk, 1.0, 4.9, 30.0]
+        self.check(barrier_profile(spec), r)
+
+    def test_scalar_profile_is_wrapped(self):
+        u = RadialProfile(f=lambda r: -math.exp(-r), name="scalar-only")
+        self.check(u, np.linspace(0.0, 3.0, 7))
 
 
 class TestSecondDifference:
@@ -188,6 +221,77 @@ class TestPucci:
             )
             assert pucci_minus(u, R0, g, WIDE) == pytest.approx(
                 -pucci_plus(flip, R0, g, WIDE), rel=1e-9, abs=1e-11)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    c=st.floats(1e-3, 1e3),
+    R0=st.floats(0.0, 1.5),
+    gamma=st.floats(0.2, 0.9),
+    family=st.sampled_from(["gaussian-bump", "polynomial-bump"]),
+)
+def test_pucci_positive_homogeneity(c, R0, gamma, family):
+    # M+-(c u) = c M+-(u) for c > 0.  M+ crosses zero as R0 varies, so the
+    # tolerance is also taken against M+ - M- = (Lambda - lambda) * the
+    # |delta| mass, to which the radial integral is resolved (1e-8)
+    u = make_profile(family)
+    scaled = RadialProfile(
+        f=lambda r: c * u(r),
+        f_array=lambda r: c * u.values(r),
+        support_radius=u.support_radius,
+        tail_width=u.tail_width,
+        name="scaled",
+    )
+    want = {op: op(u, R0, gamma, WIDE) for op in (pucci_plus, pucci_minus)}
+    spread = want[pucci_plus] - want[pucci_minus]
+    for op, m in want.items():
+        assert op(scaled, R0, gamma, WIDE) == pytest.approx(
+            c * m, rel=1e-9, abs=1e-8 * c * spread)
+
+
+class TestRejectedQuadrature:
+    def test_unresolvable_profile_raises_numeric_error(self):
+        # oscillates far faster than 200 Gauss-Kronrod panels can follow
+        u = RadialProfile(
+            f=lambda r: math.sin(1e8 * r) if r < 2.0 else 0.0,
+            support_radius=2.0, name="noise")
+        with pytest.raises(NumericError):
+            apply_fraclap(u, 0.7, 0.5)
+
+
+class TestBarrierReference:
+    """pucci_plus of the barrier (delta, R, gamma) = (.5, 1, .99), unit bounds.
+
+    The reference values come from ``tools/barrier_reference.py``, an
+    independent route: scalar QUADPACK at relative tolerance 1e-12, the angular
+    integral in 1 - cos(angle) and the radial one in r, both graded
+    geometrically at the kinks and their images, with the operator's model
+    (second differences frozen below r = 1e-3, analytic tail beyond A).  The
+    alpha >= 16 values also agree to <= 1.5e-15 with three further routes
+    (graded QUADPACK at 1e-12, grading depths 2^-14 / 2^-29 / 2^-45, a log-w
+    angular integral); they sit next to the kink-image ramps that a coarse
+    radial panel steps over.  The alpha in {2, 4, 8} points are ones where an
+    unbatched scalar QUADPACK core agreed to <= 1e-8 as well.
+    """
+
+    CASES = [
+        (2.0, 0.4, -1962616.6964554668),
+        (2.0, 2.2, -26.568789619305623),
+        (4.0, 1.0, -599208653723.7223),
+        (4.0, 4.0, -22675364.274770368),
+        (8.0, 2.2, -1.399707368838996e+27),
+        (16.0, 1.0, -3.2696008272390676e+64),
+        (32.0, 2.2, -7.489039567075743e+132),
+        (32.0, 4.0, -4.007736386221676e+130),
+        (64.0, 2.2, -8.463492439663714e+273),
+        (64.0, 4.0, -4.529236005490758e+271),
+    ]
+
+    @pytest.mark.parametrize("alpha,R0,want", CASES)
+    def test_matches_reference(self, alpha, R0, want):
+        spec = BarrierSpec(delta=0.5, alpha=alpha, R=1.0, gamma=0.99)
+        got = pucci_plus(barrier_profile(spec), R0, 0.99, UNIT)
+        assert got == pytest.approx(want, rel=1e-6)
 
 
 class TestBarrier:

@@ -1,0 +1,55 @@
+import math
+
+import numpy as np
+import pytest
+
+from hypfrac.errors import NumericError
+from hypfrac.quadrature import NODE_BUDGET, gk21_batch
+
+
+def test_many_integrals_at_once():
+    # owner k < 6: x^k on [0, 1]; owner 6: sin on [0, pi] in two initial
+    # panels; owner 7: sqrt(x) on [0, 1], singular derivative at 0
+    powers = np.arange(6.0)
+
+    def f(x, own):
+        own = own[:, None]
+        p = np.where(own < 6, powers[np.minimum(own, 5)], 0.0)
+        return np.where(own < 6, x ** p, np.where(own == 6, np.sin(x), np.sqrt(np.abs(x))))
+
+    lo = [0.0] * 6 + [0.0, 1.0, 0.0]
+    hi = [1.0] * 6 + [1.0, math.pi, 1.0]
+    owner = list(range(6)) + [6, 6, 7]
+    val, err, neval = gk21_batch(f, lo, hi, owner, 8, 1e-10, 1e-14, 200)
+    want = np.concatenate([1.0 / (powers + 1.0), [2.0, 2.0 / 3.0]])
+    np.testing.assert_allclose(val, want, rtol=1e-10)
+    assert np.all(np.abs(val - want) <= err + 1e-15)
+    assert np.all(neval % 21 == 0) and neval[6] >= 2 * 63
+
+
+def test_node_budget_bounds_every_call():
+    sizes = []
+
+    def f(x, own):
+        sizes.append(x.size)
+        return np.exp(-x * x)
+
+    n = 3 * NODE_BUDGET // 21
+    val, _, _ = gk21_batch(f, np.zeros(n), np.ones(n), np.arange(n), n, 1e-12, 1e-15, 200)
+    assert max(sizes) <= NODE_BUDGET and len(sizes) > 3
+    np.testing.assert_allclose(val, 0.5 * math.sqrt(math.pi) * math.erf(1.0), rtol=1e-12)
+
+
+def test_panel_limit_leaves_an_honest_error():
+    # far more oscillations than 20 panels can follow
+    val, err, neval = gk21_batch(
+        lambda x, own: np.sin(1e5 * x), [0.0], [1.0], [0], 1, 1e-10, 1e-14, 20)
+    true = (1.0 - math.cos(1e5)) / 1e5
+    assert err[0] >= abs(val[0] - true)
+    assert err[0] > 1e-10 and neval[0] <= 21 * 2 * 40
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(NumericError):
+        gk21_batch(lambda x, own: np.where(x > 0.9, np.inf, x), [0.0], [1.0], [0], 1,
+                   1e-10, 1e-14, 200)

@@ -262,7 +262,7 @@ def _cmd_barrier_check(args, cfg):
     hi = 5.0 * args.R
     radii = np.linspace(lo, hi, args.n_samples + 2)[1:-1]
     found, reports = barrier_alpha_sweep(
-        args.delta, args.R, args.gamma, radii, bounds, cfg,
+        args.delta, args.R, args.gamma, radii, bounds,
         alpha_start=args.alpha_start, alpha_cap=args.alpha_cap,
         kappa=args.kappa,
     )
@@ -289,7 +289,7 @@ def _cmd_gamma_limit(args, cfg):
     records = []
     errors = []
     for g in sorted(gam_grid):
-        val = apply_fraclap(u, args.R0, g, cfg)
+        val = apply_fraclap(u, args.R0, g)
         err = abs(val - reference)
         errors.append(err)
         records.append({

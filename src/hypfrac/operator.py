@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from .errors import CalibrationError, DomainError, NumericError
 from .geometry import acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, gk21_batch, quad_finite
+from .quadrature import QuadratureConfig, gk21_batch, quad_finite
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -298,6 +298,12 @@ _R_FLOOR = 1e-3
 # outer panels halve toward each kink image, down to 2**-_GRADE_DEPTH of the
 # gap between the image and its neighbouring break point
 _GRADE_DEPTH = 16
+# tolerances of the nonlocal core's radial integral, the panel limit of both
+# its levels, and the tail bound that places the far-tail cut
+_RADIAL_REL = 1e-8
+_RADIAL_ABS = 1e-12
+_PANEL_LIMIT = 200
+_TAIL_EPS = 1e-12
 
 
 def _graded_cuts(a, b, marks, depth):
@@ -314,7 +320,7 @@ def _graded_cuts(a, b, marks, depth):
     return np.array(sorted(cuts))
 
 
-def _angular(u, R0, u0, r, combine, limit):
+def _angular(u, R0, u0, r, combine):
     """2 * integral over omega1 in [0, 1] of combine(delta) at each radius of
     the 1-D array r, in the distance variable w = d_minus (see
     ``_nonlocal_integral``)."""
@@ -357,7 +363,8 @@ def _angular(u, R0, u0, r, combine, limit):
         jac = np.sinh(w) / b_piece[own][:, None]
         return combine(delta) * np.where(lw, jac * w, jac)
 
-    val, err, _ = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, 1e-9, 1e-15, limit)
+    val, err, _ = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, 1e-9, 1e-15,
+                             _PANEL_LIMIT)
     val = np.bincount(node, val, r.size)
     err = np.bincount(node, err, r.size)
     bad = err > np.maximum(1e-14, 1e-5 * np.abs(val))
@@ -370,7 +377,7 @@ def _angular(u, R0, u0, r, combine, limit):
     return out
 
 
-def _nonlocal_integral(u, R0, gamma, cfg, combine):
+def _nonlocal_integral(u, R0, gamma, combine):
     """Common quadrature core: integral of combine(delta) against the kernel.
 
     ``combine`` acts elementwise on numpy arrays of second differences.
@@ -403,20 +410,19 @@ def _nonlocal_integral(u, R0, gamma, cfg, combine):
     Angular integrals are taken to 1e-9 of their |f| mass (of 1e3 times
     their value under stronger cancellation) and rejected (``NumericError``)
     when their error exceeds 1e-5 of the value; the radial integral is
-    taken to max(cfg.rel_tol, 1e-8) in the same sense and rejected beyond
-    1e-4, the thresholds of the QUADPACK core before it.
+    taken to ``_RADIAL_REL`` (absolute floor ``_RADIAL_ABS``) in the same
+    sense and rejected beyond 1e-4, the thresholds of the QUADPACK core
+    before it.  Each integral stops refining at ``_PANEL_LIMIT`` panels, and
+    the far-tail cut sits where the profile's tail bound reaches
+    ``_TAIL_EPS``.
     """
-    tail_eps = min(1e-10, cfg.abs_tol)
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
     # below ~1e-5 there are already negligible against it
-    A = R0 + min(u.tail_radius(tail_eps), 80.0)
-    rel = max(cfg.rel_tol, 1e-8)
-    abs_ = max(cfg.abs_tol, 1e-12)
-    limit = max(cfg.max_subdiv, 200)
+    A = R0 + min(u.tail_radius(_TAIL_EPS), 80.0)
     u0 = u(R0)
 
     def angular(r):
-        return _angular(u, R0, u0, r, combine, limit)
+        return _angular(u, R0, u0, r, combine)
 
     def radial(t, own):
         r = np.exp(t)
@@ -431,8 +437,8 @@ def _nonlocal_integral(u, R0, gamma, cfg, combine):
     images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
     cuts = np.log(_graded_cuts(r_frozen, A, images, _GRADE_DEPTH))
     val, err, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1,
-                             rel, abs_, limit)
-    if err[0] > max(10.0 * abs_, 1e-4 * abs(val[0])):
+                             _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
+    if err[0] > max(10.0 * _RADIAL_ABS, 1e-4 * abs(val[0])):
         raise NumericError(f"radial integral error {err[0]:.2e} for value {val[0]:.4e}")
     total += val[0]
 
@@ -448,12 +454,7 @@ def _require_c2_bounded(u: RadialProfile, what: str):
         raise DomainError(f"{what} requires a bounded profile")
 
 
-def apply_fraclap(
-    u: RadialProfile,
-    R0: float,
-    gamma: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def apply_fraclap(u: RadialProfile, R0: float, gamma: float) -> float:
     """-(-Delta)^gamma u at a point at distance R0 from the center of u.
 
     Symmetrized jump integral; the antipodal average absorbs the principal
@@ -464,16 +465,11 @@ def apply_fraclap(
         raise DomainError("gamma must lie in (0, 1)")
     if R0 < 0.0:
         raise DomainError("R0 must be nonnegative")
-    return _nonlocal_integral(u, R0, gamma, cfg, lambda d: d)
+    return _nonlocal_integral(u, R0, gamma, lambda d: d)
 
 
-def pucci_plus(
-    u: RadialProfile,
-    R0: float,
-    gamma: float,
-    bounds: EllipticityBounds,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def pucci_plus(u: RadialProfile, R0: float, gamma: float,
+               bounds: EllipticityBounds) -> float:
     """Maximal operator: integral of Lambda delta^+ - lambda delta^-."""
     _require_c2_bounded(u, "pucci_plus")
     lo, hi = bounds.lambda_lo, bounds.lambda_hi
@@ -481,16 +477,11 @@ def pucci_plus(
     def combine(d):
         return np.where(d >= 0.0, hi * d, lo * d)
 
-    return _nonlocal_integral(u, R0, gamma, cfg, combine)
+    return _nonlocal_integral(u, R0, gamma, combine)
 
 
-def pucci_minus(
-    u: RadialProfile,
-    R0: float,
-    gamma: float,
-    bounds: EllipticityBounds,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def pucci_minus(u: RadialProfile, R0: float, gamma: float,
+                bounds: EllipticityBounds) -> float:
     """Minimal operator: integral of lambda delta^+ - Lambda delta^-."""
     _require_c2_bounded(u, "pucci_minus")
     lo, hi = bounds.lambda_lo, bounds.lambda_hi
@@ -498,7 +489,7 @@ def pucci_minus(
     def combine(d):
         return np.where(d >= 0.0, lo * d, hi * d)
 
-    return _nonlocal_integral(u, R0, gamma, cfg, combine)
+    return _nonlocal_integral(u, R0, gamma, combine)
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +505,13 @@ def _phi_lambda(lam: float, r: float) -> float:
     return math.sin(lam * r) / (lam * math.sinh(r))
 
 
+# tolerances of the spherical transform's forward and spectral integrals
+_FORWARD_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13, max_subdiv=200)
+_SPECTRAL_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_subdiv=200)
+# radii at which the calibrated round trip must reproduce u
+_CHECK_RADII = (0.0, 0.4, 0.9)
+
+
 class SphericalTransform:
     """Radial spherical transform with self-calibrated inversion constant.
 
@@ -522,41 +520,27 @@ class SphericalTransform:
     round-trip identity (analytically 1/(2 pi^2)), verified to 1e-6 before use.
     """
 
-    def __init__(self, u: RadialProfile, cfg: QuadratureConfig = DEFAULT_QUAD,
-                 check_radii=(0.0, 0.4, 0.9)):
+    def __init__(self, u: RadialProfile):
         _require_c2_bounded(u, "SphericalTransform")
         self.u = u
-        self.cfg = cfg
         self.r_max = u.tail_radius(1e-14)
         self._fwd_cache = {}
         self.lam_max = self._find_lambda_cut()
         self.kappa = None
-        self._calibrate(check_radii)
+        self._calibrate()
 
     def forward(self, lam: float) -> float:
         """u_hat(lam) = 4 pi * integral of u phi_lam sinh^2.
 
-        The integrand oscillates for large lam and its value sits below the
-        round-off floor of QUADPACK's estimate there, so the error policy is
-        absolute: results are accepted once the reported error is below 1e-11.
+        Integrated by ``quad_finite`` at ``_FORWARD_QUAD`` (rel 1e-11, abs
+        1e-13); a result QUADPACK warns about is rejected (``NumericError``)
+        unless its error estimate is within max(1e-13, 1e-9 |value|).
         """
         cached = self._fwd_cache.get(lam)
         if cached is not None:
             return cached
-        from scipy.integrate import quad
-
         f = lambda r: self.u(r) * _phi_lambda(lam, r) * math.sinh(r) ** 2
-        res = quad(
-            f, 0.0, self.r_max,
-            epsabs=1e-13, epsrel=1e-11, limit=self.cfg.max_subdiv,
-            full_output=1,
-        )
-        val, err = res[0], res[1]
-        if err > max(1e-9, 1e-8 * abs(val)):
-            raise CalibrationError(
-                f"forward transform inaccurate at lam={lam}: err={err:.2e}"
-            )
-        out = 4.0 * math.pi * val
+        out = 4.0 * math.pi * quad_finite(f, 0.0, self.r_max, _FORWARD_QUAD)
         self._fwd_cache[lam] = out
         return out
 
@@ -573,31 +557,19 @@ class SphericalTransform:
         )
 
     def _spectral_integral(self, R0: float, weight) -> float:
-        from scipy.integrate import quad
-
         f = lambda lam: weight(lam) * self.forward(lam) * _phi_lambda(lam, R0) * lam * lam
-        res = quad(
-            f, 0.0, self.lam_max,
-            epsabs=1e-11, epsrel=1e-9, limit=self.cfg.max_subdiv,
-            full_output=1,
-        )
-        val, err = res[0], res[1]
-        if err > max(1e-8, 1e-6 * abs(val)):
-            raise CalibrationError(
-                f"spectral integral inaccurate at R0={R0}: err={err:.2e}"
-            )
-        return val
+        return quad_finite(f, 0.0, self.lam_max, _SPECTRAL_QUAD)
 
     def roundtrip(self, R0: float) -> float:
         return self.kappa * self._spectral_integral(R0, lambda lam: 1.0)
 
-    def _calibrate(self, check_radii):
-        base = self._spectral_integral(check_radii[0], lambda lam: 1.0)
-        u0 = self.u(check_radii[0])
+    def _calibrate(self):
+        base = self._spectral_integral(_CHECK_RADII[0], lambda lam: 1.0)
+        u0 = self.u(_CHECK_RADII[0])
         if base == 0.0 or u0 == 0.0:
             raise CalibrationError("degenerate calibration point")
         self.kappa = u0 / base
-        for r in check_radii:
+        for r in _CHECK_RADII:
             got = self.roundtrip(r)
             want = self.u(r)
             if abs(got - want) > 1e-6 * max(1.0, abs(want)):
@@ -616,21 +588,16 @@ class SphericalTransform:
     def plancherel_spectral(self) -> float:
         """Spectral side of the squared norm, kappa * int u_hat^2 lam^2."""
         f = lambda lam: self.forward(lam) ** 2 * lam * lam
-        return self.kappa * quad_finite(f, 0.0, self.lam_max, self.cfg)
+        return self.kappa * quad_finite(f, 0.0, self.lam_max)
 
     def norm_sq_direct(self) -> float:
         f = lambda r: self.u(r) ** 2 * math.sinh(r) ** 2
-        return 4.0 * math.pi * quad_finite(f, 0.0, self.r_max, self.cfg)
+        return 4.0 * math.pi * quad_finite(f, 0.0, self.r_max)
 
 
-def multiplier_oracle(
-    u: RadialProfile,
-    R0: float,
-    gamma: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:
     """One-shot spectral evaluation of -(-Delta)^gamma u(R0)."""
-    return SphericalTransform(u, cfg).multiplier_value(R0, gamma)
+    return SphericalTransform(u).multiplier_value(R0, gamma)
 
 
 def laplace_beltrami_radial(u: RadialProfile, R0: float, h: float = 1e-4) -> float:
@@ -674,12 +641,7 @@ class BarrierReport:
         return max(self.margins)
 
 
-def barrier_check(
-    spec: BarrierSpec,
-    sample_radii,
-    bounds: EllipticityBounds,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> BarrierReport:
+def barrier_check(spec: BarrierSpec, sample_radii, bounds: EllipticityBounds) -> BarrierReport:
     """Evaluate (7R)^2/I0(7R) * M+ v + Lambda H(7R) at each sample radius.
 
     Nonpositive margins certify the supersolution property on the sampled
@@ -694,7 +656,7 @@ def barrier_check(
     seven = 7.0 * spec.R
     front = seven ** 2 / i0_closed(seven, spec.gamma)
     shift = bounds.lambda_hi * aux_H(seven)
-    mplus = [pucci_plus(v, r, spec.gamma, bounds, cfg) for r in radii]
+    mplus = [pucci_plus(v, r, spec.gamma, bounds) for r in radii]
     margins = [front * m + shift for m in mplus]
     return BarrierReport(spec, tuple(radii), tuple(mplus), tuple(margins))
 
@@ -705,7 +667,6 @@ def barrier_alpha_sweep(
     gamma: float,
     sample_radii,
     bounds: EllipticityBounds,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
     alpha_start: float = 2.0,
     alpha_cap: float = 64.0,
     kappa: float = 0.25,
@@ -717,7 +678,7 @@ def barrier_alpha_sweep(
     alpha = alpha_start
     while alpha <= alpha_cap:
         spec = BarrierSpec(delta=delta, alpha=alpha, R=R, gamma=gamma, kappa=kappa)
-        rep = barrier_check(spec, sample_radii, bounds, cfg)
+        rep = barrier_check(spec, sample_radii, bounds)
         reports[alpha] = rep
         if found is None and rep.all_nonpositive:
             found = alpha

@@ -1,7 +1,8 @@
 """Quadrature configuration and thin wrappers around QUADPACK.
 
-Every integral in the package is driven by a :class:`QuadratureConfig`.  The
-wrappers below add error policies on top of ``scipy.integrate.quad``:
+This is the only module that calls ``scipy.integrate``.  The QUADPACK
+wrappers below run at the tolerances of a :class:`QuadratureConfig` and share
+one accept rule (``_check``):
 
 * ``quad_finite``     -- adaptive integration on [a, b], optional break points.
 * ``quad_semi_inf``   -- adaptive integration on [a, oo) for algebraic or
@@ -36,25 +37,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits shared by all adaptive integrals.
+    """Tolerances and subinterval limit of one QUADPACK integral.
 
-    ``truncation_decay`` is the e-folding exponent used when a tail is cut off
-    analytically: integration stops where the integrand's tail bound has
-    decayed by exp(-truncation_decay) relative to its scale.
+    The wrappers of this module pass ``rel_tol``/``abs_tol`` to QUADPACK as
+    ``epsrel``/``epsabs`` and ``max_subdiv`` as its subinterval limit.  The
+    geometry, kernel and scale quadratures take one from their caller
+    (``gyro.sphere_integral_E`` uses its two tolerances as a refinement
+    test).  The operator module runs on fixed tolerances of its own: module
+    constants for the batched nonlocal core, two fixed configs for the
+    spherical transform.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdiv: int = 200
-    truncation_decay: float = 45.0
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_subdiv < 10:
             raise DomainError("max_subdiv must be at least 10")
-        if self.truncation_decay <= 0:
-            raise DomainError("truncation_decay must be positive")
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -24,10 +24,8 @@ from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, NumericError, UnsupportedRangeError
 from .quadrature import NODE_BUDGET
-from .quadrature import QuadratureConfig, DEFAULT_QUAD  # noqa: F401  (re-export)
 
 __all__ = [
-    "QuadratureConfig",
     "bessel_i",
     "bessel_i_scaled",
     "bessel_k",
@@ -41,6 +39,8 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# the Bessel K trapezoid stops where its integrand has decayed by exp(-45)
+_K_DECAY = 45.0
 
 
 # ----------------------------------------------------------------------
@@ -109,18 +109,17 @@ def _log_cosh(t):
     return t + np.log1p(np.exp(-2.0 * t)) - _LOG2
 
 
-def _k_cutoff(nu: float, x: float, decay: float) -> float:
-    # smallest u with x*(cosh u - 1) - nu*u >= decay, padded by 5%
-    u = math.acosh(1.0 + decay / x)
+def _k_cutoff(nu: float, x: float) -> float:
+    # smallest u with x*(cosh u - 1) - nu*u >= _K_DECAY, padded by 5%
+    u = math.acosh(1.0 + _K_DECAY / x)
     for _ in range(4):
-        u = math.acosh(1.0 + (decay + nu * u) / x)
+        u = math.acosh(1.0 + (_K_DECAY + nu * u) / x)
     return 1.05 * u + 0.25
 
 
 def _k_trapezoid(nu: float, x: float, scaled: bool) -> float:
     nu = abs(nu)
-    decay = 45.0
-    cut = _k_cutoff(nu, x, decay)
+    cut = _k_cutoff(nu, x)
     h = min(1.0 / 16.0, 0.5 / math.sqrt(x))
     n = max(80, int(math.ceil(cut / h)))
     u = np.linspace(0.0, cut, n + 1)
@@ -141,10 +140,9 @@ def _k_trapezoid_array(nu: float, x):
     ``_k_trapezoid`` with one common node count per block of rows, so each
     row's step is at most its scalar step."""
     nu = abs(nu)
-    decay = 45.0
-    u = np.arccosh(1.0 + decay / x)
+    u = np.arccosh(1.0 + _K_DECAY / x)
     for _ in range(4):
-        u = np.arccosh(1.0 + (decay + nu * u) / x)
+        u = np.arccosh(1.0 + (_K_DECAY + nu * u) / x)
     cut = 1.05 * u + 0.25
     n = np.maximum(80.0, np.ceil(cut / np.minimum(1.0 / 16.0, 0.5 / np.sqrt(x))))
     out = np.empty_like(x)

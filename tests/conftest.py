@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from hypfrac.quadrature import QuadratureConfig
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240911)
 
-
-@pytest.fixture
-def quick_cfg():
-    return QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_subdiv=200)

@@ -164,6 +164,16 @@ class TestGammaLimit:
         recs = parse_csv(out)
         assert float(recs[0]["reference"]) == pytest.approx(-6.0, rel=1e-6)
 
+    def test_tolerance_flags_leave_operator_unchanged(self, capsys):
+        # the jump integral runs on the operator's fixed tolerances, so the
+        # QUADPACK flags must not move a single digit of it
+        args = ("--command", "gamma-limit", "--R0", "0.3", "--gamma-grid", "0.9")
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args, "--rel-tol", "1e-6",
+                             "--abs-tol", "1e-9", "--max-subdiv", "50")
+        assert code1 == code2
+        assert out1 == out2
+
 
 class TestJsonFormat:
     def test_metadata_and_records(self, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypfrac.errors import DomainError, NumericError
+from hypfrac.errors import CalibrationError, DomainError, NumericError
 from hypfrac.geometry import aux_H
 from hypfrac.operator import (
     ArccosReport,
@@ -250,13 +250,22 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
 
 
 class TestRejectedQuadrature:
+    # oscillates far faster than 200 Gauss-Kronrod panels can follow
+    NOISE = RadialProfile(
+        f=lambda r: math.sin(1e8 * r) if r < 2.0 else 0.0,
+        support_radius=2.0, name="noise")
+
     def test_unresolvable_profile_raises_numeric_error(self):
-        # oscillates far faster than 200 Gauss-Kronrod panels can follow
-        u = RadialProfile(
-            f=lambda r: math.sin(1e8 * r) if r < 2.0 else 0.0,
-            support_radius=2.0, name="noise")
         with pytest.raises(NumericError):
-            apply_fraclap(u, 0.7, 0.5)
+            apply_fraclap(self.NOISE, 0.7, 0.5)
+
+    def test_unresolvable_transform_raises_numeric_error(self):
+        # QUADPACK warns on the first forward integral (lambda = 5) with an
+        # error estimate of the order of the value; that is a rejected
+        # quadrature, not a failed calibration
+        with pytest.raises(NumericError) as exc:
+            SphericalTransform(self.NOISE)
+        assert not isinstance(exc.value, CalibrationError)
 
 
 class TestBarrierReference:

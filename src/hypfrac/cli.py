@@ -30,6 +30,7 @@ from .gyro import (
 )
 from .kernel import KernelSpec, euclidean_limit_ratio, invariance_integral, kernel_value
 from .operator import (
+    NONLOCAL_TOLERANCES,
     EllipticityBounds,
     barrier_alpha_sweep,
     laplace_beltrami_radial,
@@ -76,6 +77,16 @@ def _parse_grid(text, name):
     return vals
 
 
+def _used_tolerances(args):
+    """The tolerance blocks of the JSON: what the command actually ran on."""
+    if args.command in ("verify-constant", "scale-sweep"):
+        return {"tolerances": {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol},
+                "quadrature": {"max_subdiv": args.max_subdiv}}
+    if args.command in ("barrier-check", "gamma-limit"):
+        return {"tolerances": dict(NONLOCAL_TOLERANCES)}
+    return {}  # kernel-table and gyro-check run no quadrature
+
+
 def _emit(args, records, columns, passed, meta, started):
     out = io.StringIO()
     if args.format == "csv":
@@ -88,8 +99,7 @@ def _emit(args, records, columns, passed, meta, started):
             "command": args.command,
             "params": meta,
             "seed": args.seed,
-            "tolerances": {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol},
-            "quadrature": {"max_subdiv": args.max_subdiv},
+            **_used_tolerances(args),
             "records": records,
             "pass": bool(passed),
             "wall_time_s": round(time.perf_counter() - started, 6),

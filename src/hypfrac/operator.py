@@ -34,6 +34,7 @@ __all__ = [
     "apply_fraclap",
     "pucci_plus",
     "pucci_minus",
+    "NONLOCAL_TOLERANCES",
     "SphericalTransform",
     "multiplier_oracle",
     "laplace_beltrami_radial",
@@ -295,23 +296,32 @@ def second_difference(u: RadialProfile, R0: float, r: float, omega1: float) -> f
 # (delta ~ r^2 against absolute noise ~1e-16 |u|); the smooth factor is
 # frozen at its value here, a relative modeling error of O(_R_FLOOR^2).
 _R_FLOOR = 1e-3
-# outer panels halve toward each kink image, down to 2**-_GRADE_DEPTH of the
-# gap between the image and its neighbouring break point
-_GRADE_DEPTH = 16
-# tolerances of the nonlocal core's radial integral, the panel limit of both
-# its levels, and the tail bound that places the far-tail cut
+# tolerances of the nonlocal core's radial and angular integrals, the panel
+# limit of both levels, and the tail bound that places the far-tail cut
 _RADIAL_REL = 1e-8
 _RADIAL_ABS = 1e-12
+_ANGULAR_REL = 1e-9
+_ANGULAR_ABS = 1e-15
 _PANEL_LIMIT = 200
 _TAIL_EPS = 1e-12
+# what apply_fraclap and the Pucci operators run on, for reports
+NONLOCAL_TOLERANCES = {
+    "radial_rel": _RADIAL_REL, "radial_abs": _RADIAL_ABS,
+    "angular_rel": _ANGULAR_REL, "angular_abs": _ANGULAR_ABS,
+    "panel_limit": _PANEL_LIMIT, "tail_eps": _TAIL_EPS,
+}
 
 
-def _graded_cuts(a, b, marks, depth):
+def _graded_cuts(a, b, marks, finest):
     """Break points of [a, b]: the marks inside it, with panel widths halving
-    geometrically toward every mark from both sides."""
+    geometrically toward every mark from both sides until the panel next to
+    the mark is no wider than ``finest``."""
     ends = [a] + sorted(p for p in set(marks) if a < p < b) + [b]
     cuts = set(ends)
     for p, q in zip(ends, ends[1:]):
+        if p not in marks and q not in marks:
+            continue
+        depth = max(0, math.ceil(math.log2((q - p) / finest)))
         for k in range(1, depth + 1):
             if p in marks:
                 cuts.add(p + (q - p) * 2.0 ** -k)
@@ -363,8 +373,8 @@ def _angular(u, R0, u0, r, combine):
         jac = np.sinh(w) / b_piece[own][:, None]
         return combine(delta) * np.where(lw, jac * w, jac)
 
-    val, err, _ = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, 1e-9, 1e-15,
-                             _PANEL_LIMIT)
+    val, err, _ = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, _ANGULAR_REL,
+                             _ANGULAR_ABS, _PANEL_LIMIT)
     val = np.bincount(node, val, r.size)
     err = np.bincount(node, err, r.size)
     bad = err > np.maximum(1e-14, 1e-5 * np.abs(val))
@@ -401,20 +411,25 @@ def _nonlocal_integral(u, R0, gamma, combine):
 
     Outer panels are graded geometrically toward both kink images
     |R0 - r_k| and R0 + r_k, where the integrand of a steep barrier climbs
-    by tens of orders of magnitude within a narrow ramp that a coarse panel
-    steps over.  Both levels are adaptive Gauss-Kronrod (``gk21_batch``):
-    every outer node's angular pieces are integrated together in one batch,
-    and a panel is accepted only once its two halves confirm it, never on a
-    single estimate.  The batched integrand sees at most ``NODE_BUDGET``
-    nodes per numpy call, which bounds the memory whatever the panel count.
-    Angular integrals are taken to 1e-9 of their |f| mass (of 1e3 times
-    their value under stronger cancellation) and rejected (``NumericError``)
-    when their error exceeds 1e-5 of the value; the radial integral is
-    taken to ``_RADIAL_REL`` (absolute floor ``_RADIAL_ABS``) in the same
-    sense and rejected beyond 1e-4, the thresholds of the QUADPACK core
-    before it.  Each integral stops refining at ``_PANEL_LIMIT`` panels, and
-    the far-tail cut sits where the profile's tail bound reaches
-    ``_TAIL_EPS``.
+    by tens of orders of magnitude within a ramp whose width scales with the
+    kink radius, and which a coarse panel steps over.  The panels halve
+    toward each image until the one next to it is no wider than the smallest
+    kink radius: ceil(log2(gap / r_k)) levels per side for the gap to the
+    neighbouring break point, so a large kink gets few panels and a small
+    one as many as its ramp needs.  Both levels are adaptive Gauss-Kronrod
+    (``gk21_batch``): every outer node's angular pieces are integrated
+    together in one batch, and a panel is accepted only once its two halves
+    confirm it, never on a single estimate.  The batched integrand sees at
+    most ``NODE_BUDGET`` nodes per numpy call, which bounds the memory
+    whatever the panel count.  Angular integrals are taken to
+    ``_ANGULAR_REL`` of their |f| mass (absolute floor ``_ANGULAR_ABS``; of
+    1e3 times their value under stronger cancellation) and rejected
+    (``NumericError``) when their error exceeds 1e-5 of the value; the
+    radial integral is taken to ``_RADIAL_REL`` (absolute floor
+    ``_RADIAL_ABS``) in the same sense and rejected beyond 1e-4, the
+    thresholds of the QUADPACK core before it.  Each integral stops refining
+    at ``_PANEL_LIMIT`` panels, and the far-tail cut sits where the
+    profile's tail bound reaches ``_TAIL_EPS``.
     """
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
     # below ~1e-5 there are already negligible against it
@@ -435,7 +450,10 @@ def _nonlocal_integral(u, R0, gamma, combine):
     total = smooth * r_frozen ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
 
     images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
-    cuts = np.log(_graded_cuts(r_frozen, A, images, _GRADE_DEPTH))
+    # a ramp at a kink image is ~r_k / (2 alpha) wide: panels of width r_k
+    # leave its last few halvings to the adaptive bisection
+    finest = min(u.kink_radii, default=math.inf)
+    cuts = np.log(_graded_cuts(r_frozen, A, images, finest))
     val, err, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1,
                              _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
     if err[0] > max(10.0 * _RADIAL_ABS, 1e-4 * abs(val[0])):

@@ -109,17 +109,19 @@ def _log_cosh(t):
     return t + np.log1p(np.exp(-2.0 * t)) - _LOG2
 
 
-def _k_cutoff(nu: float, x: float) -> float:
-    # smallest u with x*(cosh u - 1) - nu*u >= _K_DECAY, padded by 5%
-    u = math.acosh(1.0 + _K_DECAY / x)
+def _k_cutoff(nu: float, x, acosh):
+    # smallest u with x*(cosh u - 1) - nu*u >= _K_DECAY, padded by 5%; x is a
+    # float with acosh = math.acosh or an array with acosh = np.arccosh, which
+    # differ in the last bit, so each path keeps its own
+    u = acosh(1.0 + _K_DECAY / x)
     for _ in range(4):
-        u = math.acosh(1.0 + (_K_DECAY + nu * u) / x)
+        u = acosh(1.0 + (_K_DECAY + nu * u) / x)
     return 1.05 * u + 0.25
 
 
 def _k_trapezoid(nu: float, x: float, scaled: bool) -> float:
     nu = abs(nu)
-    cut = _k_cutoff(nu, x)
+    cut = _k_cutoff(nu, x, math.acosh)
     h = min(1.0 / 16.0, 0.5 / math.sqrt(x))
     n = max(80, int(math.ceil(cut / h)))
     u = np.linspace(0.0, cut, n + 1)
@@ -140,10 +142,7 @@ def _k_trapezoid_array(nu: float, x):
     ``_k_trapezoid`` with one common node count per block of rows, so each
     row's step is at most its scalar step."""
     nu = abs(nu)
-    u = np.arccosh(1.0 + _K_DECAY / x)
-    for _ in range(4):
-        u = np.arccosh(1.0 + (_K_DECAY + nu * u) / x)
-    cut = 1.05 * u + 0.25
+    cut = _k_cutoff(nu, x, np.arccosh)
     n = np.maximum(80.0, np.ceil(cut / np.minimum(1.0 / 16.0, 0.5 / np.sqrt(x))))
     out = np.empty_like(x)
     rows = max(1, NODE_BUDGET // (int(n.max()) + 1))

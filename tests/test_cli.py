@@ -189,6 +189,26 @@ class TestJsonFormat:
         assert doc["tolerances"]["rel_tol"] == 1e-10
         assert len(doc["records"]) == 1
 
+    def test_operator_commands_report_operator_tolerances(self, capsys):
+        # the flags do not reach the operator, so the JSON must not echo them
+        code, out, _ = run(
+            capsys, "--command", "gamma-limit", "--R0", "0.3", "--gamma-grid", "0.9",
+            "--rel-tol", "1e-6", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["tolerances"]["radial_rel"] == 1e-8
+        assert "rel_tol" not in doc["tolerances"]
+        assert "quadrature" not in doc
+
+    def test_no_tolerances_without_quadrature(self, capsys):
+        code, out, _ = run(
+            capsys, "--command", "kernel-table", "--rho-grid", "0.5,1", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert "tolerances" not in doc and "quadrature" not in doc
+
     def test_deterministic_modulo_wall_time(self, capsys):
         args = ("--command", "gyro-check", "--n-cases", "40", "--seed", "3",
                 "--format", "json")

@@ -32,6 +32,7 @@ from hypfrac.operator import (
     second_difference,
     tabulated,
 )
+from hypfrac.operator import _PANEL_LIMIT, _graded_cuts
 from hypfrac.scale import i0_closed, iinf_closed
 
 UNIT = EllipticityBounds(1.0, 1.0)
@@ -301,6 +302,65 @@ class TestBarrierReference:
         spec = BarrierSpec(delta=0.5, alpha=alpha, R=1.0, gamma=0.99)
         got = pucci_plus(barrier_profile(spec), R0, 0.99, UNIT)
         assert got == pytest.approx(want, rel=1e-6)
+
+
+class TestSmallKinkReference:
+    """pucci_plus of barriers with small kink radii, unit bounds.
+
+    References from ``tools/barrier_reference.py`` with the spec named in
+    each case.  A fixed grading depth of the radial panels misses them: 2
+    halvings toward each kink image miss the first case by 3.1e-3, 4 miss
+    the alpha = 16, R0 = 3.5 and alpha = 32 cases by 1.6e-3 and 3.8e-4, and
+    16 leave the last case's radial error at 1.45e38 of -2.22e39
+    (``NumericError``).  The panels next to the images must shrink with the
+    kink radius.
+    """
+
+    CASES = [
+        ((0.1, 2.0, 0.99, 0.05), 16.0, 7.014999999999999, -2.0804999487392334e98),
+        ((0.05, 1.0, 0.99, 0.05), 16.0, 3.5, -8.871369132174935e109),
+        ((0.05, 1.0, 0.99, 0.05), 16.0, 0.02, -2.410406634564172e122),
+        ((0.05, 1.0, 0.99, 0.05), 32.0, 1.0, -4.576742547237144e238),
+        ((1e-6, 1.0, 0.9, 0.25), 4.0, 2.0, -2.285220637589795e39),
+    ]
+
+    @pytest.mark.parametrize("spec,alpha,R0,want", CASES)
+    def test_matches_reference(self, spec, alpha, R0, want):
+        delta, R, gamma, kappa = spec
+        barrier = BarrierSpec(delta=delta, alpha=alpha, R=R, gamma=gamma, kappa=kappa)
+        got = pucci_plus(barrier_profile(barrier), R0, gamma, UNIT)
+        assert got == pytest.approx(want, rel=1e-6)
+
+
+class TestGradedCuts:
+    def test_marks_are_cuts_with_fine_neighbours(self):
+        marks = {0.9, 1.1}
+        for finest in (1.0, 0.2, 1e-2, 1e-7):
+            cuts = list(_graded_cuts(1e-3, 80.0, marks, finest))
+            assert cuts[0] == 1e-3 and cuts[-1] == 80.0
+            for m in marks:
+                i = cuts.index(m)
+                assert cuts[i] - cuts[i - 1] <= finest
+                assert cuts[i + 1] - cuts[i] <= finest
+
+    def test_count_grows_like_log2_of_gap(self):
+        # one mark in the middle: each side halves until width <= finest
+        for k in range(0, 30, 3):
+            finest = 2.0 ** -k
+            depth = max(0, math.ceil(math.log2(0.5 / finest)))
+            assert len(_graded_cuts(0.0, 1.0, {0.5}, finest)) == 3 + 2 * depth
+
+    def test_no_marks_no_cuts(self):
+        assert list(_graded_cuts(1e-3, 80.0, set(), math.inf)) == [1e-3, 80.0]
+        assert list(_graded_cuts(1e-3, 80.0, {100.0}, 1e-3)) == [1e-3, 80.0]
+
+    def test_finest_below_float_resolution(self):
+        # cuts that round onto the mark merge with it, so the count stays
+        # bounded by the float resolution, not by log2(gap / finest)
+        for mark in (0.02, 1.0, 4.0):
+            cuts = _graded_cuts(1e-3, 80.0, {mark}, 1e-300)
+            assert np.all(np.diff(cuts) > 0.0)
+            assert len(cuts) < _PANEL_LIMIT
 
 
 class TestBarrier:

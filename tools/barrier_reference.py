@@ -1,6 +1,6 @@
 """Reference values of pucci_plus on the radial barrier, by an independent route.
 
-    PYTHONPATH=src python tools/barrier_reference.py [ALPHA:R0 ...]
+    PYTHONPATH=src python tools/barrier_reference.py [ALPHA:R0[:DELTA:R:GAMMA:KAPPA] ...]
 
 ``hypfrac.operator`` integrates the angular variable in the distance w and
 resolves the power-law ramps of the barrier adaptively in batches.  This
@@ -19,8 +19,19 @@ The model is the operator's own: the second differences are frozen below
 r = 1e-3 (that piece is integrated analytically), the radial integral is cut
 at A = R0 + min(tail radius at 1e-12, 80) and the analytic tail mass
 iinf_closed(A)/A^2 is added beyond it.  The kernel factor is
-``hypfrac.kernel.kernel_sinh2``.  Each value takes tens of seconds; the
-values are printed as ``alpha R0 value`` lines.
+``hypfrac.kernel.kernel_sinh2``; the bounds are unit (Lambda = lambda = 1).
+
+A point names alpha and R0 on the default barrier (delta, R, gamma, kappa) =
+(.5, 1, .99, .25), or the whole spec.  Without points the tool prints the
+defaults below.  The small-kink points of ``tests/test_operator.py``, where a
+fixed grading depth of the operator's outer panels fell short, are
+
+    16:7.014999999999999:0.1:2:0.99:0.05
+    16:3.5:0.05:1:0.99:0.05  16:0.02:0.05:1:0.99:0.05  32:1:0.05:1:0.99:0.05
+    4:2:1e-6:1:0.9:0.25
+
+Each value takes tens of seconds.  Values are printed as ``alpha R0 value``
+lines, with ``delta R gamma kappa`` after R0 when the point names a spec.
 """
 
 import math
@@ -32,7 +43,7 @@ from hypfrac.kernel import kernel_sinh2
 from hypfrac.operator import BarrierSpec, barrier_profile, barrier_value
 from hypfrac.scale import iinf_closed
 
-DELTA, R, GAMMA = 0.5, 1.0, 0.99
+DELTA, R, GAMMA, KAPPA = 0.5, 1.0, 0.99, 0.25
 R_FLOOR = 1e-3
 REL = 1e-12
 DEFAULT_POINTS = [(2.0, 0.4), (2.0, 2.2), (4.0, 1.0), (4.0, 4.0), (8.0, 0.4),
@@ -59,8 +70,8 @@ def _graded(a, b, toward_a, toward_b, depth):
     return pts
 
 
-def pucci_plus_reference(alpha, R0):
-    spec = BarrierSpec(delta=DELTA, alpha=alpha, R=R, gamma=GAMMA)
+def pucci_plus_reference(alpha, R0, delta=DELTA, R=R, gamma=GAMMA, kappa=KAPPA):
+    spec = BarrierSpec(delta=delta, alpha=alpha, R=R, gamma=gamma, kappa=kappa)
     v = barrier_profile(spec)
     rk = spec.kink_radius
     u0 = barrier_value(spec, R0)
@@ -92,25 +103,28 @@ def pucci_plus_reference(alpha, R0):
         return 2.0 * _quad(g, 0.0, 1.0, pts, 1e-7)
 
     def outer(r):
-        return 2.0 * math.pi * kernel_sinh2(GAMMA, r) * inner(r)
+        return 2.0 * math.pi * kernel_sinh2(gamma, r) * inner(r)
 
     A = R0 + min(v.tail_radius(1e-12), 80.0)
     split = min(1.0, 0.5 * A)
-    total = outer(R_FLOOR) * R_FLOOR / (2.0 - 2.0 * GAMMA)
+    total = outer(R_FLOOR) * R_FLOOR / (2.0 - 2.0 * gamma)
     images = sorted({abs(R0 - rk), R0 + rk})
     for a, b in ((R_FLOOR, split), (split, A)):
         cuts = [a] + [p for p in images if a < p < b] + [b]
         for p, q in zip(cuts, cuts[1:]):
             pts = _graded(p, q, p in images, q in images, 45)
             total += _quad(outer, p, q, pts, 1e-10)
-    total += -u0 * iinf_closed(A, GAMMA) / (A * A)  # the barrier tends to 0
+    total += -u0 * iinf_closed(A, gamma) / (A * A)  # the barrier tends to 0
     return total
 
 
 def main(argv):
     points = [tuple(map(float, arg.split(":"))) for arg in argv] or DEFAULT_POINTS
-    for alpha, R0 in points:
-        print(f"{alpha:g} {R0:g} {pucci_plus_reference(alpha, R0)!r}", flush=True)
+    for point in points:
+        if len(point) not in (2, 6):
+            raise SystemExit(f"a point is ALPHA:R0 or ALPHA:R0:DELTA:R:GAMMA:KAPPA, not {point}")
+        label = " ".join(f"{x:.16g}" for x in point)
+        print(f"{label} {pucci_plus_reference(*point)!r}", flush=True)
 
 
 if __name__ == "__main__":

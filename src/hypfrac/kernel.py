@@ -96,20 +96,23 @@ def kernel_sinh2(gamma: float, rho):
 
     This is the density against which every radial integral is taken; the
     exponential growth of sinh^2 exactly cancels the kernel's decay, leaving
-    an algebraic rho^(-1-gamma) tail.  rho may be a numpy array (one
-    broadcast Bessel trapezoid for all entries); a scalar rho takes the
-    scalar path.
+    an algebraic rho^(-1-gamma) tail.  K_{3/2+gamma} comes from
+    ``bessel_k_scaled``, whose trapezoid nodes sit on power-of-two steps
+    shared by all rho of one step, so the node tables of one gamma serve
+    every call.  rho may be a numpy array (all entries through those tables
+    in batches; an empty array gives an empty array); a scalar rho takes the
+    scalar path.  rho must be finite and positive (``DomainError``).
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
     if isinstance(rho, np.ndarray):
         rho = rho.astype(float, copy=False)
-        if np.any(~(rho > 0.0)):
-            raise DomainError("kernel_sinh2 requires rho > 0")
+        if not np.all((rho > 0.0) & (rho < np.inf)):
+            raise DomainError("kernel_sinh2 requires finite rho > 0")
         ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-np.expm1(-2.0 * rho)) / 2.0
         return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
-    if rho <= 0.0:
-        raise DomainError("kernel_sinh2 requires rho > 0")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("kernel_sinh2 requires finite rho > 0")
     # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow
     ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-math.expm1(-2.0 * rho)) / 2.0
     return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh

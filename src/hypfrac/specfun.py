@@ -6,10 +6,17 @@ The evaluators are self-contained:
 * ``bessel_i`` sums the ascending series in log space.  For orders nu >= -1
   every term is nonnegative, so the sum is cancellation-free on the whole
   supported range x in (0, ~700].
-* ``bessel_k`` integrates exp(-x cosh u) cosh(nu u) du with the trapezoid
-  rule, which converges geometrically for this analytic, double-exponentially
-  decaying integrand.  The step is shrunk like 1/sqrt(x) so the Laplace peak
-  stays resolved at large x.
+* ``bessel_k`` integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is
+  exp(x) K_nu(x), with the trapezoid rule.  The rule converges geometrically
+  for this analytic, double-exponentially decaying integrand (Trefethen and
+  Weideman, SIAM Review 56, 2014).  Its step is the power of two
+  2^-level <= min(1/16, 1/(2 sqrt x)), shrinking like 1/sqrt(x) so that the
+  Laplace peak stays resolved at large x, and its nodes u_j = j 2^-level are
+  therefore shared by every x of one level.  The x-free factors
+  1 - cosh u_j and log cosh(nu u_j) sit in a bounded cache of tables, one
+  per (|nu|, level, power-of-two length), built on first use; an evaluation
+  costs one multiply-add, one ``exp`` and one sum per node.  Arrays of x run
+  through the same tables, rows of one table together.
 * ``struve_l`` sums the power series with exact (fsum) accumulation; terms can
   alternate in sign for negative orders.
 
@@ -18,6 +25,7 @@ Struve) sums for the antiderivatives of rho^(k-nu) K_nu(rho) {sinh, cosh, 1}.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -41,6 +49,12 @@ __all__ = [
 _LOG2 = math.log(2.0)
 # the Bessel K trapezoid stops where its integrand has decayed by exp(-45)
 _K_DECAY = 45.0
+# ... and before u = 709, where 1 - cosh u is still a finite double; x below
+# ~1e-291 would need a longer rule and is unsupported
+_K_U_MAX = 709.0
+# exponents are floored here before exp, whose results below ~1e-308 take a
+# slow path; exp(-700) is < 1e-300 of the u = 0 node, which contributes 1
+_K_EXP_FLOOR = -700.0
 
 
 # ----------------------------------------------------------------------
@@ -119,66 +133,110 @@ def _k_cutoff(nu: float, x, acosh):
     return 1.05 * u + 0.25
 
 
-def _k_trapezoid(nu: float, x: float, scaled: bool) -> float:
+def _k_unsupported(nu: float):
+    return UnsupportedRangeError(
+        f"bessel_k at nu={nu} needs a trapezoid cut beyond u = {_K_U_MAX:g}: x is too small"
+    )
+
+
+@lru_cache(maxsize=64)
+def _k_table(nu: float, level: int, size: int):
+    """The x-free factors of the trapezoid nodes u_j = j 2^-level,
+    j = 0..size: 1 - cosh u_j = -2 sinh^2(u_j/2), exact near u = 0, and
+    log cosh(nu u_j).  The nodes stop at _K_U_MAX, which no cut passes, so
+    both stay finite.  Read-only: every call with the same key shares them."""
+    u = np.arange(min(size, int(_K_U_MAX * 2 ** level)) + 1) * 2.0 ** -level
+    tables = (-2.0 * np.sinh(0.5 * u) ** 2, _log_cosh(nu * u))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _k_trapezoid(nu: float, x: float) -> float:
+    """exp(x) K_nu(x) at a float x > 0."""
     nu = abs(nu)
     cut = _k_cutoff(nu, x, math.acosh)
-    h = min(1.0 / 16.0, 0.5 / math.sqrt(x))
-    n = max(80, int(math.ceil(cut / h)))
-    u = np.linspace(0.0, cut, n + 1)
-    # cosh u - 1 = 2 sinh^2(u/2), exact near u = 0
-    expo = -2.0 * x * np.sinh(0.5 * u) ** 2 + _log_cosh(nu * u)
-    if not scaled:
-        expo = expo - x
-    f = np.exp(expo)
-    h_eff = cut / n
-    val = h_eff * (0.5 * f[0] + np.sum(f[1:-1]) + 0.5 * f[-1])
+    if not cut <= _K_U_MAX:
+        raise _k_unsupported(nu)
+    # the step 2^-level is the largest power of two <= min(1/16, 1/(2 sqrt x)),
+    # read exactly off the binary exponent of 4x
+    m, e = math.frexp(x)
+    level = max(4, (e + 3 - (m == 0.5)) // 2)
+    n = max(80, math.ceil(math.ldexp(cut, level)))
+    sinh2, logcosh = _k_table(nu, level, 1 << (n - 1).bit_length())
+    expo = x * sinh2[:n + 1] + logcosh[:n + 1]
+    f = np.exp(np.maximum(expo, _K_EXP_FLOOR, out=expo), out=expo)
+    val = math.ldexp(float(f.sum()) - 0.5 * float(f[0] + f[n]), -level)
     if not math.isfinite(val):
         raise NumericError(f"bessel_k overflow at nu={nu}, x={x}")
-    return float(val)
+    return val
 
 
 def _k_trapezoid_array(nu: float, x):
     """exp(x) K_nu(x) at every entry of the 1-D array x: the rule of
-    ``_k_trapezoid`` with one common node count per block of rows, so each
-    row's step is at most its scalar step."""
+    ``_k_trapezoid``, run on the rows that share a node table at once."""
     nu = abs(nu)
-    cut = _k_cutoff(nu, x, np.arccosh)
-    n = np.maximum(80.0, np.ceil(cut / np.minimum(1.0 / 16.0, 0.5 / np.sqrt(x))))
+    with np.errstate(over="ignore"):  # x < ~1e-307: an infinite cut, refused below
+        cut = _k_cutoff(nu, x, np.arccosh)
+    if not np.all(cut <= _K_U_MAX):
+        raise _k_unsupported(nu)
+    m, e = np.frexp(x)
+    level = np.maximum(4, (e + 3 - (m == 0.5)) // 2)
+    n = np.maximum(80, np.ceil(np.ldexp(cut, level))).astype(np.int64)
+    # rows of one (level, size) share a table, size = 2^bits >= n
+    key = 64 * level + np.frexp(n - 1)[1]
     out = np.empty_like(x)
-    rows = max(1, NODE_BUDGET // (int(n.max()) + 1))
-    for s in range(0, x.size, rows):
-        sl = slice(s, s + rows)
-        m = int(n[sl].max())
-        t = np.linspace(0.0, 1.0, m + 1)
-        uu = cut[sl, None] * t
-        f = np.exp(-2.0 * x[sl, None] * np.sinh(0.5 * uu) ** 2 + _log_cosh(nu * uu))
-        out[sl] = cut[sl] / m * (f[:, 1:-1].sum(axis=1) + 0.5 * (f[:, 0] + f[:, -1]))
+    for k in np.unique(key).tolist():
+        lv, bits = divmod(k, 64)
+        rows = np.flatnonzero(key == k)
+        top = int(n[rows].max()) + 1
+        sinh2, logcosh = (t[:top] for t in _k_table(nu, lv, 1 << bits))
+        j = np.arange(top)
+        chunk = max(1, NODE_BUDGET // top)
+        for s in range(0, rows.size, chunk):
+            r = rows[s:s + chunk]
+            nr = n[r]
+            expo = x[r, None] * sinh2 + logcosh
+            f = np.exp(np.maximum(expo, _K_EXP_FLOOR, out=expo), out=expo)
+            f[j > nr[:, None]] = 0.0  # each row is its scalar rule: no node past n
+            ends = f[:, 0] + f[np.arange(r.size), nr]
+            out[r] = np.ldexp(f.sum(axis=1) - 0.5 * ends, -lv)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"bessel_k overflow at nu={nu}")
     return out
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x); even in nu."""
-    if x <= 0.0:
-        raise DomainError("bessel_k requires x > 0")
-    return _k_trapezoid(nu, x, scaled=False)
+    """Modified Bessel function of the second kind K_nu(x); even in nu.
+
+    x must be finite and positive (``DomainError`` otherwise); x below
+    ~1e-291, whose rule would run past u = 709, raises
+    ``UnsupportedRangeError``.  K_nu underflows to 0 beyond x ~ 745.
+    """
+    if not 0.0 < x < math.inf:
+        raise DomainError("bessel_k requires finite x > 0")
+    return _k_trapezoid(nu, x) * math.exp(-x)
 
 
 def bessel_k_scaled(nu: float, x):
     """exp(x) * K_nu(x), stable for arbitrarily large x.
 
-    x may be a numpy array; all entries are then evaluated in one broadcast
-    trapezoid.  A scalar x takes the scalar path.
+    The trapezoid rule on the nodes j 2^-level (see the module docstring),
+    with the step 2^-level <= min(1/16, 1/(2 sqrt x)) and at least 80 steps
+    up to the cut where the integrand has decayed by exp(-45).  x may be a
+    numpy array; its entries then run through the same node tables in
+    batches, and agree with the scalar path to a few ulp.  Every entry must be
+    finite and positive (``DomainError``); an empty array gives an empty
+    array.
     """
     if isinstance(x, np.ndarray):
         x = x.astype(float, copy=False)
-        if np.any(~(x > 0.0)):
-            raise DomainError("bessel_k_scaled requires x > 0")
+        if not np.all((x > 0.0) & (x < np.inf)):
+            raise DomainError("bessel_k_scaled requires finite x > 0")
         return _k_trapezoid_array(nu, x.ravel()).reshape(x.shape)
-    if x <= 0.0:
-        raise DomainError("bessel_k_scaled requires x > 0")
-    return _k_trapezoid(nu, x, scaled=True)
+    if not 0.0 < x < math.inf:
+        raise DomainError("bessel_k_scaled requires finite x > 0")
+    return _k_trapezoid(nu, x)
 
 
 # ----------------------------------------------------------------------

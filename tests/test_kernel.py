@@ -78,6 +78,16 @@ class TestKernelValue:
         with pytest.raises(DomainError):
             KernelSpec(gamma=1.0)
 
+    def test_sinh2_non_finite(self):
+        for rho in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                kernel_sinh2(0.5, rho)
+            with pytest.raises(DomainError):
+                kernel_sinh2(0.5, np.array([1.0, rho]))
+
+    def test_sinh2_empty_array(self):
+        assert kernel_sinh2(0.5, np.array([])).shape == (0,)
+
 
 class TestEuclideanLimit:
     def test_large_tau_window(self):

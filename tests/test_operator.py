@@ -281,10 +281,12 @@ class TestBarrierReference:
     (graded QUADPACK at 1e-12, grading depths 2^-14 / 2^-29 / 2^-45, a log-w
     angular integral); they sit next to the kink-image ramps that a coarse
     radial panel steps over.  The alpha in {2, 4, 8} points are ones where an
-    unbatched scalar QUADPACK core agreed to <= 1e-8 as well.
+    unbatched scalar QUADPACK core agreed to <= 1e-8 as well.  At (2, .13) the
+    reference needs its first radial piece graded toward r = 1e-3 too.
     """
 
     CASES = [
+        (2.0, 0.13, -1512205933.8072672),
         (2.0, 0.4, -1962616.6964554668),
         (2.0, 2.2, -26.568789619305623),
         (4.0, 1.0, -599208653723.7223),

@@ -6,6 +6,7 @@ import scipy.special as sps
 
 from hypfrac.errors import DomainError, UnsupportedRangeError
 from hypfrac.specfun import (
+    _k_table,
     bessel_i,
     bessel_i_scaled,
     bessel_k,
@@ -140,6 +141,87 @@ class TestBesselK:
             assert bessel_k_scaled(2.5, x) == pytest.approx(want, rel=1e-2)
         assert bessel_k_scaled(2.5, 1e3) == pytest.approx(
             float(sps.kve(2.5, 1e3)), rel=1e-12)
+
+
+class TestBesselKTables:
+    """The trapezoid on power-of-two steps, whose x-free node factors are
+    tabulated per (|nu|, level, length) and shared by the scalar and array
+    paths."""
+
+    # worst relative error against scipy's kve (1.17.1) on grid() of the rule
+    # before the tables (linspace nodes, step min(1/16, 1/(2 sqrt x))), on
+    # its better path (array; its scalar path had 1.25e-14)
+    OLD_RULE_KVE_WORST = 1.1435297153639112e-14
+
+    @staticmethod
+    def grid():
+        rng = np.random.default_rng(2014)
+        orders = rng.uniform(0.0, 10.0, 12)
+        # the level changes at x = 64, 256, 1024 (2 sqrt x = 16, 32, 64)
+        edges = np.array([64.0, 256.0, 1024.0])
+        x = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e4), 1500)),
+                            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        return orders, x
+
+    def test_scalar_and_array_agree(self):
+        orders, x = self.grid()
+        for nu in orders:
+            scalar = np.array([bessel_k_scaled(nu, float(v)) for v in x])
+            assert np.max(np.abs(bessel_k_scaled(nu, x) / scalar - 1.0)) <= 2e-15
+
+    def test_against_scipy_no_worse_than_before(self):
+        orders, x = self.grid()
+        for nu in orders:
+            want = sps.kve(nu, x)
+            scalar = np.array([bessel_k_scaled(nu, float(v)) for v in x])
+            assert np.max(np.abs(scalar / want - 1.0)) <= self.OLD_RULE_KVE_WORST
+            assert np.max(np.abs(bessel_k_scaled(nu, x) / want - 1.0)) <= self.OLD_RULE_KVE_WORST
+
+    def test_cache_stays_bounded(self):
+        for nu in 3.0 + np.arange(200) / 997.0:
+            bessel_k_scaled(float(nu), 0.5)
+            bessel_k_scaled(float(nu), np.array([0.01, 100.0]))
+        info = _k_table.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+
+class TestBesselKEdges:
+    """Non-finite, non-positive and too small arguments raise typed errors on
+    both paths; an empty array is a valid argument."""
+
+    def test_nan(self):
+        for f in (bessel_k, bessel_k_scaled):
+            with pytest.raises(DomainError):
+                f(1.5, math.nan)
+        with pytest.raises(DomainError):
+            bessel_k_scaled(1.5, np.array([1.0, math.nan]))
+
+    def test_infinite(self):
+        for f in (bessel_k, bessel_k_scaled):
+            with pytest.raises(DomainError):
+                f(2.5, math.inf)
+        with pytest.raises(DomainError):
+            bessel_k_scaled(2.5, np.array([1.0, math.inf]))
+
+    def test_nonpositive_array(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                bessel_k_scaled(2.5, np.array([1.0, bad]))
+
+    def test_empty_array(self):
+        assert bessel_k_scaled(1.5, np.array([])).shape == (0,)
+        assert bessel_k_scaled(1.5, np.empty((0, 3))).shape == (0, 3)
+
+    def test_below_supported_range(self):
+        # the cut would pass u = 709, where 1 - cosh u leaves the doubles
+        for x in (1e-300, 1e-310):
+            with pytest.raises(UnsupportedRangeError):
+                bessel_k(0.3, x)
+            with pytest.raises(UnsupportedRangeError):
+                bessel_k_scaled(0.3, np.array([1.0, x]))
+        assert bessel_k(0.3, 1e-280) == pytest.approx(
+            0.5 * math.gamma(0.3) * 2e280 ** 0.3, rel=1e-12)
 
 
 class TestWronskian:

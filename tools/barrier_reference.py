@@ -13,7 +13,9 @@ script takes a different path to the same integral, with scalar QUADPACK
   widths 2^-k (k = 1..50) of the piece;
 * the radial integral runs in r itself, with break points at both kink
   images R0 -/+ kappa delta R/4 graded geometrically on both sides down to
-  2^-45 of the neighbouring piece.
+  2^-45 of the neighbouring piece; the first piece is graded the same way
+  toward r = 1e-3, where the second differences carry rounding noise (without
+  it QUADPACK gives up on that piece at alpha = 2, R0 = 0.13).
 
 The model is the operator's own: the second differences are frozen below
 r = 1e-3 (that piece is integrated analytically), the radial integral is cut
@@ -112,7 +114,7 @@ def pucci_plus_reference(alpha, R0, delta=DELTA, R=R, gamma=GAMMA, kappa=KAPPA):
     for a, b in ((R_FLOOR, split), (split, A)):
         cuts = [a] + [p for p in images if a < p < b] + [b]
         for p, q in zip(cuts, cuts[1:]):
-            pts = _graded(p, q, p in images, q in images, 45)
+            pts = _graded(p, q, p in images or p == R_FLOOR, q in images, 45)
             total += _quad(outer, p, q, pts, 1e-10)
     total += -u0 * iinf_closed(A, gamma) / (A * A)  # the barrier tends to 0
     return total

@@ -74,6 +74,8 @@ def _parse_grid(text, name):
         raise DomainError(f"malformed {name} grid: {text!r}")
     if not vals:
         raise DomainError(f"empty {name} grid")
+    if not all(math.isfinite(v) for v in vals):
+        raise DomainError(f"non-finite entry in {name} grid: {text!r}")
     return vals
 
 
@@ -368,11 +370,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     started = time.perf_counter()
-    cfg = QuadratureConfig(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_subdiv=args.max_subdiv
-    )
     meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("out",)}
     try:
+        cfg = QuadratureConfig(
+            rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_subdiv=args.max_subdiv
+        )
         records, cols, ok = _DISPATCH[args.command](args, cfg)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

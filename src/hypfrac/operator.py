@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from .errors import CalibrationError, DomainError, NumericError
 from .geometry import acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import QuadratureConfig, gk21_batch, quad_finite
+from .quadrature import gk21_batch
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -59,10 +59,12 @@ class RadialProfile:
     then converts a tolerance eps into a radius beyond which |f| <= eps.
     ``kink_radii`` lists radii where f is only Lipschitz; the declared C2
     class is understood away from those radii.  ``f_array`` evaluates f on a
-    numpy array; without it, f is wrapped once with ``np.frompyfunc``.
+    numpy array, ``f`` at one radius; give either or both.  Without
+    ``f_array``, f is wrapped once with ``np.frompyfunc``; without ``f``,
+    ``u(r)`` is ``f_array`` on a 0-d array, returned as a float.
     """
 
-    f: callable
+    f: callable = None
     support_radius: float = math.inf
     smoothness: str = "C2"
     bounded: bool = True
@@ -73,10 +75,12 @@ class RadialProfile:
     f_array: callable = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.f_array is None:
+        if self.f is None:
+            f_array = self.f_array
+            object.__setattr__(self, "f", lambda r: float(f_array(np.array(r, dtype=float))))
+        elif self.f_array is None:
             ufunc = np.frompyfunc(self.f, 1, 1)
-            object.__setattr__(
-                self, "f_array", lambda r: ufunc(r).astype(float))
+            object.__setattr__(self, "f_array", lambda r: ufunc(r).astype(float))
 
     def __call__(self, r):
         return self.f(r)
@@ -98,7 +102,6 @@ class RadialProfile:
 def constant_profile(value: float = 1.0) -> RadialProfile:
     """A constant; every jump integral of it vanishes identically."""
     return RadialProfile(
-        f=lambda r: value,
         support_radius=math.inf,
         tail_width=lambda eps: 1.0,
         limit_at_infinity=value,
@@ -113,7 +116,6 @@ def gaussian_bump(width: float = 1.0) -> RadialProfile:
         raise DomainError("width must be positive")
 
     return RadialProfile(
-        f=lambda r: math.exp(-((r / width) ** 2)),
         support_radius=math.inf,
         tail_width=lambda eps: width * math.sqrt(math.log(1.0 / eps)) + 1.0,
         name="gaussian-bump",
@@ -126,16 +128,11 @@ def polynomial_bump(radius: float = 1.0) -> RadialProfile:
     if radius <= 0.0:
         raise DomainError("radius must be positive")
 
-    def f(r):
-        u = r / radius
-        return (1.0 - u * u) ** 3 if u < 1.0 else 0.0
-
     def f_array(r):
         u = r / radius
         return np.where(u < 1.0, (1.0 - u * u) ** 3, 0.0)
 
-    return RadialProfile(f=f, support_radius=radius, name="polynomial-bump",
-                         f_array=f_array)
+    return RadialProfile(support_radius=radius, name="polynomial-bump", f_array=f_array)
 
 
 def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> RadialProfile:
@@ -143,7 +140,6 @@ def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> R
     if R <= 0.0:
         raise DomainError("R must be positive")
     return RadialProfile(
-        f=lambda r: offset - curvature * r * r / (2.0 * R * R),
         support_radius=math.inf,
         bounded=False,
         name="paraboloid",
@@ -160,16 +156,10 @@ def tabulated(r_samples, values) -> RadialProfile:
     spline = CubicSpline(r_samples, values, extrapolate=False)
     top = float(r_samples[-1])
 
-    def f(r):
-        if r > top:
-            return 0.0
-        v = spline(min(max(r, float(r_samples[0])), top))
-        return float(v)
-
     def f_array(r):
         return np.where(r > top, 0.0, spline(np.clip(r, float(r_samples[0]), top)))
 
-    return RadialProfile(f=f, support_radius=top, name="tabulated", f_array=f_array)
+    return RadialProfile(support_radius=top, name="tabulated", f_array=f_array)
 
 
 _PROFILE_FAMILIES = {
@@ -272,7 +262,6 @@ def barrier_profile(spec: BarrierSpec) -> RadialProfile:
         return np.where(r <= spec.kink_radius, floor, power)
 
     return RadialProfile(
-        f=lambda r: barrier_value(spec, r),
         support_radius=math.inf,
         kink_radii=(spec.kink_radius,),
         tail_width=tail_width,
@@ -310,6 +299,19 @@ NONLOCAL_TOLERANCES = {
     "angular_rel": _ANGULAR_REL, "angular_abs": _ANGULAR_ABS,
     "panel_limit": _PANEL_LIMIT, "tail_eps": _TAIL_EPS,
 }
+
+
+def _accepted(val, err, rel_tol, abs_tol, what, at=None):
+    """The values of ``gk21_batch`` integrals run at (rel_tol, abs_tol).  An
+    integral whose error estimate exceeds ten times the largest tolerance the
+    batch grants, max(abs_tol, 1e3 rel_tol |value|), as it does when it ran
+    out of panels, is rejected (``NumericError``), named by ``at`` if given."""
+    bad = err > 10.0 * np.maximum(abs_tol, 1e3 * rel_tol * np.abs(val))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = "" if at is None else f" at r={at[k]:.6g}"
+        raise NumericError(f"{what}{where}: error {err[k]:.2e} too large for value {val[k]:.4e}")
+    return val
 
 
 def _graded_cuts(a, b, marks, finest):
@@ -377,13 +379,7 @@ def _angular(u, R0, u0, r, combine):
                              _ANGULAR_ABS, _PANEL_LIMIT)
     val = np.bincount(node, val, r.size)
     err = np.bincount(node, err, r.size)
-    bad = err > np.maximum(1e-14, 1e-5 * np.abs(val))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NumericError(
-            f"angular integral at r={r[k]:.6g}: error {err[k]:.2e} too large "
-            f"for value {val[k]:.4e}")
-    out[live] = 2.0 * val
+    out[live] = 2.0 * _accepted(val, err, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
     return out
 
 
@@ -423,13 +419,11 @@ def _nonlocal_integral(u, R0, gamma, combine):
     most ``NODE_BUDGET`` nodes per numpy call, which bounds the memory
     whatever the panel count.  Angular integrals are taken to
     ``_ANGULAR_REL`` of their |f| mass (absolute floor ``_ANGULAR_ABS``; of
-    1e3 times their value under stronger cancellation) and rejected
-    (``NumericError``) when their error exceeds 1e-5 of the value; the
-    radial integral is taken to ``_RADIAL_REL`` (absolute floor
-    ``_RADIAL_ABS``) in the same sense and rejected beyond 1e-4, the
-    thresholds of the QUADPACK core before it.  Each integral stops refining
-    at ``_PANEL_LIMIT`` panels, and the far-tail cut sits where the
-    profile's tail bound reaches ``_TAIL_EPS``.
+    1e3 times their value under stronger cancellation), the radial integral
+    to ``_RADIAL_REL`` (absolute floor ``_RADIAL_ABS``) in the same sense;
+    ``_accepted`` rejects them beyond 1e-5 and 1e-4 of the value.  Each
+    integral stops refining at ``_PANEL_LIMIT`` panels, and the far-tail cut
+    sits where the profile's tail bound reaches ``_TAIL_EPS``.
     """
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
     # below ~1e-5 there are already negligible against it
@@ -456,9 +450,7 @@ def _nonlocal_integral(u, R0, gamma, combine):
     cuts = np.log(_graded_cuts(r_frozen, A, images, finest))
     val, err, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1,
                              _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
-    if err[0] > max(10.0 * _RADIAL_ABS, 1e-4 * abs(val[0])):
-        raise NumericError(f"radial integral error {err[0]:.2e} for value {val[0]:.4e}")
-    total += val[0]
+    total += _accepted(val, err, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
 
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
     total += combine(u.limit_at_infinity - u0) * tail_mass
@@ -514,20 +506,18 @@ def pucci_minus(u: RadialProfile, R0: float, gamma: float,
 # spectral multiplier oracle
 
 
-def _phi_lambda(lam: float, r: float) -> float:
-    """Radial eigenfunction sin(lam r)/(lam sinh r), normalized to 1 at 0."""
-    if r == 0.0:
-        return 1.0
-    if lam == 0.0:
-        return r / math.sinh(r)
-    return math.sin(lam * r) / (lam * math.sinh(r))
-
-
-# tolerances of the spherical transform's forward and spectral integrals
-_FORWARD_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13, max_subdiv=200)
-_SPECTRAL_QUAD = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11, max_subdiv=200)
+# (rel, abs) tolerances of the spherical transform's r- and lambda-integrals
+_FORWARD_TOL = (1e-11, 1e-13)
+_SPECTRAL_TOL = (1e-9, 1e-11)
 # radii at which the calibrated round trip must reproduce u
 _CHECK_RADII = (0.0, 0.4, 0.9)
+
+
+def _integrals(f, top, n, tol, what):
+    """n integrals over [0, top] at tol = (rel, abs); f(x, own) is integrand own."""
+    val, err, _ = gk21_batch(f, np.zeros(n), np.full(n, top), np.arange(n), n, *tol,
+                             _PANEL_LIMIT)
+    return _accepted(val, err, *tol, what)
 
 
 class SphericalTransform:
@@ -535,7 +525,10 @@ class SphericalTransform:
 
     The forward transform integrates u against phi_lambda sinh^2; the inverse
     integrates against phi_lambda lambda^2 with a constant kappa fixed by the
-    round-trip identity (analytically 1/(2 pi^2)), verified to 1e-6 before use.
+    round-trip identity (analytically 1/(2 pi^2)), verified to 1e-6 before
+    use.  Each spectral integral is one ``gk21_batch`` reading u_hat on its
+    node array; nodes not yet memoised are transformed in one batch.  Every
+    integral is rejected (``NumericError``) by the nonlocal core's rule.
     """
 
     def __init__(self, u: RadialProfile):
@@ -544,73 +537,77 @@ class SphericalTransform:
         self.r_max = u.tail_radius(1e-14)
         self._fwd_cache = {}
         self.lam_max = self._find_lambda_cut()
-        self.kappa = None
         self._calibrate()
 
     def forward(self, lam: float) -> float:
-        """u_hat(lam) = 4 pi * integral of u phi_lam sinh^2.
+        """u_hat(lam) = 4 pi * integral over [0, r_max] of u phi_lam sinh^2,
+        whose integrand u(r) sin(lam r) sinh(r) / lam is taken as
+        u(r) sinc(lam r) r sinh(r), to rel 1e-11 / abs 1e-13."""
+        return float(self._u_hat(np.array([lam], dtype=float))[0])
 
-        Integrated by ``quad_finite`` at ``_FORWARD_QUAD`` (rel 1e-11, abs
-        1e-13); a result QUADPACK warns about is rejected (``NumericError``)
-        unless its error estimate is within max(1e-13, 1e-9 |value|).
-        """
-        cached = self._fwd_cache.get(lam)
-        if cached is not None:
-            return cached
-        f = lambda r: self.u(r) * _phi_lambda(lam, r) * math.sinh(r) ** 2
-        out = 4.0 * math.pi * quad_finite(f, 0.0, self.r_max, _FORWARD_QUAD)
-        self._fwd_cache[lam] = out
-        return out
+    def _u_hat(self, lam):
+        """u_hat at every entry of the array lam, each node integrated once."""
+        cache = self._fwd_cache
+        new = np.fromiter(set(lam.ravel().tolist()).difference(cache), float)
+        if new.size:
+            # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
+            f = lambda r, own: (self.u.values(r) * np.sinc(new[own, None] * r / math.pi)
+                                * r * np.sinh(r))
+            got = 4.0 * math.pi * _integrals(f, self.r_max, new.size, _FORWARD_TOL,
+                                             "forward transform")
+            cache.update(zip(new.tolist(), got.tolist()))
+        return np.array([cache[x] for x in lam.ravel().tolist()]).reshape(lam.shape)
 
     def _find_lambda_cut(self) -> float:
         # the weight (1+lam^2)^2 dominates every multiplier used downstream
-        lam = 5.0
-        while lam <= 160.0:
-            if abs(self.forward(lam)) * (1.0 + lam * lam) ** 2 < 1e-10:
-                return lam
-            lam *= 2.0
-        raise CalibrationError(
-            "forward transform does not decay in lambda; the oracle needs a "
-            "smooth rapidly-decaying profile"
-        )
+        lams = 5.0 * 2.0 ** np.arange(6)
+        small = np.abs(self._u_hat(lams)) * (1.0 + lams * lams) ** 2 < 1e-10
+        if not small.any():
+            raise CalibrationError("forward transform does not decay in lambda; the oracle "
+                                   "needs a smooth rapidly-decaying profile")
+        return float(lams[np.argmax(small)])
 
-    def _spectral_integral(self, R0: float, weight) -> float:
-        f = lambda lam: weight(lam) * self.forward(lam) * _phi_lambda(lam, R0) * lam * lam
-        return quad_finite(f, 0.0, self.lam_max, _SPECTRAL_QUAD)
+    def _spectral_integrals(self, radii, weight):
+        """integral of weight(lam) u_hat(lam) phi_lam(R0) lam^2 over
+        [0, lam_max] at every R0 in radii, in one batch."""
+        radii = np.array(radii, dtype=float)
+        # phi_lam(R0) = sinc(lam R0) R0 / sinh(R0)
+        scale = np.array([r / math.sinh(r) if r else 1.0 for r in radii.tolist()])
+
+        def f(lam, own):
+            phi = np.sinc(lam * radii[own, None] / math.pi) * scale[own, None]
+            return weight(lam) * self._u_hat(lam) * phi * lam * lam
+
+        return _integrals(f, self.lam_max, radii.size, _SPECTRAL_TOL, "spectral integral")
 
     def roundtrip(self, R0: float) -> float:
-        return self.kappa * self._spectral_integral(R0, lambda lam: 1.0)
+        return self.kappa * float(self._spectral_integrals([R0], np.ones_like)[0])
 
     def _calibrate(self):
-        base = self._spectral_integral(_CHECK_RADII[0], lambda lam: 1.0)
-        u0 = self.u(_CHECK_RADII[0])
-        if base == 0.0 or u0 == 0.0:
+        got = self._spectral_integrals(_CHECK_RADII, np.ones_like).tolist()
+        want = [self.u(r) for r in _CHECK_RADII]
+        if got[0] == 0.0 or want[0] == 0.0:
             raise CalibrationError("degenerate calibration point")
-        self.kappa = u0 / base
-        for r in _CHECK_RADII:
-            got = self.roundtrip(r)
-            want = self.u(r)
-            if abs(got - want) > 1e-6 * max(1.0, abs(want)):
+        self.kappa = want[0] / got[0]
+        for r, g, w in zip(_CHECK_RADII, got, want):
+            if abs(self.kappa * g - w) > 1e-6 * max(1.0, abs(w)):
                 raise CalibrationError(
-                    f"round trip missed at r={r}: got {got}, expected {want}"
-                )
+                    f"round trip missed at r={r}: got {self.kappa * g}, expected {w}")
 
     def multiplier_value(self, R0: float, gamma: float) -> float:
         """-(-Delta)^gamma u(R0) through the multiplier -(lam^2+1)^gamma."""
         if not 0.0 < gamma <= 1.0:
             raise DomainError("gamma must lie in (0, 1]")
-        return -self.kappa * self._spectral_integral(
-            R0, lambda lam: (lam * lam + 1.0) ** gamma
-        )
+        return -self.kappa * float(self._spectral_integrals(
+            [R0], lambda lam: (lam * lam + 1.0) ** gamma)[0])
 
     def plancherel_spectral(self) -> float:
         """Spectral side of the squared norm, kappa * int u_hat^2 lam^2."""
-        f = lambda lam: self.forward(lam) ** 2 * lam * lam
-        return self.kappa * quad_finite(f, 0.0, self.lam_max)
+        return self.kappa * float(self._spectral_integrals([0.0], self._u_hat)[0])
 
     def norm_sq_direct(self) -> float:
-        f = lambda r: self.u(r) ** 2 * math.sinh(r) ** 2
-        return 4.0 * math.pi * quad_finite(f, 0.0, self.r_max)
+        f = lambda r, own: self.u.values(r) ** 2 * np.sinh(r) ** 2
+        return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD_TOL, "direct norm")[0])
 
 
 def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:

@@ -43,9 +43,8 @@ class QuadratureConfig:
     ``epsrel``/``epsabs`` and ``max_subdiv`` as its subinterval limit.  The
     geometry, kernel and scale quadratures take one from their caller
     (``gyro.sphere_integral_E`` uses its two tolerances as a refinement
-    test).  The operator module runs on fixed tolerances of its own: module
-    constants for the batched nonlocal core, two fixed configs for the
-    spherical transform.
+    test).  The operator module takes none: its integrals all run through
+    ``gk21_batch`` on module constants of its own.
     """
 
     rel_tol: float = 1e-10

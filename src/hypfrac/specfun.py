@@ -88,8 +88,8 @@ def bessel_i(nu: float, x: float) -> float:
 
     Accurate to ~1e-12 relative for nu in [-1, 10] and x in (0, 700).
     """
-    if x < 0.0:
-        raise DomainError("bessel_i requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise DomainError("bessel_i requires finite x >= 0")
     if x == 0.0:
         if nu == 0.0:
             return 1.0
@@ -106,8 +106,8 @@ def bessel_i(nu: float, x: float) -> float:
 
 def bessel_i_scaled(nu: float, x: float) -> float:
     """exp(-x) * I_nu(x), safe against overflow for large x."""
-    if x <= 0.0:
-        raise DomainError("bessel_i_scaled requires x > 0")
+    if not 0.0 < x < math.inf:
+        raise DomainError("bessel_i_scaled requires finite x > 0")
     m, s = _i_series(nu, x)
     if s <= 0.0:
         raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
@@ -126,11 +126,12 @@ def _log_cosh(t):
 def _k_cutoff(nu: float, x, acosh):
     # smallest u with x*(cosh u - 1) - nu*u >= _K_DECAY, padded by 5%; x is a
     # float with acosh = math.acosh or an array with acosh = np.arccosh, which
-    # differ in the last bit, so each path keeps its own
+    # differ in the last bit, so each path keeps its own.  The callers add
+    # 0.25, or beyond x = 1024 a few widths 8/sqrt(x) of the integrand's peak
     u = acosh(1.0 + _K_DECAY / x)
     for _ in range(4):
         u = acosh(1.0 + (_K_DECAY + nu * u) / x)
-    return 1.05 * u + 0.25
+    return 1.05 * u
 
 
 def _k_unsupported(nu: float):
@@ -155,7 +156,7 @@ def _k_table(nu: float, level: int, size: int):
 def _k_trapezoid(nu: float, x: float) -> float:
     """exp(x) K_nu(x) at a float x > 0."""
     nu = abs(nu)
-    cut = _k_cutoff(nu, x, math.acosh)
+    cut = _k_cutoff(nu, x, math.acosh) + min(0.25, 8.0 / math.sqrt(x))
     if not cut <= _K_U_MAX:
         raise _k_unsupported(nu)
     # the step 2^-level is the largest power of two <= min(1/16, 1/(2 sqrt x)),
@@ -177,7 +178,7 @@ def _k_trapezoid_array(nu: float, x):
     ``_k_trapezoid``, run on the rows that share a node table at once."""
     nu = abs(nu)
     with np.errstate(over="ignore"):  # x < ~1e-307: an infinite cut, refused below
-        cut = _k_cutoff(nu, x, np.arccosh)
+        cut = _k_cutoff(nu, x, np.arccosh) + np.minimum(0.25, 8.0 / np.sqrt(x))
     if not np.all(cut <= _K_U_MAX):
         raise _k_unsupported(nu)
     m, e = np.frexp(x)
@@ -248,8 +249,8 @@ def struve_l(nu: float, x: float) -> float:
 
     Supported for x in (0, 30]; larger arguments raise UnsupportedRangeError.
     """
-    if x < 0.0:
-        raise DomainError("struve_l requires x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise DomainError("struve_l requires finite x >= 0")
     if x > 30.0:
         raise UnsupportedRangeError("struve_l supports x <= 30 only")
     if x == 0.0:

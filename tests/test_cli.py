@@ -66,6 +66,22 @@ class TestVerifyConstant:
         assert "numeric" in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("flag, value", [("--rel-tol", "-1"), ("--max-subdiv", "3")])
+    def test_bad_tolerance_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "--command", "kernel-table", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "Traceback" not in err
+
+    def test_non_finite_grid_entry(self, capsys):
+        code, out, err = run(
+            capsys, "--command", "scale-sweep", "--r-grid", "nan", "--gamma-grid", ".5")
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "Traceback" not in err
+
+
 class TestKernelTable:
     def test_monotone_column(self, capsys):
         code, out, _ = run(

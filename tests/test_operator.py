@@ -98,6 +98,51 @@ class TestArrayEvaluation:
         self.check(u, np.linspace(0.0, 3.0, 7))
 
 
+class TestScalarEvaluation:
+    """``u(r)`` of every family, derived from its array evaluator, against
+    the family's formula written out."""
+
+    RADII = (0.0, 0.3, 1.0, 1.5, 2.7)
+
+    def test_families(self):
+        for r in self.RADII:
+            assert constant_profile(2.5)(r) == 2.5
+            assert gaussian_bump(0.7)(r) == pytest.approx(math.exp(-(r / 0.7) ** 2), rel=1e-15)
+            want = (1.0 - (r / 1.5) ** 2) ** 3 if r < 1.5 else 0.0
+            assert polynomial_bump(1.5)(r) == pytest.approx(want, rel=1e-14, abs=1e-300)
+            assert paraboloid(1.0, 2.0, 0.5)(r) == pytest.approx(1.0 - 4.0 * r * r, rel=1e-15)
+
+    def test_tabulated_at_samples(self):
+        samples = np.linspace(0.0, 2.0, 12)
+        u = tabulated(samples, np.cos(samples))
+        for r in samples:
+            assert u(float(r)) == pytest.approx(math.cos(r), rel=1e-14, abs=1e-15)
+        assert u(2.5) == 0.0
+
+    def test_barrier_both_sides_of_kink(self):
+        spec = BarrierSpec(delta=0.5, alpha=8.0, R=1.0, gamma=0.99)
+        rk = spec.kink_radius
+        u = barrier_profile(spec)
+        for r in (0.0, 0.5 * rk, rk, rk * (1 + 1e-12), 2 * rk, 1.0, 4.9):
+            assert u(r) == pytest.approx(barrier_value(spec, r), rel=1e-15)
+
+    def test_returns_python_float(self):
+        spec = BarrierSpec(delta=0.5, alpha=8.0, R=1.0, gamma=0.99)
+        tab = tabulated(np.linspace(0.0, 2.0, 12), np.ones(12))
+        for u in (constant_profile(1), gaussian_bump(), polynomial_bump(),
+                  paraboloid(), tab, barrier_profile(spec)):
+            assert type(u(0.5)) is float
+
+    def test_overflowing_barrier_raises(self):
+        # the alpha = 128 floor overflows a float, in u(r) as in barrier_value
+        spec = BarrierSpec(delta=0.5, alpha=128.0, R=1.0, gamma=0.99)
+        for r in (0.5 * spec.kink_radius, 0.2):
+            with pytest.raises(OverflowError):
+                barrier_value(spec, r)
+            with pytest.raises(OverflowError):
+                barrier_profile(spec)(r)
+
+
 class TestSecondDifference:
     def test_constant_vanishes(self, rng):
         u = constant_profile(2.5)
@@ -161,6 +206,14 @@ class TestSpectralOracle:
     def test_calibration_constant(self):
         st = SphericalTransform(gaussian_bump())
         assert st.kappa == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-6)
+
+    def test_forward_closed_form(self):
+        # u_hat of exp(-r^2) is 2 pi^(3/2) exp((1 - lam^2)/4) sin(lam/2)/lam
+        st = SphericalTransform(gaussian_bump())
+        for lam in (0.3, 1.0, 2.5, 5.0, 9.0):
+            want = (2.0 * math.pi ** 1.5 * math.exp((1.0 - lam * lam) / 4.0)
+                    * math.sin(lam / 2.0) / lam)
+            assert st.forward(lam) == pytest.approx(want, rel=1e-10, abs=1e-13)
 
     def test_round_trip(self):
         st = SphericalTransform(gaussian_bump())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from hypfrac import specfun
 from hypfrac.errors import DomainError, UnsupportedRangeError
 from hypfrac.specfun import (
     _k_table,
@@ -204,6 +205,18 @@ class TestBesselKEdges:
         with pytest.raises(DomainError):
             bessel_k_scaled(2.5, np.array([1.0, math.inf]))
 
+    def test_huge_x_keeps_tables_small(self, monkeypatch):
+        # the node count stays bounded however large x grows: at x = 1e16 a
+        # pad of fixed width would ask for a table of ~7e7 nodes
+        def bounded_table(nu, level, size):
+            assert size <= 4096
+            return _k_table(nu, level, size)
+
+        monkeypatch.setattr(specfun, "_k_table", bounded_table)
+        want = math.sqrt(math.pi / 2e16)
+        assert bessel_k_scaled(2.5, 1e16) == pytest.approx(want, rel=1e-12)
+        assert bessel_k_scaled(2.5, np.array([1e16]))[0] == pytest.approx(want, rel=1e-12)
+
     def test_nonpositive_array(self):
         for bad in (0.0, -1.0):
             with pytest.raises(DomainError):
@@ -222,6 +235,14 @@ class TestBesselKEdges:
                 bessel_k_scaled(0.3, np.array([1.0, x]))
         assert bessel_k(0.3, 1e-280) == pytest.approx(
             0.5 * math.gamma(0.3) * 2e280 ** 0.3, rel=1e-12)
+
+
+class TestNonFiniteArguments:
+    def test_bessel_i_and_struve(self):
+        for f in (bessel_i, bessel_i_scaled, struve_l):
+            for x in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    f(1.5, x)
 
 
 class TestWronskian:

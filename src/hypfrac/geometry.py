@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, quad_finite
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left
 
 __all__ = [
     "ModelParams",
@@ -233,7 +233,7 @@ def ball_volume_quadrature(r: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> fl
         raise DomainError("ball_volume requires r >= 0")
     if r == 0.0:
         return 0.0
-    return 4.0 * math.pi * quad_finite(lambda s: math.sinh(s) ** 2, 0.0, r, cfg)
+    return alg_left(lambda s: 4.0 * math.pi * np.sinh(s) ** 2, 0.0, r, 0.0, cfg)
 
 
 def doubling_bounds(r: float, R: float):
@@ -354,11 +354,9 @@ def ring_sector_volume(
         raise DomainError("ring_sector_volume requires 0 < r_in < r_out")
     if not -1.0 <= omega1_min <= 1.0:
         raise DomainError("omega1_min must lie in [-1, 1]")
-    rho_in = math.tanh(0.5 * r_in)
-    rho_out = math.tanh(0.5 * r_out)
+    solid = 2.0 * math.pi * (1.0 - omega1_min)
 
     def density(rho):
-        return (2.0 / (1.0 - rho * rho)) ** 3 * rho * rho
+        return solid * (2.0 / (1.0 - rho * rho)) ** 3 * rho * rho
 
-    radial = quad_finite(density, rho_in, rho_out, cfg)
-    return 2.0 * math.pi * (1.0 - omega1_min) * radial
+    return alg_left(density, math.tanh(0.5 * r_in), math.tanh(0.5 * r_out), 0.0, cfg)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .quadrature import (
-    QuadratureConfig,
-    DEFAULT_QUAD,
-    quad_alg_left,
-    quad_semi_inf,
-)
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left, alg_tail
 from .specfun import bessel_k, bessel_k_scaled
 
 __all__ = [
@@ -28,6 +23,7 @@ __all__ = [
     "normalizing_constant",
     "kernel_value",
     "kernel_sinh2",
+    "kernel_sinh2_regular",
     "euclidean_limit_ratio",
     "spectral_kernel",
     "invariance_integral",
@@ -118,6 +114,18 @@ def kernel_sinh2(gamma: float, rho):
     return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
 
 
+def kernel_sinh2_regular(gamma: float, rho):
+    """rho^(1+2 gamma) kernel_sinh2(gamma, rho) at every entry of the array
+    rho >= 0: the smooth factor left by the rho^(-1-2 gamma) singularity at
+    the origin.  At and below rho = 1e-8, where kernel_sinh2 overflows as
+    gamma -> 1, it is its limit at 0, from which it differs by O(rho^2)."""
+    lead = _sinh2_prefactor(gamma) * math.gamma(1.5 + gamma) * 2.0 ** (0.5 + gamma)
+    out = np.full(rho.shape, lead)
+    big = rho > 1e-8
+    out[big] = kernel_sinh2(gamma, rho[big]) * rho[big] ** (1.0 + 2.0 * gamma)
+    return out
+
+
 def euclidean_limit_ratio(gamma: float, rho: float, tau: float) -> float:
     """kernel / (C(3,gamma) rho^(-3-2 gamma)); tends to 1 as tau -> infinity."""
     if rho <= 0.0 or tau <= 0.0:
@@ -135,28 +143,17 @@ def spectral_kernel(lam: float, t: float, rho: float) -> float:
     return -(1.0 / (4.0 * math.pi ** 2)) * (2.0 / t) * lam * math.sin(lam * rho) / math.sinh(2.0 * rho / t)
 
 
-def _sinc(u: float) -> float:
-    if abs(u) < 1e-4:
-        u2 = u * u
-        return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
-    return math.sin(u) / u
-
-
-def _rho_over_sinh(rho: float) -> float:
-    if rho < 1e-4:
-        r2 = rho * rho
-        return 1.0 - r2 / 6.0 + 7.0 * r2 * r2 / 360.0
-    # 2 rho e^-rho / (1 - e^-2 rho): underflows gracefully for huge rho
-    return 2.0 * rho * math.exp(-rho) / (-math.expm1(-2.0 * rho))
-
-
-def _one_minus_product(lam_t_half: float, rho: float) -> float:
-    """1 - sinc(a*rho) * (rho/sinh rho) with a = lam*t/2, cancellation-safe."""
-    u = lam_t_half * rho
-    if abs(u) < 1e-3 and rho < 1e-3:
-        u2, r2 = u * u, rho * rho
-        return (u2 + r2) / 6.0 - u2 * u2 / 120.0 - 7.0 * r2 * r2 / 360.0 - u2 * r2 / 36.0
-    return 1.0 - _sinc(u) * _rho_over_sinh(rho)
+def _one_minus_product(a: float, rho):
+    """1 - sinc(a rho) rho / sinh(rho) at every entry of the array rho,
+    by its series where a rho and rho are both small (cancellation)."""
+    u = a * rho
+    u2, r2 = u * u, rho * rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = (u2 + r2) / 6.0 - u2 * u2 / 120.0 - 7.0 * r2 * r2 / 360.0 - u2 * r2 / 36.0
+        # np.sinc(u / pi) = sin(u) / u, and rho / sinh(rho) as
+        # 2 rho e^-rho / (1 - e^-2 rho), which underflows gracefully
+        direct = 1.0 - np.sinc(u / math.pi) * 2.0 * rho * np.exp(-rho) / -np.expm1(-2.0 * rho)
+    return np.where((np.abs(u) < 1e-3) & (rho < 1e-3), series, direct)
 
 
 def invariance_integral(
@@ -168,8 +165,10 @@ def invariance_integral(
     """The oscillation integral of the kernel against 1 - plane-wave average.
 
     Equals (lam^2 + 4/t^2)^gamma; lam = 0 is evaluated through the analytic
-    limit of the integrand.  The integrand is nonnegative, which is asserted
-    at the sampled quadrature nodes.
+    limit of the integrand.  The near part over [0, 1] runs through
+    ``alg_left`` with the rho^(1-2 gamma) factor, the far part through
+    ``alg_tail`` with the rho^(-1-gamma) tail.  The integrand is nonnegative,
+    which is asserted by its least value over the quadrature nodes.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
@@ -177,29 +176,28 @@ def invariance_integral(
         raise DomainError("t must be positive")
     a = 0.5 * lam * t
     scale = math.pi * 2.0 ** (2.0 + 2.0 * gamma) * t ** (-2.0 * gamma)
-    neg_seen = [0.0]
+    least = [0.0]
 
-    def integrand(rho: float) -> float:
-        val = _one_minus_product(a, rho) * kernel_sinh2(gamma, rho)
-        if val < neg_seen[0]:
-            neg_seen[0] = val
-        return val
+    def seen(v):
+        least[0] = min(least[0], float(v.min(initial=0.0)))
+        return scale * v
 
-    def smooth_near_zero(rho: float) -> float:
-        # integrand with the rho^(1-2 gamma) singular factor divided out
-        if rho == 0.0:
-            # analytic limit: (1 + a^2)/6 times the kernel_sinh2 leading constant
-            lead = (
-                _sinh2_prefactor(gamma)
-                * math.gamma(1.5 + gamma) * 2.0 ** (0.5 + gamma)
-            )
-            return (1.0 + a * a) / 6.0 * lead
-        return integrand(rho) * rho ** (2.0 * gamma - 1.0)
+    def near(rho):
+        # the integrand over rho^(1-2 gamma); (1 + a^2)/6 is the limit at 0
+        # of (1 - product)/rho^2
+        tiny = rho <= 1e-8
+        r = np.where(tiny, 1.0, rho)
+        ratio = np.where(tiny, (1.0 + a * a) / 6.0, _one_minus_product(a, r) / (r * r))
+        return seen(ratio * kernel_sinh2_regular(gamma, rho))
 
-    near = quad_alg_left(smooth_near_zero, 0.0, 1.0, 1.0 - 2.0 * gamma, cfg)
-    far = quad_semi_inf(integrand, 1.0, cfg)
-    if neg_seen[0] < -1e-8:
+    def far(rho):
+        # the integrand over rho^(-1-gamma)
+        return seen(_one_minus_product(a, rho) * kernel_sinh2(gamma, rho) * rho ** (1.0 + gamma))
+
+    total = (alg_left(near, 0.0, 1.0, 1.0 - 2.0 * gamma, cfg, what="invariance integral near 0")
+             + alg_tail(far, 1.0, gamma, cfg, what="invariance integral tail"))
+    if least[0] < -1e-8:
         raise NumericError(
-            f"invariance integrand went negative ({neg_seen[0]:.3e}) at a node"
+            f"invariance integrand went negative ({least[0]:.3e}) at a node"
         )
-    return scale * (near + far)
+    return total

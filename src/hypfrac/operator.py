@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import CalibrationError, DomainError, NumericError
+from .errors import CalibrationError, DomainError
 from .geometry import acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import gk21_batch
+from .quadrature import accepted, gk21_batch
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -301,19 +301,6 @@ NONLOCAL_TOLERANCES = {
 }
 
 
-def _accepted(val, err, rel_tol, abs_tol, what, at=None):
-    """The values of ``gk21_batch`` integrals run at (rel_tol, abs_tol).  An
-    integral whose error estimate exceeds ten times the largest tolerance the
-    batch grants, max(abs_tol, 1e3 rel_tol |value|), as it does when it ran
-    out of panels, is rejected (``NumericError``), named by ``at`` if given."""
-    bad = err > 10.0 * np.maximum(abs_tol, 1e3 * rel_tol * np.abs(val))
-    if bad.any():
-        k = int(np.argmax(bad))
-        where = "" if at is None else f" at r={at[k]:.6g}"
-        raise NumericError(f"{what}{where}: error {err[k]:.2e} too large for value {val[k]:.4e}")
-    return val
-
-
 def _graded_cuts(a, b, marks, finest):
     """Break points of [a, b]: the marks inside it, with panel widths halving
     geometrically toward every mark from both sides until the panel next to
@@ -379,7 +366,7 @@ def _angular(u, R0, u0, r, combine):
                              _ANGULAR_ABS, _PANEL_LIMIT)
     val = np.bincount(node, val, r.size)
     err = np.bincount(node, err, r.size)
-    out[live] = 2.0 * _accepted(val, err, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
+    out[live] = 2.0 * accepted(val, err, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
     return out
 
 
@@ -421,7 +408,7 @@ def _nonlocal_integral(u, R0, gamma, combine):
     ``_ANGULAR_REL`` of their |f| mass (absolute floor ``_ANGULAR_ABS``; of
     1e3 times their value under stronger cancellation), the radial integral
     to ``_RADIAL_REL`` (absolute floor ``_RADIAL_ABS``) in the same sense;
-    ``_accepted`` rejects them beyond 1e-5 and 1e-4 of the value.  Each
+    ``accepted`` rejects them beyond 1e-5 and 1e-4 of the value.  Each
     integral stops refining at ``_PANEL_LIMIT`` panels, and the far-tail cut
     sits where the profile's tail bound reaches ``_TAIL_EPS``.
     """
@@ -450,7 +437,7 @@ def _nonlocal_integral(u, R0, gamma, combine):
     cuts = np.log(_graded_cuts(r_frozen, A, images, finest))
     val, err, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1,
                              _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
-    total += _accepted(val, err, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
+    total += accepted(val, err, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
 
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
     total += combine(u.limit_at_infinity - u0) * tail_mass
@@ -514,10 +501,11 @@ _CHECK_RADII = (0.0, 0.4, 0.9)
 
 
 def _integrals(f, top, n, tol, what):
-    """n integrals over [0, top] at tol = (rel, abs); f(x, own) is integrand own."""
+    """n integrals over [0, top] at tol = (rel, abs), and their error
+    estimates; f(x, own) is integrand own."""
     val, err, _ = gk21_batch(f, np.zeros(n), np.full(n, top), np.arange(n), n, *tol,
                              _PANEL_LIMIT)
-    return _accepted(val, err, *tol, what)
+    return accepted(val, err, *tol, what), err
 
 
 class SphericalTransform:
@@ -528,7 +516,8 @@ class SphericalTransform:
     round-trip identity (analytically 1/(2 pi^2)), verified to 1e-6 before
     use.  Each spectral integral is one ``gk21_batch`` reading u_hat on its
     node array; nodes not yet memoised are transformed in one batch.  Every
-    integral is rejected (``NumericError``) by the nonlocal core's rule.
+    integral goes through the one reject rule, ``quadrature.accepted``
+    (``NumericError``).
     """
 
     def __init__(self, u: RadialProfile):
@@ -545,23 +534,31 @@ class SphericalTransform:
         u(r) sinc(lam r) r sinh(r), to rel 1e-11 / abs 1e-13."""
         return float(self._u_hat(np.array([lam], dtype=float))[0])
 
+    def _transform(self, lam):
+        """u_hat and its error estimate at every entry of the 1-D array lam,
+        which are memoised."""
+        # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
+        f = lambda r, own: (self.u.values(r) * np.sinc(lam[own, None] * r / math.pi)
+                            * r * np.sinh(r))
+        val, err = _integrals(f, self.r_max, lam.size, _FORWARD_TOL, "forward transform")
+        self._fwd_cache.update(zip(lam.tolist(), (4.0 * math.pi * val).tolist()))
+        return 4.0 * math.pi * val, 4.0 * math.pi * err
+
     def _u_hat(self, lam):
         """u_hat at every entry of the array lam, each node integrated once."""
         cache = self._fwd_cache
         new = np.fromiter(set(lam.ravel().tolist()).difference(cache), float)
         if new.size:
-            # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
-            f = lambda r, own: (self.u.values(r) * np.sinc(new[own, None] * r / math.pi)
-                                * r * np.sinh(r))
-            got = 4.0 * math.pi * _integrals(f, self.r_max, new.size, _FORWARD_TOL,
-                                             "forward transform")
-            cache.update(zip(new.tolist(), got.tolist()))
+            self._transform(new)
         return np.array([cache[x] for x in lam.ravel().tolist()]).reshape(lam.shape)
 
     def _find_lambda_cut(self) -> float:
-        # the weight (1+lam^2)^2 dominates every multiplier used downstream
+        # the weight (1+lam^2)^2 dominates every multiplier used downstream; a
+        # value within its own error estimate sits on the rounding floor of
+        # the forward integral, and has decayed as far as it can be seen
         lams = 5.0 * 2.0 ** np.arange(6)
-        small = np.abs(self._u_hat(lams)) * (1.0 + lams * lams) ** 2 < 1e-10
+        val, err = self._transform(lams)
+        small = (np.abs(val) * (1.0 + lams * lams) ** 2 < 1e-10) | (np.abs(val) <= err)
         if not small.any():
             raise CalibrationError("forward transform does not decay in lambda; the oracle "
                                    "needs a smooth rapidly-decaying profile")
@@ -578,7 +575,8 @@ class SphericalTransform:
             phi = np.sinc(lam * radii[own, None] / math.pi) * scale[own, None]
             return weight(lam) * self._u_hat(lam) * phi * lam * lam
 
-        return _integrals(f, self.lam_max, radii.size, _SPECTRAL_TOL, "spectral integral")
+        val, _ = _integrals(f, self.lam_max, radii.size, _SPECTRAL_TOL, "spectral integral")
+        return val
 
     def roundtrip(self, R0: float) -> float:
         return self.kappa * float(self._spectral_integrals([R0], np.ones_like)[0])
@@ -607,7 +605,8 @@ class SphericalTransform:
 
     def norm_sq_direct(self) -> float:
         f = lambda r, own: self.u.values(r) ** 2 * np.sinh(r) ** 2
-        return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD_TOL, "direct norm")[0])
+        val, _ = _integrals(f, self.r_max, 1, _FORWARD_TOL, "direct norm")
+        return 4.0 * math.pi * float(val[0])
 
 
 def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:

@@ -1,25 +1,22 @@
-"""Quadrature configuration and thin wrappers around QUADPACK.
-
-This is the only module that calls ``scipy.integrate``.  The QUADPACK
-wrappers below run at the tolerances of a :class:`QuadratureConfig` and share
-one accept rule (``_check``):
-
-* ``quad_finite``     -- adaptive integration on [a, b], optional break points.
-* ``quad_semi_inf``   -- adaptive integration on [a, oo) for algebraic or
-  exponential tails.
-* ``quad_alg_left``   -- integration of f(x) * (x - a)**alpha on [a, b] where
-  alpha > -1, i.e. an integrable algebraic singularity at the left endpoint.
+"""Quadrature configuration and the one integrator of the package.
 
 ``gk21_batch`` integrates many independent integrals at once with the
 Gauss-Kronrod 10/21 pair of QUADPACK (Piessens et al. 1983), bisecting
-panels in numpy instead of calling a Python integrand point by point.
+panels in numpy instead of calling a Python integrand point by point.  Every
+adaptive integral of the package runs through it, and every result through
+one reject rule, ``accepted``.  Two maps onto [0, 1] turn an algebraic
+factor into a bounded integrand, for integrands that are numpy functions:
+
+* ``alg_left`` -- the integral of (x - a)^p f(x) over [a, b], p > -1, through
+  x = a + (b - a) t^(1/(1+p)); p = 0 is a plain finite integral.
+* ``alg_tail`` -- the integral of x^(-1-q) h(x) over [a, oo), q > 0, through
+  x = a t^(-1/q).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericError
 
@@ -27,9 +24,9 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUAD",
     "gauss_legendre",
-    "quad_finite",
-    "quad_semi_inf",
-    "quad_alg_left",
+    "accepted",
+    "alg_left",
+    "alg_tail",
     "NODE_BUDGET",
     "gk21_batch",
 ]
@@ -37,14 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subinterval limit of one QUADPACK integral.
+    """Tolerances and panel limit of the integrals of ``alg_left`` and
+    ``alg_tail``.
 
-    The wrappers of this module pass ``rel_tol``/``abs_tol`` to QUADPACK as
-    ``epsrel``/``epsabs`` and ``max_subdiv`` as its subinterval limit.  The
-    geometry, kernel and scale quadratures take one from their caller
-    (``gyro.sphere_integral_E`` uses its two tolerances as a refinement
-    test).  The operator module takes none: its integrals all run through
-    ``gk21_batch`` on module constants of its own.
+    ``rel_tol`` and ``abs_tol`` are the tolerances of ``gk21_batch`` and of
+    the reject rule ``accepted``, and ``max_subdiv`` is the panel limit of
+    each integral.  The geometry, kernel and scale quadratures take one from
+    their caller (``gyro.sphere_integral_E`` uses its two tolerances as a
+    refinement test).  The operator module takes none: its integrals run on
+    module constants of its own.
     """
 
     rel_tol: float = 1e-10
@@ -68,63 +66,62 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def _check(result, cfg: QuadratureConfig, what: str):
-    value, abserr, info = result[0], result[1], result[2]
-    message = result[3] if len(result) > 3 else None
-    if message is not None:
-        # QUADPACK raised a warning; accept only if the error estimate still
-        # meets the requested tolerance.
-        if abserr > max(cfg.abs_tol, 100.0 * cfg.rel_tol * abs(value)):
-            raise NumericError(
-                f"{what}: quadrature did not converge "
-                f"(value={value:.6g}, abserr={abserr:.3g}, {message})"
-            )
-    return value
+def accepted(val, err, rel_tol, abs_tol, what, at=None):
+    """The values of ``gk21_batch`` integrals run at (rel_tol, abs_tol).  An
+    integral whose error estimate exceeds ten times the largest tolerance the
+    batch grants, max(abs_tol, 1e3 rel_tol |value|), as it does when it ran
+    out of panels, is rejected (``NumericError``), named by ``at`` if given."""
+    bad = err > 10.0 * np.maximum(abs_tol, 1e3 * rel_tol * np.abs(val))
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = "" if at is None else f" at r={at[k]:.6g}"
+        raise NumericError(f"{what}{where}: error {err[k]:.2e} too large for value {val[k]:.4e}")
+    return val
 
 
-def quad_finite(f, a, b, cfg: QuadratureConfig = DEFAULT_QUAD, points=None):
-    """Adaptive integral of f on [a, b]."""
-    if not b > a:
-        raise DomainError("quad_finite requires b > a")
-    pts = None
-    if points:
-        pts = sorted(p for p in points if a < p < b)
-        pts = pts or None
-    result = quad(
-        f, a, b,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_subdiv, points=pts, full_output=1,
-    )
-    return _check(result, cfg, "quad_finite")
+def _on_unit(g, cuts, cfg, what):
+    """One integral of g(t, own) over the panels between ``cuts`` (0 to 1)."""
+    cuts = np.asarray(cuts, dtype=float)
+    val, err, _ = gk21_batch(g, cuts[:-1], cuts[1:],
+                             np.zeros(cuts.size - 1, dtype=np.intp), 1,
+                             cfg.rel_tol, cfg.abs_tol, cfg.max_subdiv)
+    return float(accepted(val, err, cfg.rel_tol, cfg.abs_tol, what)[0])
 
 
-def quad_semi_inf(f, a, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Adaptive integral of f on [a, oo)."""
-    result = quad(
-        f, a, np.inf,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_subdiv, full_output=1,
-    )
-    return _check(result, cfg, "quad_semi_inf")
+def alg_left(f, a, b, p, cfg: QuadratureConfig = DEFAULT_QUAD, points=(), what="alg_left"):
+    """Integral of (x - a)^p f(x) over [a, b], p > -1, f a numpy function.
 
-
-def quad_alg_left(f_smooth, a, b, alpha, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Integral of f_smooth(x) * (x - a)**alpha on [a, b], alpha > -1.
-
-    QUADPACK's QAWS handles the algebraic endpoint weight with dedicated
-    Chebyshev moments, so f_smooth only needs to be smooth up to the endpoint.
+    Through x = a + (b - a) t^(1/(1+p)) it is (b - a)^(1+p)/(1+p) times the
+    integral of f(x(t)) over t in [0, 1], bounded wherever f is; the first
+    panels break at the ``points`` inside (a, b).  As p -> -1, t^(1/(1+p))
+    underflows on much of [0, 1], so f must take its limit at x = a.
     """
-    if alpha <= -1:
+    if p <= -1.0:
         raise DomainError("algebraic weight exponent must exceed -1")
     if not b > a:
-        raise DomainError("quad_alg_left requires b > a")
-    result = quad(
-        f_smooth, a, b,
-        weight="alg", wvar=(alpha, 0.0),
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_subdiv, full_output=1,
-    )
-    return _check(result, cfg, "quad_alg_left")
+        raise DomainError(f"{what} requires b > a")
+    s, c = 1.0 / (1.0 + p), (b - a) ** (1.0 + p) / (1.0 + p)
+    cuts = [0.0] + sorted(((x - a) / (b - a)) ** (1.0 + p) for x in points if a < x < b) + [1.0]
+    return _on_unit(lambda t, own: c * f(a + (b - a) * t ** s), cuts, cfg, what)
+
+
+def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
+    """Integral of x^(-1-q) h(x) over [a, oo), a > 0, q > 0, h a numpy function.
+
+    Through x = a t^(-1/q) it is a^(-q)/q times the integral of h(x(t)) over
+    t in [0, 1].  x is clamped at 1e150, which a t^(-1/q) passes on much of
+    [0, 1] when q is small, so h must be flat to O(1/x) out there.
+    """
+    if not (a > 0.0 and q > 0.0):
+        raise DomainError(f"{what} requires a > 0 and q > 0")
+    c = a ** -q / q
+
+    def g(t, own):
+        with np.errstate(over="ignore", divide="ignore"):
+            x = np.minimum(a * t ** (-1.0 / q), 1e150)
+        return c * h(x)
+
+    return _on_unit(g, [0.0, 1.0], cfg, what)
 
 
 # ----------------------------------------------------------------------

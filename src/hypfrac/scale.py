@@ -9,16 +9,12 @@ as two genuinely different evaluation routes and must agree to 1e-8.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError
 from .geometry import aux_H
-from .kernel import gamma_abs_neg, kernel_sinh2
-from .quadrature import (
-    QuadratureConfig,
-    DEFAULT_QUAD,
-    quad_alg_left,
-    quad_finite,
-    quad_semi_inf,
-)
+from .kernel import gamma_abs_neg, kernel_sinh2, kernel_sinh2_regular
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left, alg_tail
 from .specfun import bessel_i, bessel_k
 
 __all__ = [
@@ -76,56 +72,50 @@ def iinf_closed(R: float, gamma: float) -> float:
 
 _FOUR_PI = 4.0 * math.pi
 
+# Each quadrature integrates in the units of its result, 4 pi folded into the
+# integrand, so that the tolerances apply to the returned value.
 
-def _i0_smooth(gamma: float):
-    # rho^2 * kernel_sinh2 with the rho^(1-2 gamma) singular factor removed
-    lead = (
-        2.0 ** (gamma - 0.5) / (math.pi ** 1.5 * gamma_abs_neg(gamma))
-        * math.gamma(1.5 + gamma) * 2.0 ** (0.5 + gamma)
-    )
 
-    def f(rho: float) -> float:
-        if rho == 0.0:
-            return lead
-        return kernel_sinh2(gamma, rho) * rho ** (1.0 + 2.0 * gamma)
+def _near(R: float, gamma: float, cfg: QuadratureConfig) -> float:
+    # 4 pi * integral_0^min(R, 1) rho^2 kernel sinh^2, through the weight
+    # rho^(1-2 gamma) of the singularity at the origin
+    return alg_left(lambda rho: _FOUR_PI * kernel_sinh2_regular(gamma, rho),
+                    0.0, min(R, 1.0), 1.0 - 2.0 * gamma, cfg)
 
-    return f
+
+def _tail(R: float, a: float, gamma: float, cfg: QuadratureConfig) -> float:
+    # 4 pi R^2 * integral_a^inf kernel sinh^2, through its rho^(-1-gamma) tail
+    c = _FOUR_PI * R * R
+    return alg_tail(lambda rho: c * rho ** (1.0 + gamma) * kernel_sinh2(gamma, rho),
+                    a, gamma, cfg)
 
 
 def i0_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """I0(R) = 4 pi * integral_0^R rho^2 kernel(rho) sinh^2(rho) d rho."""
     _validate(R, gamma)
-    smooth = _i0_smooth(gamma)
-    split = min(R, 1.0)
-    total = quad_alg_left(smooth, 0.0, split, 1.0 - 2.0 * gamma, cfg)
-    if R > split:
-        total += quad_finite(
-            lambda rho: rho * rho * kernel_sinh2(gamma, rho), split, R, cfg
-        )
-    return _FOUR_PI * total
+    total = _near(R, gamma, cfg)
+    if R > 1.0:
+        total += alg_left(lambda rho: _FOUR_PI * rho * rho * kernel_sinh2(gamma, rho),
+                          1.0, R, 0.0, cfg)
+    return total
 
 
 def iinf_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Iinf(R) = 4 pi R^2 * integral_R^inf kernel(rho) sinh^2(rho) d rho."""
     _validate(R, gamma)
-    tail = quad_semi_inf(lambda rho: kernel_sinh2(gamma, rho), R, cfg)
-    return _FOUR_PI * R * R * tail
+    return _tail(R, R, gamma, cfg)
 
 
 def i_total_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """I(R) = I0(R) + Iinf(R) as a single quadrature of min(rho, R)^2 kernel."""
     _validate(R, gamma)
-    smooth = _i0_smooth(gamma)
-    split = min(R, 1.0)
-    total = quad_alg_left(smooth, 0.0, split, 1.0 - 2.0 * gamma, cfg)
-
-    def mid(rho: float) -> float:
-        return min(rho, R) ** 2 * kernel_sinh2(gamma, rho)
-
     hi = max(R, 1.0) + 1.0
-    total += quad_finite(mid, split, hi, cfg, points=[R])
-    total += quad_semi_inf(lambda rho: R * R * kernel_sinh2(gamma, rho), hi, cfg)
-    return _FOUR_PI * total
+
+    def mid(rho):
+        return _FOUR_PI * np.minimum(rho, R) ** 2 * kernel_sinh2(gamma, rho)
+
+    return (_near(R, gamma, cfg) + alg_left(mid, min(R, 1.0), hi, 0.0, cfg, points=[R])
+            + _tail(R, hi, gamma, cfg))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,12 @@ class TestVerifyConstant:
         assert code == 0
         assert all(r["pass"] == "True" for r in parse_csv(out))
 
+    def test_large_lambda_passes(self, capsys):
+        code, out, _ = run(capsys, "--command", "verify-constant",
+                           "--lambda-grid", "0,16,32", "--gamma-grid", "0.5")
+        assert code == 0
+        assert all(r["pass"] == "True" for r in parse_csv(out))
+
     def test_malformed_grid_usage_error(self, capsys):
         code, _, err = run(
             capsys, "--command", "verify-constant", "--lambda-grid", "nope")
@@ -55,11 +61,11 @@ class TestVerifyConstant:
         assert code == 2
 
     def test_numeric_failure_exit_code(self, capsys):
-        # a 10-interval budget cannot resolve the near-endpoint singularity
-        # at gamma = 0.95 to 1e-14
+        # a 10-panel budget cannot resolve the invariance integral at
+        # lambda = 100, whose tail oscillates hundreds of times, to 1e-14
         code, _, err = run(
             capsys, "--command", "verify-constant",
-            "--lambda-grid", "1", "--gamma-grid", "0.95",
+            "--lambda-grid", "100", "--gamma-grid", "0.95",
             "--max-subdiv", "10", "--rel-tol", "1e-14", "--abs-tol", "1e-16",
         )
         assert code == 3
@@ -182,7 +188,7 @@ class TestGammaLimit:
 
     def test_tolerance_flags_leave_operator_unchanged(self, capsys):
         # the jump integral runs on the operator's fixed tolerances, so the
-        # QUADPACK flags must not move a single digit of it
+        # quadrature flags must not move a single digit of it
         args = ("--command", "gamma-limit", "--R0", "0.3", "--gamma-grid", "0.9")
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args, "--rel-tol", "1e-6",

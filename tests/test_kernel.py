@@ -154,6 +154,21 @@ class TestInvarianceIntegral:
         b = invariance_integral(0.0, 0.5, 2.0)
         assert a == pytest.approx(b, rel=1e-8)
 
+    def test_large_lambda(self):
+        # the plane-wave average oscillates hundreds of times over the tail
+        for lam in (32.0, 50.0, 100.0):
+            for g in (0.2, 0.5, 0.8, 0.95):
+                want = (lam * lam + 1.0) ** g
+                assert invariance_integral(lam, g, 2.0) == pytest.approx(want, rel=1e-8)
+
+    def test_extreme_gamma(self):
+        # near 0 the tail map clamps x; near 1 the near map sends most
+        # nodes to rho = 0
+        for lam in (0.0, 1e-6, 1.0, 8.0, 50.0):
+            for g in (0.001, 0.01, 0.5, 0.99, 0.999):
+                want = (lam * lam + 1.0) ** g
+                assert invariance_integral(lam, g, 2.0) == pytest.approx(want, rel=1e-8)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             invariance_integral(1.0, 1.5, 2.0)

@@ -236,6 +236,18 @@ class TestSpectralOracle:
         want = apply_fraclap(gaussian_bump(), 0.0, 0.5)
         assert got == pytest.approx(want, rel=1e-3)
 
+    def test_lambda_cut_by_width(self):
+        # a forward value within its own error estimate sits on the rounding
+        # floor and counts as decayed, which lets width 2 calibrate
+        cuts = {w: SphericalTransform(gaussian_bump(w)).lam_max
+                for w in (0.5, 0.6, 1.0, 1.6, 1.8, 2.0)}
+        assert cuts == {0.5: 40.0, 0.6: 20.0, 1.0: 20.0, 1.6: 10.0, 1.8: 10.0, 2.0: 20.0}
+
+    def test_wide_bump_matches_jump_integral(self):
+        u = gaussian_bump(2.0)
+        assert multiplier_oracle(u, 0.5, 0.6) == pytest.approx(
+            apply_fraclap(u, 0.5, 0.6), rel=1e-8)
+
     def test_gamma_one_against_stencil(self):
         st = SphericalTransform(gaussian_bump())
         for R0 in (0.0, 0.7):
@@ -314,8 +326,8 @@ class TestRejectedQuadrature:
             apply_fraclap(self.NOISE, 0.7, 0.5)
 
     def test_unresolvable_transform_raises_numeric_error(self):
-        # QUADPACK warns on the first forward integral (lambda = 5) with an
-        # error estimate of the order of the value; that is a rejected
+        # the first forward integrals (lambda = 5 * 2^k) end with error
+        # estimates far above their values; that is a rejected
         # quadrature, not a failed calibration
         with pytest.raises(NumericError) as exc:
             SphericalTransform(self.NOISE)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hypfrac.errors import NumericError
-from hypfrac.quadrature import NODE_BUDGET, gk21_batch
+from hypfrac.errors import DomainError, NumericError
+from hypfrac.quadrature import NODE_BUDGET, alg_left, alg_tail, gk21_batch
 
 
 def test_many_integrals_at_once():
@@ -53,3 +53,33 @@ def test_non_finite_integrand_raises():
     with pytest.raises(NumericError):
         gk21_batch(lambda x, own: np.where(x > 0.9, np.inf, x), [0.0], [1.0], [0], 1,
                    1e-10, 1e-14, 200)
+
+
+@pytest.mark.parametrize("p", [-0.998, -0.5, 0.98])
+def test_alg_left_at_extreme_exponents(p):
+    # integral_0^1 x^p cos x dx = sum_k (-1)^k / ((2k)! (2k + 1 + p))
+    want = sum((-1) ** k / (math.factorial(2 * k) * (2 * k + 1 + p)) for k in range(12))
+    assert alg_left(np.cos, 0.0, 1.0, p) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.001, 0.01, 0.5, 0.99])
+def test_alg_tail_at_extreme_exponents(q):
+    # integral_1^oo x^(-1-q) (1 + 1/x) dx; at q = 0.001 the map sends 70 %
+    # of [0, 1] beyond the clamp x = 1e150
+    got = alg_tail(lambda x: 1.0 + 1.0 / x, 1.0, q)
+    assert got == pytest.approx(1.0 / q + 1.0 / (1.0 + q), rel=1e-10)
+
+
+def test_alg_left_breaks_at_points():
+    # |x - 0.3| on [0, 1] is resolved at once when a panel ends at the kink
+    got = alg_left(lambda x: np.abs(x - 0.3), 0.0, 1.0, 0.0, points=[0.3])
+    assert got == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2), rel=1e-14)
+
+
+def test_maps_reject_bad_arguments():
+    with pytest.raises(DomainError):
+        alg_left(np.cos, 0.0, 1.0, -1.0)
+    with pytest.raises(DomainError):
+        alg_left(np.cos, 1.0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        alg_tail(np.cos, 0.0, 0.5)

@@ -37,16 +37,17 @@ class TestFrozenReferences:
 class TestClosedVsQuadrature:
     def test_i0_grid(self):
         for R in (0.1, 0.5, 1.0, 2.5, 5.0):
-            for g in (0.1, 0.35, 0.6, 0.85, 0.95):
+            for g in (0.001, 0.01, 0.1, 0.35, 0.6, 0.85, 0.95, 0.999):
                 assert i0_closed(R, g) == pytest.approx(i0_quadrature(R, g), rel=1e-8)
 
     def test_iinf_grid(self):
         for R in (0.1, 0.5, 1.0, 2.5, 5.0):
-            for g in (0.1, 0.35, 0.6, 0.85, 0.95):
+            for g in (0.001, 0.01, 0.1, 0.35, 0.6, 0.85, 0.95, 0.999):
                 assert iinf_closed(R, g) == pytest.approx(iinf_quadrature(R, g), rel=1e-8)
 
     def test_additivity_third_route(self):
-        for (R, g) in [(0.7, 0.4), (2.0, 0.85), (1.0, 0.2)]:
+        for (R, g) in [(0.7, 0.4), (2.0, 0.85), (1.0, 0.2), (3.0, 0.001), (0.5, 0.01),
+                       (2.0, 0.999)]:
             total = i_total_quadrature(R, g)
             assert i0_closed(R, g) + iinf_closed(R, g) == pytest.approx(total, rel=1e-9)
 

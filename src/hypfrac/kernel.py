@@ -23,7 +23,6 @@ __all__ = [
     "normalizing_constant",
     "kernel_value",
     "kernel_sinh2",
-    "kernel_sinh2_regular",
     "euclidean_limit_ratio",
     "spectral_kernel",
     "invariance_integral",
@@ -114,14 +113,18 @@ def kernel_sinh2(gamma: float, rho):
     return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
 
 
-def kernel_sinh2_regular(gamma: float, rho):
+# up to this rho, where the near maps send most nodes as gamma -> 1 and kernel_sinh2
+# overflows, their integrands take their limits at 0, O(rho^2) away
+_RHO_LIMIT = 1e-8
+
+
+def _kernel_sinh2_regular(gamma: float, rho):
     """rho^(1+2 gamma) kernel_sinh2(gamma, rho) at every entry of the array
     rho >= 0: the smooth factor left by the rho^(-1-2 gamma) singularity at
-    the origin.  At and below rho = 1e-8, where kernel_sinh2 overflows as
-    gamma -> 1, it is its limit at 0, from which it differs by O(rho^2)."""
+    the origin, its limit at 0 up to ``_RHO_LIMIT``."""
     lead = _sinh2_prefactor(gamma) * math.gamma(1.5 + gamma) * 2.0 ** (0.5 + gamma)
     out = np.full(rho.shape, lead)
-    big = rho > 1e-8
+    big = rho > _RHO_LIMIT
     out[big] = kernel_sinh2(gamma, rho[big]) * rho[big] ** (1.0 + 2.0 * gamma)
     return out
 
@@ -143,17 +146,26 @@ def spectral_kernel(lam: float, t: float, rho: float) -> float:
     return -(1.0 / (4.0 * math.pi ** 2)) * (2.0 / t) * lam * math.sin(lam * rho) / math.sinh(2.0 * rho / t)
 
 
+def _taylor_rest(z2, sign):
+    """1 + sign z2/20 + z2^2/(20*42) + ... to 5e-17 for z2 = z^2 <= 1: z^2/6 times it is
+    1 - sin(z)/z at sign -1 and (sinh(z) - z)/z at sign +1."""
+    out = 1.0
+    for d in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
+        out = 1.0 + sign * z2 / d * out
+    return out
+
+
 def _one_minus_product(a: float, rho):
-    """1 - sinc(a rho) rho / sinh(rho) at every entry of the array rho,
-    by its series where a rho and rho are both small (cancellation)."""
+    """1 - sinc(a rho) rho / sinh(rho) at every entry of the array rho > 0, as (1 - sinc u)
+    + sinc(u) (1 - rho / sinh rho), u = a rho, each term by its Taylor series below 1."""
     u = a * rho
-    u2, r2 = u * u, rho * rho
     with np.errstate(over="ignore", invalid="ignore"):
-        series = (u2 + r2) / 6.0 - u2 * u2 / 120.0 - 7.0 * r2 * r2 / 360.0 - u2 * r2 / 36.0
-        # np.sinc(u / pi) = sin(u) / u, and rho / sinh(rho) as
-        # 2 rho e^-rho / (1 - e^-2 rho), which underflows gracefully
-        direct = 1.0 - np.sinc(u / math.pi) * 2.0 * rho * np.exp(-rho) / -np.expm1(-2.0 * rho)
-    return np.where((np.abs(u) < 1e-3) & (rho < 1e-3), series, direct)
+        # sin(u) / u, and rho / sinh(rho) in a form that underflows gracefully
+        sinc = np.sinc(u / math.pi)
+        ros = 2.0 * rho * np.exp(-rho) / -np.expm1(-2.0 * rho)
+        omc = np.where(np.abs(u) < 1.0, u * u / 6.0 * _taylor_rest(u * u, -1.0), 1.0 - sinc)
+        oms = np.where(rho < 1.0, rho * rho / 6.0 * _taylor_rest(rho * rho, 1.0) * ros, 1.0 - ros)
+    return omc + sinc * oms
 
 
 def invariance_integral(
@@ -185,10 +197,10 @@ def invariance_integral(
     def near(rho):
         # the integrand over rho^(1-2 gamma); (1 + a^2)/6 is the limit at 0
         # of (1 - product)/rho^2
-        tiny = rho <= 1e-8
+        tiny = rho <= _RHO_LIMIT
         r = np.where(tiny, 1.0, rho)
         ratio = np.where(tiny, (1.0 + a * a) / 6.0, _one_minus_product(a, r) / (r * r))
-        return seen(ratio * kernel_sinh2_regular(gamma, rho))
+        return seen(ratio * _kernel_sinh2_regular(gamma, rho))
 
     def far(rho):
         # the integrand over rho^(-1-gamma)

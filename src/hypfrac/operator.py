@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from .errors import CalibrationError, DomainError
 from .geometry import acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import accepted, gk21_batch
+from .quadrature import ROUNDING, accepted, gk21_batch
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -362,11 +362,10 @@ def _angular(u, R0, u0, r, combine):
         jac = np.sinh(w) / b_piece[own][:, None]
         return combine(delta) * np.where(lw, jac * w, jac)
 
-    val, err, _ = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, _ANGULAR_REL,
-                             _ANGULAR_ABS, _PANEL_LIMIT)
-    val = np.bincount(node, val, r.size)
-    err = np.bincount(node, err, r.size)
-    out[live] = 2.0 * accepted(val, err, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
+    res = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, _ANGULAR_REL, _ANGULAR_ABS,
+                     _PANEL_LIMIT)
+    val, err, mass = (np.bincount(node, x, r.size) for x in res[:3])
+    out[live] = 2.0 * accepted(val, err, mass, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
     return out
 
 
@@ -408,7 +407,7 @@ def _nonlocal_integral(u, R0, gamma, combine):
     ``_ANGULAR_REL`` of their |f| mass (absolute floor ``_ANGULAR_ABS``; of
     1e3 times their value under stronger cancellation), the radial integral
     to ``_RADIAL_REL`` (absolute floor ``_RADIAL_ABS``) in the same sense;
-    ``accepted`` rejects them beyond 1e-5 and 1e-4 of the value.  Each
+    ``accepted`` rejects them beyond ten times those tolerances.  Each
     integral stops refining at ``_PANEL_LIMIT`` panels, and the far-tail cut
     sits where the profile's tail bound reaches ``_TAIL_EPS``.
     """
@@ -435,9 +434,9 @@ def _nonlocal_integral(u, R0, gamma, combine):
     # leave its last few halvings to the adaptive bisection
     finest = min(u.kink_radii, default=math.inf)
     cuts = np.log(_graded_cuts(r_frozen, A, images, finest))
-    val, err, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1,
-                             _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
-    total += accepted(val, err, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
+    val, err, mass, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int),
+                                   1, _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
+    total += accepted(val, err, mass, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
 
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
     total += combine(u.limit_at_infinity - u0) * tail_mass
@@ -501,11 +500,10 @@ _CHECK_RADII = (0.0, 0.4, 0.9)
 
 
 def _integrals(f, top, n, tol, what):
-    """n integrals over [0, top] at tol = (rel, abs), and their error
-    estimates; f(x, own) is integrand own."""
-    val, err, _ = gk21_batch(f, np.zeros(n), np.full(n, top), np.arange(n), n, *tol,
-                             _PANEL_LIMIT)
-    return accepted(val, err, *tol, what), err
+    """n integrals over [0, top] at tol = (rel, abs); f(x, own) is integrand own."""
+    val, err, mass, _ = gk21_batch(f, np.zeros(n), np.full(n, top), np.arange(n), n, *tol,
+                                   _PANEL_LIMIT)
+    return accepted(val, err, mass, *tol, what)
 
 
 class SphericalTransform:
@@ -535,30 +533,33 @@ class SphericalTransform:
         return float(self._u_hat(np.array([lam], dtype=float))[0])
 
     def _transform(self, lam):
-        """u_hat and its error estimate at every entry of the 1-D array lam,
-        which are memoised."""
+        """u_hat and the |integrand| mass of its integral at every entry of
+        the 1-D array lam."""
         # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
         f = lambda r, own: (self.u.values(r) * np.sinc(lam[own, None] * r / math.pi)
                             * r * np.sinh(r))
-        val, err = _integrals(f, self.r_max, lam.size, _FORWARD_TOL, "forward transform")
-        self._fwd_cache.update(zip(lam.tolist(), (4.0 * math.pi * val).tolist()))
-        return 4.0 * math.pi * val, 4.0 * math.pi * err
+        n = lam.size
+        val, err, mass, _ = gk21_batch(f, np.zeros(n), np.full(n, self.r_max), np.arange(n), n,
+                                       *_FORWARD_TOL, _PANEL_LIMIT)
+        val = accepted(val, err, mass, *_FORWARD_TOL, "forward transform")
+        return 4.0 * math.pi * val, 4.0 * math.pi * mass
 
     def _u_hat(self, lam):
         """u_hat at every entry of the array lam, each node integrated once."""
         cache = self._fwd_cache
         new = np.fromiter(set(lam.ravel().tolist()).difference(cache), float)
         if new.size:
-            self._transform(new)
+            cache.update(zip(new.tolist(), self._transform(new)[0].tolist()))
         return np.array([cache[x] for x in lam.ravel().tolist()]).reshape(lam.shape)
 
     def _find_lambda_cut(self) -> float:
         # the weight (1+lam^2)^2 dominates every multiplier used downstream; a
-        # value within its own error estimate sits on the rounding floor of
-        # the forward integral, and has decayed as far as it can be seen
+        # value within the rounding floor of its integral, ROUNDING times the
+        # |integrand| mass, has decayed as far as it can be seen
         lams = 5.0 * 2.0 ** np.arange(6)
-        val, err = self._transform(lams)
-        small = (np.abs(val) * (1.0 + lams * lams) ** 2 < 1e-10) | (np.abs(val) <= err)
+        val, mass = self._transform(lams)
+        small = ((np.abs(val) * (1.0 + lams * lams) ** 2 < 1e-10)
+                 | (np.abs(val) <= ROUNDING * mass))
         if not small.any():
             raise CalibrationError("forward transform does not decay in lambda; the oracle "
                                    "needs a smooth rapidly-decaying profile")
@@ -575,8 +576,7 @@ class SphericalTransform:
             phi = np.sinc(lam * radii[own, None] / math.pi) * scale[own, None]
             return weight(lam) * self._u_hat(lam) * phi * lam * lam
 
-        val, _ = _integrals(f, self.lam_max, radii.size, _SPECTRAL_TOL, "spectral integral")
-        return val
+        return _integrals(f, self.lam_max, radii.size, _SPECTRAL_TOL, "spectral integral")
 
     def roundtrip(self, R0: float) -> float:
         return self.kappa * float(self._spectral_integrals([R0], np.ones_like)[0])
@@ -605,8 +605,7 @@ class SphericalTransform:
 
     def norm_sq_direct(self) -> float:
         f = lambda r, own: self.u.values(r) ** 2 * np.sinh(r) ** 2
-        val, _ = _integrals(f, self.r_max, 1, _FORWARD_TOL, "direct norm")
-        return 4.0 * math.pi * float(val[0])
+        return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD_TOL, "direct norm")[0])
 
 
 def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:

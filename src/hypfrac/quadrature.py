@@ -25,6 +25,7 @@ __all__ = [
     "DEFAULT_QUAD",
     "gauss_legendre",
     "accepted",
+    "ROUNDING",
     "alg_left",
     "alg_tail",
     "NODE_BUDGET",
@@ -34,8 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and panel limit of the integrals of ``alg_left`` and
-    ``alg_tail``.
+    """Tolerances and panel limit of the integrals of ``alg_left`` and ``alg_tail``.
 
     ``rel_tol`` and ``abs_tol`` are the tolerances of ``gk21_batch`` and of
     the reject rule ``accepted``, and ``max_subdiv`` is the panel limit of
@@ -66,12 +66,12 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def accepted(val, err, rel_tol, abs_tol, what, at=None):
-    """The values of ``gk21_batch`` integrals run at (rel_tol, abs_tol).  An
-    integral whose error estimate exceeds ten times the largest tolerance the
-    batch grants, max(abs_tol, 1e3 rel_tol |value|), as it does when it ran
-    out of panels, is rejected (``NumericError``), named by ``at`` if given."""
-    bad = err > 10.0 * np.maximum(abs_tol, 1e3 * rel_tol * np.abs(val))
+def accepted(val, err, mass, rel_tol, abs_tol, what, at=None):
+    """The values of ``gk21_batch`` integrals run at (rel_tol, abs_tol).  One
+    whose error exceeds ten times the tolerance the batch granted it, max(abs_tol,
+    rel_tol min(mass, 1e3 |value|)) for its |f| mass, as when it ran out of
+    panels, is rejected (``NumericError``), named by ``at`` if given."""
+    bad = err > 10.0 * _granted(mass, val, rel_tol, abs_tol)
     if bad.any():
         k = int(np.argmax(bad))
         where = "" if at is None else f" at r={at[k]:.6g}"
@@ -79,13 +79,14 @@ def accepted(val, err, rel_tol, abs_tol, what, at=None):
     return val
 
 
-def _on_unit(g, cuts, cfg, what):
-    """One integral of g(t, own) over the panels between ``cuts`` (0 to 1)."""
-    cuts = np.asarray(cuts, dtype=float)
-    val, err, _ = gk21_batch(g, cuts[:-1], cuts[1:],
-                             np.zeros(cuts.size - 1, dtype=np.intp), 1,
-                             cfg.rel_tol, cfg.abs_tol, cfg.max_subdiv)
-    return float(accepted(val, err, cfg.rel_tol, cfg.abs_tol, what)[0])
+def _on_unit(g, points, cfg, what):
+    """One integral of g(t, own) over [0, 1], on first panels that break at the ``points``
+    and shrink toward t = 0 in steps of 8: the maps turn an integrand's power series into
+    powers of t that are not smooth at 0, where one panel would be bisected round by round."""
+    cuts = np.array(sorted({0.0, 2.0 ** -6, 2.0 ** -3, 1.0}.union(points)))
+    val, err, mass, _ = gk21_batch(g, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, np.intp),
+                                   1, cfg.rel_tol, cfg.abs_tol, cfg.max_subdiv)
+    return float(accepted(val, err, mass, cfg.rel_tol, cfg.abs_tol, what)[0])
 
 
 def alg_left(f, a, b, p, cfg: QuadratureConfig = DEFAULT_QUAD, points=(), what="alg_left"):
@@ -101,7 +102,7 @@ def alg_left(f, a, b, p, cfg: QuadratureConfig = DEFAULT_QUAD, points=(), what="
     if not b > a:
         raise DomainError(f"{what} requires b > a")
     s, c = 1.0 / (1.0 + p), (b - a) ** (1.0 + p) / (1.0 + p)
-    cuts = [0.0] + sorted(((x - a) / (b - a)) ** (1.0 + p) for x in points if a < x < b) + [1.0]
+    cuts = [((x - a) / (b - a)) ** (1.0 + p) for x in points if a < x < b]
     return _on_unit(lambda t, own: c * f(a + (b - a) * t ** s), cuts, cfg, what)
 
 
@@ -121,7 +122,7 @@ def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
             x = np.minimum(a * t ** (-1.0 / q), 1e150)
         return c * h(x)
 
-    return _on_unit(g, [0.0, 1.0], cfg, what)
+    return _on_unit(g, (), cfg, what)
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +160,15 @@ _W21 = np.concatenate([_WK, [_WK_MID], _WK[::-1]])
 _G21 = np.zeros(21)
 _G21[1:10:2] = _WG
 _G21[11:20:2] = _WG[::-1]
-_EPS = np.finfo(float).eps
+ROUNDING = 50.0 * np.finfo(float).eps  # a panel's least error, per unit of its |f| mass
 # the |f| mass sets a batched integral's tolerance until it exceeds the
 # value this many times; beyond, the value does
 _CANCELLATION = 1e3
+
+
+def _granted(mass, val, rel_tol, abs_tol):
+    """The tolerance of batched integrals of |f| mass ``mass`` and value ``val``."""
+    return np.maximum(abs_tol, rel_tol * np.minimum(mass, _CANCELLATION * np.abs(val)))
 
 
 def _gk21(f, lo, hi, own):
@@ -187,7 +193,7 @@ def _gk21(f, lo, hi, own):
         e = np.where((asc > 0.0) & (e > 0.0), scaled, e)
         m = np.abs(fx) @ _W21
         value[sl] = half * k
-        error[sl] = half * np.maximum(e, 50.0 * _EPS * m)
+        error[sl] = half * np.maximum(e, ROUNDING * m)
         mass[sl] = half * m
     return value, error, mass
 
@@ -205,16 +211,17 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
     halves confirm it: its error is ``max(|K_parent - K_left - K_right|,
     err_left, err_right)`` (the halves' QUADPACK error estimates), and its
     value is ``K_left + K_right``.  The owner's tolerance is ``tol =
-    max(abs_tol, rel_tol * min(M, 1e3 * |I|))`` for its current |f| mass M
-    and value I: relative to the mass, unless cancellation makes the value
-    a thousand times smaller.  A panel is accepted when its error is within
+    _granted(M, I, rel_tol, abs_tol)`` for its current |f| mass M and value
+    I: relative to the mass, unless cancellation makes the value a thousand
+    times smaller.  A panel is accepted when its error is within
     its share of ``tol``, by |f| mass or by width, whichever is larger, or
     when the errors of the owner's accepted and open panels add up to at
     most ``tol``.  Otherwise both halves are bisected in turn.  An owner
     split into ``limit`` panels stops refining and keeps the errors it has,
     so that the caller's error check rejects it.
 
-    Returns arrays ``(value, error, neval)`` indexed by owner.
+    Returns arrays ``(value, error, mass, neval)`` indexed by owner: the
+    |f| mass is what ``accepted`` weighs the error against.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -237,8 +244,7 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
         counts = np.bincount(owner, minlength=n_owners)
         neval += 42 * counts
         mass = done_mass + np.bincount(owner, pair_m, n_owners)
-        val = np.abs(value + np.bincount(owner, pair_k, n_owners))
-        tol = np.maximum(abs_tol, rel_tol * np.minimum(mass, _CANCELLATION * val))
+        tol = _granted(mass, value + np.bincount(owner, pair_k, n_owners), rel_tol, abs_tol)
         share = np.maximum(pair_m / np.where(mass > 0.0, mass, 1.0)[owner],
                            (hi - lo) / width[owner])
         ok = err <= tol[owner] * share
@@ -255,4 +261,4 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
         hi = np.concatenate([mid[keep], hi[keep]])
         owner = np.concatenate([owner[keep], owner[keep]])
         k = np.concatenate([ck[:n][keep], ck[n:][keep]])
-    return value, error, neval
+    return value, error, done_mass, neval

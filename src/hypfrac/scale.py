@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .geometry import aux_H
-from .kernel import gamma_abs_neg, kernel_sinh2, kernel_sinh2_regular
+from .kernel import _kernel_sinh2_regular, gamma_abs_neg, kernel_sinh2
 from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left, alg_tail
 from .specfun import bessel_i, bessel_k
 
@@ -79,7 +79,7 @@ _FOUR_PI = 4.0 * math.pi
 def _near(R: float, gamma: float, cfg: QuadratureConfig) -> float:
     # 4 pi * integral_0^min(R, 1) rho^2 kernel sinh^2, through the weight
     # rho^(1-2 gamma) of the singularity at the origin
-    return alg_left(lambda rho: _FOUR_PI * kernel_sinh2_regular(gamma, rho),
+    return alg_left(lambda rho: _FOUR_PI * _kernel_sinh2_regular(gamma, rho),
                     0.0, min(R, 1.0), 1.0 - 2.0 * gamma, cfg)
 
 

@@ -62,6 +62,17 @@ class TestVerifyConstant:
 
     def test_numeric_failure_exit_code(self, capsys):
         # a 10-panel budget cannot resolve the invariance integral at
+        # gamma = 0.95 to 1e-14 (its tail needs 20)
+        code, _, err = run(
+            capsys, "--command", "verify-constant",
+            "--lambda-grid", "1", "--gamma-grid", "0.95",
+            "--max-subdiv", "10", "--rel-tol", "1e-14", "--abs-tol", "1e-16",
+        )
+        assert code == 3
+        assert "numeric" in err
+
+    def test_numeric_failure_at_large_lambda(self, capsys):
+        # a 10-panel budget cannot resolve the invariance integral at
         # lambda = 100, whose tail oscillates hundreds of times, to 1e-14
         code, _, err = run(
             capsys, "--command", "verify-constant",

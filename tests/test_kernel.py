@@ -169,6 +169,15 @@ class TestInvarianceIntegral:
                 want = (lam * lam + 1.0) ** g
                 assert invariance_integral(lam, g, 2.0) == pytest.approx(want, rel=1e-8)
 
+    def test_tight_tolerance(self):
+        # 1 - sinc(a rho) rho / sinh(rho) keeps full precision where it
+        # cancels, so the error estimates do not stall on rounding noise
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
+        for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 16.0):
+            for g in (0.2, 0.5, 0.8, 0.95):
+                want = (lam * lam + 1.0) ** g
+                assert invariance_integral(lam, g, 2.0, cfg) == pytest.approx(want, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             invariance_integral(1.0, 1.5, 2.0)

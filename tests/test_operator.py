@@ -237,11 +237,25 @@ class TestSpectralOracle:
         assert got == pytest.approx(want, rel=1e-3)
 
     def test_lambda_cut_by_width(self):
-        # a forward value within its own error estimate sits on the rounding
-        # floor and counts as decayed, which lets width 2 calibrate
+        # a forward value within the rounding floor of its integral counts
+        # as decayed, which lets width 2 calibrate: its values from lambda 10
+        # on are noise of 3e-13 to 2e-15, and the first on the floor is at 80
         cuts = {w: SphericalTransform(gaussian_bump(w)).lam_max
                 for w in (0.5, 0.6, 1.0, 1.6, 1.8, 2.0)}
-        assert cuts == {0.5: 40.0, 0.6: 20.0, 1.0: 20.0, 1.6: 10.0, 1.8: 10.0, 2.0: 20.0}
+        assert cuts == {0.5: 40.0, 0.6: 20.0, 1.0: 20.0, 1.6: 10.0, 1.8: 10.0, 2.0: 80.0}
+
+    def test_lambda_cut_of_other_profiles(self):
+        # profiles whose forward values decay under the weight (1 + lam^2)^2
+        # before they reach the rounding floor keep the cut of the weight
+        tail = lambda eps: math.sqrt(math.log(1.0 / eps)) + 1.0
+        two_bumps = RadialProfile(f_array=lambda r: np.exp(-r * r) - 0.5 * np.exp(-4.0 * r * r),
+                                  tail_width=tail)
+        wave = RadialProfile(f_array=lambda r: np.exp(-r * r) * np.cos(2.0 * r), tail_width=tail)
+        for u, cut in ((two_bumps, 40.0), (wave, 20.0)):
+            st = SphericalTransform(u)
+            assert st.lam_max == cut
+            assert st.multiplier_value(0.5, 0.6) == pytest.approx(
+                apply_fraclap(u, 0.5, 0.6), rel=1e-8)
 
     def test_wide_bump_matches_jump_integral(self):
         u = gaussian_bump(2.0)

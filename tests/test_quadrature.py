@@ -20,7 +20,7 @@ def test_many_integrals_at_once():
     lo = [0.0] * 6 + [0.0, 1.0, 0.0]
     hi = [1.0] * 6 + [1.0, math.pi, 1.0]
     owner = list(range(6)) + [6, 6, 7]
-    val, err, neval = gk21_batch(f, lo, hi, owner, 8, 1e-10, 1e-14, 200)
+    val, err, _, neval = gk21_batch(f, lo, hi, owner, 8, 1e-10, 1e-14, 200)
     want = np.concatenate([1.0 / (powers + 1.0), [2.0, 2.0 / 3.0]])
     np.testing.assert_allclose(val, want, rtol=1e-10)
     assert np.all(np.abs(val - want) <= err + 1e-15)
@@ -35,14 +35,14 @@ def test_node_budget_bounds_every_call():
         return np.exp(-x * x)
 
     n = 3 * NODE_BUDGET // 21
-    val, _, _ = gk21_batch(f, np.zeros(n), np.ones(n), np.arange(n), n, 1e-12, 1e-15, 200)
+    val, _, _, _ = gk21_batch(f, np.zeros(n), np.ones(n), np.arange(n), n, 1e-12, 1e-15, 200)
     assert max(sizes) <= NODE_BUDGET and len(sizes) > 3
     np.testing.assert_allclose(val, 0.5 * math.sqrt(math.pi) * math.erf(1.0), rtol=1e-12)
 
 
 def test_panel_limit_leaves_an_honest_error():
     # far more oscillations than 20 panels can follow
-    val, err, neval = gk21_batch(
+    val, err, _, neval = gk21_batch(
         lambda x, own: np.sin(1e5 * x), [0.0], [1.0], [0], 1, 1e-10, 1e-14, 20)
     true = (1.0 - math.cos(1e5)) / 1e5
     assert err[0] >= abs(val[0] - true)

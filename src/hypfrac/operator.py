@@ -319,12 +319,23 @@ def _graded_cuts(a, b, marks, finest):
     return np.array(sorted(cuts))
 
 
-def _angular(u, R0, u0, r, combine):
-    """2 * integral over omega1 in [0, 1] of combine(delta) at each radius of
-    the 1-D array r, in the distance variable w = d_minus (see
-    ``_nonlocal_integral``)."""
+def _combine(d, pos, neg):
+    """The combine of second differences: slope ``pos`` where d >= 0, ``neg`` below."""
+    return np.where(d >= 0.0, pos * d, neg * d)
+
+
+def _angular(u, R0, u0, r, pos, neg, paired):
+    """Integral over omega1 in [-1, 1] of the combine of delta, slopes (pos,
+    neg), at each radius of the 1-D array r, in the distance variable w (see
+    ``_nonlocal_integral``).
+
+    ``paired`` integrates the antipodal average of the second difference over
+    the half w in [|r - R0|, w_hi] of the sphere (weight 2), the only form
+    for a nonlinear combine; otherwise the linear combine (pos == neg) is
+    applied to u(w) - u0 over the whole range w in [|r - R0|, r + R0]
+    (weight 1), one profile evaluation per node."""
     if R0 == 0.0:
-        return 2.0 * combine(u.values(r) - u0)
+        return 2.0 * _combine(u.values(r) - u0, pos, neg)
     # distances through x = cosh(d) - 1, free of the cancellation of acosh
     # near 1: cosh(w_hi) - 1 = cosh r cosh R0 - 1 = 2 sinh^2((r - R0)/2) + b
     b = np.sinh(r) * math.sinh(R0)
@@ -333,14 +344,17 @@ def _angular(u, R0, u0, r, combine):
     # for R0 << r the w-range shrinks to width ~R0, where rounding of w
     # would distort the omega1-measure; there the sphere average of delta is
     # u(r) - u0 up to O(R0^2) (relative < 1e-11 below the cut)
-    out = 2.0 * combine(u.values(r) - u0)
+    out = 2.0 * _combine(u.values(r) - u0, pos, neg)
     live = w_hi - w_lo > 1e-6 * w_hi
     r, b, x_hi, w_lo, w_hi = r[live], b[live], x_hi[live], w_lo[live], w_hi[live]
-    cols = [w_lo, w_hi]
+    w_top = w_hi if paired else r + R0
+    cols = [w_lo, w_top]
     for rk in u.kink_radii:
         cols.append(np.full_like(r, rk))
-        cols.append(acosh1p(np.maximum(2.0 * x_hi - 2.0 * math.sinh(0.5 * rk) ** 2, 0.0)))
-    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_hi[:, None]), axis=1)
+        if paired:
+            # the mirror image of the kink
+            cols.append(acosh1p(np.maximum(2.0 * x_hi - 2.0 * math.sinh(0.5 * rk) ** 2, 0.0)))
+    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_top[:, None]), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     node = np.broadcast_to(np.arange(r.size)[:, None], lo.shape)
     keep = hi > lo
@@ -351,35 +365,48 @@ def _angular(u, R0, u0, r, combine):
         log_w = lo >= max(min(u.kink_radii), np.finfo(float).tiny)
     lo = np.where(log_w, np.log(np.where(log_w, lo, 1.0)), lo)
     hi = np.where(log_w, np.log(hi), hi)
-    two_x, b_piece = 2.0 * x_hi[node], b[node]
+    # the slope of a linear combine rides on the measure sinh(w) dw / b
+    two_x, scale = 2.0 * x_hi[node], (1.0 if paired else pos) / b[node]
 
     def g(x, own):
         lw = log_w[own][:, None]
-        w = np.where(lw, np.exp(x), x) if lw.any() else x
+        if lw.any():
+            w = np.where(lw, np.exp(x), x)
+            jac = np.sinh(w) * np.where(lw, w, 1.0) * scale[own][:, None]
+        else:
+            w, jac = x, np.sinh(x) * scale[own][:, None]
+        if not paired:
+            return (u.values(w) - u0) * jac
         # the mirror distance: cosh(w_hat) = 2 cosh r cosh R0 - cosh w
         w_hat = acosh1p(np.maximum(two_x[own][:, None] - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
-        delta = 0.5 * (u.values(w) + u.values(w_hat)) - u0
-        jac = np.sinh(w) / b_piece[own][:, None]
-        return combine(delta) * np.where(lw, jac * w, jac)
+        return _combine(0.5 * (u.values(w) + u.values(w_hat)) - u0, pos, neg) * jac
 
     res = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, _ANGULAR_REL, _ANGULAR_ABS,
                      _PANEL_LIMIT)
     val, err, mass = (np.bincount(node, x, r.size) for x in res[:3])
-    out[live] = 2.0 * accepted(val, err, mass, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
+    val = accepted(val, err, mass, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
+    out[live] = 2.0 * val if paired else val
     return out
 
 
-def _nonlocal_integral(u, R0, gamma, combine):
-    """Common quadrature core: integral of combine(delta) against the kernel.
+def _nonlocal_integral(u, R0, gamma, pos, neg):
+    """Common quadrature core: integral of the combine of delta against the
+    kernel, slope ``pos`` on delta >= 0 and ``neg`` below.
 
-    ``combine`` acts elementwise on numpy arrays of second differences.
-
-    The angular integral is taken in the distance variable w = d_minus, which
-    is monotone in omega1; the second difference is even in omega1, so the
-    integral runs over half the sphere doubled.  In w the profile's kinks
-    and their mirror images sit at known locations and split it into pieces;
-    a piece above a kink, where the power-law ramps of a barrier start,
-    is integrated in log w.  The outer r-integral has three parts:
+    The angular integral is taken in the distance variable w, which is
+    monotone in omega1.  The map from w to its mirror distance on the
+    antipodal side preserves the measure sinh(w) dw / (sinh r sinh R0) and
+    swaps the two halves of the sphere, so a linear combine (pos == neg, as
+    in ``apply_fraclap`` and Pucci under equal bounds) is integrated
+    one-sided: w runs over the whole sphere, one profile value per node.  A
+    nonlinear combine needs the antipodal pair, the second difference,
+    integrated over the half w = d_minus in [|r - R0|, w_hi] and doubled.  So
+    does the frozen node below, whatever the slopes: its value is multiplied
+    by r^(2 - 2 gamma)/(2 - 2 gamma), and at r = 1e-3 the one-sided
+    integrand's |f| mass, ~ r |u'|, dwarfs a value ~ r^2 and costs it digits.
+    The profile's kinks (paired, also their mirror images) split the w-range
+    into pieces; a piece above a kink, where the power-law ramps of a barrier
+    start, is integrated in log w.  The outer r-integral has three parts:
 
     * below r = 1e-3 (or A/2 if smaller) the smooth factor of the
       r^(1-2 gamma) singularity is frozen and integrated analytically;
@@ -416,17 +443,17 @@ def _nonlocal_integral(u, R0, gamma, combine):
     A = R0 + min(u.tail_radius(_TAIL_EPS), 80.0)
     u0 = u(R0)
 
-    def angular(r):
-        return _angular(u, R0, u0, r, combine)
+    paired = pos != neg
 
     def radial(t, own):
         r = np.exp(t)
         dens = 2.0 * math.pi * kernel_sinh2(gamma, r) * r
-        return dens * angular(r.ravel()).reshape(r.shape)
+        return dens * _angular(u, R0, u0, r.ravel(), pos, neg, paired).reshape(r.shape)
 
     r_frozen = min(_R_FLOOR, 0.5 * A)
     smooth = (2.0 * math.pi * kernel_sinh2(gamma, r_frozen)
-              * r_frozen ** (2.0 * gamma - 1.0) * angular(np.array([r_frozen]))[0])
+              * r_frozen ** (2.0 * gamma - 1.0)
+              * _angular(u, R0, u0, np.array([r_frozen]), pos, neg, True)[0])
     total = smooth * r_frozen ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
 
     images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
@@ -439,7 +466,7 @@ def _nonlocal_integral(u, R0, gamma, combine):
     total += accepted(val, err, mass, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
 
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
-    total += combine(u.limit_at_infinity - u0) * tail_mass
+    total += _combine(u.limit_at_infinity - u0, pos, neg) * tail_mass
     return float(total)
 
 
@@ -453,39 +480,39 @@ def _require_c2_bounded(u: RadialProfile, what: str):
 def apply_fraclap(u: RadialProfile, R0: float, gamma: float) -> float:
     """-(-Delta)^gamma u at a point at distance R0 from the center of u.
 
-    Symmetrized jump integral; the antipodal average absorbs the principal
-    value, so no explicit cutoff is needed.
+    Jump integral with slopes (1, 1): the operator is linear, so each sphere
+    of radius r integrates u - u(R0) one-sided, and its average, O(r^2) as
+    r -> 0, absorbs the principal value with no explicit cutoff.
     """
     _require_c2_bounded(u, "apply_fraclap")
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
     if R0 < 0.0:
         raise DomainError("R0 must be nonnegative")
-    return _nonlocal_integral(u, R0, gamma, lambda d: d)
+    return _nonlocal_integral(u, R0, gamma, 1.0, 1.0)
 
 
 def pucci_plus(u: RadialProfile, R0: float, gamma: float,
                bounds: EllipticityBounds) -> float:
-    """Maximal operator: integral of Lambda delta^+ - lambda delta^-."""
+    """Maximal operator: integral of Lambda delta^+ - lambda delta^-.
+
+    The combine has slopes (lambda_hi, lambda_lo).  Under equal bounds it is
+    linear and the angular integrals are one-sided, as in ``apply_fraclap``;
+    otherwise they pair each distance with its antipode.
+    """
     _require_c2_bounded(u, "pucci_plus")
-    lo, hi = bounds.lambda_lo, bounds.lambda_hi
-
-    def combine(d):
-        return np.where(d >= 0.0, hi * d, lo * d)
-
-    return _nonlocal_integral(u, R0, gamma, combine)
+    return _nonlocal_integral(u, R0, gamma, bounds.lambda_hi, bounds.lambda_lo)
 
 
 def pucci_minus(u: RadialProfile, R0: float, gamma: float,
                 bounds: EllipticityBounds) -> float:
-    """Minimal operator: integral of lambda delta^+ - Lambda delta^-."""
+    """Minimal operator: integral of lambda delta^+ - Lambda delta^-.
+
+    The combine has slopes (lambda_lo, lambda_hi); one-sided under equal
+    bounds, paired otherwise, as in ``pucci_plus``.
+    """
     _require_c2_bounded(u, "pucci_minus")
-    lo, hi = bounds.lambda_lo, bounds.lambda_hi
-
-    def combine(d):
-        return np.where(d >= 0.0, lo * d, hi * d)
-
-    return _nonlocal_integral(u, R0, gamma, combine)
+    return _nonlocal_integral(u, R0, gamma, bounds.lambda_lo, bounds.lambda_hi)
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +524,26 @@ _FORWARD_TOL = (1e-11, 1e-13)
 _SPECTRAL_TOL = (1e-9, 1e-11)
 # radii at which the calibrated round trip must reproduce u
 _CHECK_RADII = (0.0, 0.4, 0.9)
+# beyond r_max the forward integrand |u(r)| r sinh(r) is below this, so the
+# cut-off tail of a forward value stays under the spectral integrals'
+# absolute tolerance
+_FORWARD_CUT = 1e-10
+
+
+def _forward_cut(u):
+    """r_max: the tail radius of u at 1e-14, moved out in steps of 1/4 while
+    |u(r)| r sinh(r) exceeds _FORWARD_CUT there.  A bound on u alone lets
+    the weight, ~1e7 at r = 15, lift a wide Gaussian's cut-off tail far
+    above the forward values it is to resolve."""
+    r = u.tail_radius(1e-14)
+    if math.isfinite(u.support_radius):
+        return r
+    while r < 700.0:  # sinh overflows a float near 710
+        if abs(u(r)) * r * math.sinh(r) <= _FORWARD_CUT:
+            return r
+        r += 0.25
+    raise CalibrationError(f"profile '{u.name}' does not decay against r sinh(r); the "
+                           "oracle needs a smooth rapidly-decaying profile")
 
 
 def _integrals(f, top, n, tol, what):
@@ -521,7 +568,7 @@ class SphericalTransform:
     def __init__(self, u: RadialProfile):
         _require_c2_bounded(u, "SphericalTransform")
         self.u = u
-        self.r_max = u.tail_radius(1e-14)
+        self.r_max = _forward_cut(u)
         self._fwd_cache = {}
         self.lam_max = self._find_lambda_cut()
         self._calibrate()
@@ -533,37 +580,40 @@ class SphericalTransform:
         return float(self._u_hat(np.array([lam], dtype=float))[0])
 
     def _transform(self, lam):
-        """u_hat and the |integrand| mass of its integral at every entry of
-        the 1-D array lam."""
+        """Value, error and |integrand| mass of the integral of u(r) sinc(lam
+        r) r sinh(r) over [0, r_max] at every entry of the 1-D array lam."""
         # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
         f = lambda r, own: (self.u.values(r) * np.sinc(lam[own, None] * r / math.pi)
                             * r * np.sinh(r))
         n = lam.size
-        val, err, mass, _ = gk21_batch(f, np.zeros(n), np.full(n, self.r_max), np.arange(n), n,
-                                       *_FORWARD_TOL, _PANEL_LIMIT)
-        val = accepted(val, err, mass, *_FORWARD_TOL, "forward transform")
-        return 4.0 * math.pi * val, 4.0 * math.pi * mass
+        return gk21_batch(f, np.zeros(n), np.full(n, self.r_max), np.arange(n), n,
+                          *_FORWARD_TOL, _PANEL_LIMIT)[:3]
 
     def _u_hat(self, lam):
         """u_hat at every entry of the array lam, each node integrated once."""
         cache = self._fwd_cache
         new = np.fromiter(set(lam.ravel().tolist()).difference(cache), float)
         if new.size:
-            cache.update(zip(new.tolist(), self._transform(new)[0].tolist()))
+            val = accepted(*self._transform(new), *_FORWARD_TOL, "forward transform")
+            cache.update(zip(new.tolist(), (4.0 * math.pi * val).tolist()))
         return np.array([cache[x] for x in lam.ravel().tolist()]).reshape(lam.shape)
 
     def _find_lambda_cut(self) -> float:
         # the weight (1+lam^2)^2 dominates every multiplier used downstream; a
         # value within the rounding floor of its integral, ROUNDING times the
-        # |integrand| mass, has decayed as far as it can be seen
+        # |integrand| mass, has decayed as far as it can be seen.  Only the
+        # integrals up to the cut must be resolved: above it, a wide profile's
+        # r-range holds more periods of sinc(lam r) than the panel limit
         lams = 5.0 * 2.0 ** np.arange(6)
-        val, mass = self._transform(lams)
-        small = ((np.abs(val) * (1.0 + lams * lams) ** 2 < 1e-10)
+        val, err, mass = self._transform(lams)
+        small = ((4.0 * math.pi * np.abs(val) * (1.0 + lams * lams) ** 2 < 1e-10)
                  | (np.abs(val) <= ROUNDING * mass))
+        k = int(np.argmax(small)) + 1 if small.any() else lams.size
+        accepted(val[:k], err[:k], mass[:k], *_FORWARD_TOL, "forward transform")
         if not small.any():
             raise CalibrationError("forward transform does not decay in lambda; the oracle "
                                    "needs a smooth rapidly-decaying profile")
-        return float(lams[np.argmax(small)])
+        return float(lams[k - 1])
 
     def _spectral_integrals(self, radii, weight):
         """integral of weight(lam) u_hat(lam) phi_lam(R0) lam^2 over

@@ -5,7 +5,8 @@ The evaluators are self-contained:
 
 * ``bessel_i`` sums the ascending series in log space.  For orders nu >= -1
   every term is nonnegative, so the sum is cancellation-free on the whole
-  supported range x in (0, ~700].
+  supported range x in (0, ~700].  ``bessel_i_scaled`` goes on beyond 700
+  with Hankel's asymptotic expansion where nu^2 <= x.
 * ``bessel_k`` integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is
   exp(x) K_nu(x), with the trapezoid rule.  The rule converges geometrically
   for this analytic, double-exponentially decaying integrand (Trefethen and
@@ -16,15 +17,19 @@ The evaluators are self-contained:
   1 - cosh u_j and log cosh(nu u_j) sit in a bounded cache of tables, one
   per (|nu|, level, power-of-two length), built on first use; an evaluation
   costs one multiply-add, one ``exp`` and one sum per node.  Arrays of x run
-  through the same tables, rows of one table together.
+  through the same tables, rows of one table together.  A rule longer than
+  2^16 nodes (a large order at large x) is refused.
 * ``struve_l`` sums the power series with exact (fsum) accumulation; terms can
   alternate in sign for negative orders.
 
 ``s_integral``/``c_integral``/``l_integral`` evaluate the finite Bessel(-
 Struve) sums for the antiderivatives of rho^(k-nu) K_nu(rho) {sinh, cosh, 1}.
+
+Every public function returns a finite float or raises a ``HypfracError``.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -52,18 +57,45 @@ _K_DECAY = 45.0
 # ... and before u = 709, where 1 - cosh u is still a finite double; x below
 # ~1e-291 would need a longer rule and is unsupported
 _K_U_MAX = 709.0
+# no rule runs more nodes: up to the cut at _K_U_MAX a step of 1/16 takes
+# ~11k; only a large order at large x asks for more
+_K_MAX_NODES = 1 << 16
 # exponents are floored here before exp, whose results below ~1e-308 take a
 # slow path; exp(-700) is < 1e-300 of the u = 0 node, which contributes 1
 _K_EXP_FLOOR = -700.0
+
+
+# the ascending series of I_nu runs up to here; bessel_i_scaled goes on with
+# the asymptotic expansion where nu^2 <= x, and with the series, whose length
+# grows like x, up to _I_SERIES_LIMIT
+_I_SERIES_MAX = 700.0
+_I_SERIES_LIMIT = 1e4
+
+
+def _check_order(nu: float, what: str):
+    if not math.isfinite(nu):
+        raise DomainError(f"{what} requires a finite order")
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise NumericError(f"{what} overflows a float")
+    return value
 
 
 # ----------------------------------------------------------------------
 # modified Bessel I
 
 
-def _i_series(nu: float, x: float):
-    """Return (m, s) with I_nu(x) = exp(m) * s from the ascending series."""
-    half = math.log(0.5 * x)
+def _log_half(x: float) -> float:
+    """log(x / 2), also where x / 2 is not a normal float."""
+    half = 0.5 * x
+    return math.log(half) if half >= sys.float_info.min else math.log(x) - _LOG2
+
+
+def _i_series(nu: float, x: float, shift: float = 0.0) -> float:
+    """exp(-shift) I_nu(x) from the ascending series."""
+    half = _log_half(x)
     peak = 0.5 * x
     jmax = int(peak + 12.0 * math.sqrt(peak + 1.0) + 30.0)
     j = np.arange(jmax + 1, dtype=float)
@@ -80,7 +112,12 @@ def _i_series(nu: float, x: float):
     tail = lt[-1] - m
     if math.isfinite(tail) and tail > -37.0:
         raise NumericError(f"bessel_i series truncated too early at nu={nu}, x={x}")
-    return m, s
+    if s <= 0.0:
+        raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
+    try:
+        return math.exp(m - shift + math.log(s))
+    except OverflowError:
+        raise NumericError(f"bessel_i overflows a float at nu={nu}, x={x}") from None
 
 
 def bessel_i(nu: float, x: float) -> float:
@@ -88,6 +125,7 @@ def bessel_i(nu: float, x: float) -> float:
 
     Accurate to ~1e-12 relative for nu in [-1, 10] and x in (0, 700).
     """
+    _check_order(nu, "bessel_i")
     if not 0.0 <= x < math.inf:
         raise DomainError("bessel_i requires finite x >= 0")
     if x == 0.0:
@@ -96,22 +134,43 @@ def bessel_i(nu: float, x: float) -> float:
         if nu > 0.0:
             return 0.0
         raise DomainError("I_nu(0) diverges for nu < 0")
-    if x > 700.0:
+    if x > _I_SERIES_MAX:
         raise NumericError("bessel_i overflows for x > 700; use bessel_i_scaled")
-    m, s = _i_series(nu, x)
-    if s <= 0.0:
-        raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
-    return math.exp(m + math.log(s))
+    return _i_series(nu, x)
+
+
+def _i_scaled_asymptotic(nu: float, x: float) -> float:
+    """exp(-x) I_nu(x) for x > _I_SERIES_MAX and nu^2 <= x by Hankel's
+    expansion 1/sqrt(2 pi x) sum_k (-1)^k a_k(nu) / x^k,
+    a_k = prod_{i<=k} (4 nu^2 - (2i - 1)^2) / (k! 8^k); the exponentially
+    small part is below exp(-2x) relative.  Under these bounds the terms
+    fall below 1e-17 of the sum long before the series turns to diverge."""
+    mu = 4.0 * nu * nu
+    term, total = 1.0, 1.0
+    for k in range(1, 200):
+        term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:
-    """exp(-x) * I_nu(x), safe against overflow for large x."""
+    """exp(-x) * I_nu(x), safe against overflow for large x.
+
+    The ascending series up to x = 700; beyond, Hankel's asymptotic
+    expansion where nu^2 <= x, and elsewhere the series, whose length grows
+    like x, up to x = 1e4 (``UnsupportedRangeError`` beyond).
+    """
+    _check_order(nu, "bessel_i_scaled")
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_i_scaled requires finite x > 0")
-    m, s = _i_series(nu, x)
-    if s <= 0.0:
-        raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
-    return math.exp(m - x + math.log(s))
+    if x > _I_SERIES_MAX and nu * nu <= x:
+        return _i_scaled_asymptotic(nu, x)
+    if x > _I_SERIES_LIMIT:
+        raise UnsupportedRangeError(
+            f"bessel_i_scaled beyond x = {_I_SERIES_LIMIT:g} needs nu^2 <= x")
+    return _i_series(nu, x, x)
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +199,12 @@ def _k_unsupported(nu: float):
     )
 
 
+def _k_too_long(nu: float):
+    return UnsupportedRangeError(
+        f"bessel_k at nu={nu} needs more than {_K_MAX_NODES} trapezoid nodes: nu is too "
+        "large for x")
+
+
 @lru_cache(maxsize=64)
 def _k_table(nu: float, level: int, size: int):
     """The x-free factors of the trapezoid nodes u_j = j 2^-level,
@@ -164,6 +229,8 @@ def _k_trapezoid(nu: float, x: float) -> float:
     m, e = math.frexp(x)
     level = max(4, (e + 3 - (m == 0.5)) // 2)
     n = max(80, math.ceil(math.ldexp(cut, level)))
+    if n > _K_MAX_NODES:
+        raise _k_too_long(nu)
     sinh2, logcosh = _k_table(nu, level, 1 << (n - 1).bit_length())
     expo = x * sinh2[:n + 1] + logcosh[:n + 1]
     f = np.exp(np.maximum(expo, _K_EXP_FLOOR, out=expo), out=expo)
@@ -183,7 +250,10 @@ def _k_trapezoid_array(nu: float, x):
         raise _k_unsupported(nu)
     m, e = np.frexp(x)
     level = np.maximum(4, (e + 3 - (m == 0.5)) // 2)
-    n = np.maximum(80, np.ceil(np.ldexp(cut, level))).astype(np.int64)
+    n = np.maximum(80, np.ceil(np.ldexp(cut, level)))
+    if not np.all(n <= _K_MAX_NODES):
+        raise _k_too_long(nu)
+    n = n.astype(np.int64)
     # rows of one (level, size) share a table, size = 2^bits >= n
     key = 64 * level + np.frexp(n - 1)[1]
     out = np.empty_like(x)
@@ -210,10 +280,12 @@ def _k_trapezoid_array(nu: float, x):
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind K_nu(x); even in nu.
 
-    x must be finite and positive (``DomainError`` otherwise); x below
-    ~1e-291, whose rule would run past u = 709, raises
+    nu must be finite and x finite and positive (``DomainError`` otherwise);
+    x below ~1e-291, whose rule would run past u = 709, and a large order at
+    large x, whose rule would need more than 2^16 nodes, raise
     ``UnsupportedRangeError``.  K_nu underflows to 0 beyond x ~ 745.
     """
+    _check_order(nu, "bessel_k")
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_k requires finite x > 0")
     return _k_trapezoid(nu, x) * math.exp(-x)
@@ -228,8 +300,9 @@ def bessel_k_scaled(nu: float, x):
     numpy array; its entries then run through the same node tables in
     batches, and agree with the scalar path to a few ulp.  Every entry must be
     finite and positive (``DomainError``); an empty array gives an empty
-    array.
+    array.  The ranges of ``bessel_k`` apply.
     """
+    _check_order(nu, "bessel_k_scaled")
     if isinstance(x, np.ndarray):
         x = x.astype(float, copy=False)
         if not np.all((x > 0.0) & (x < np.inf)):
@@ -249,6 +322,7 @@ def struve_l(nu: float, x: float) -> float:
 
     Supported for x in (0, 30]; larger arguments raise UnsupportedRangeError.
     """
+    _check_order(nu, "struve_l")
     if not 0.0 <= x < math.inf:
         raise DomainError("struve_l requires finite x >= 0")
     if x > 30.0:
@@ -257,14 +331,21 @@ def struve_l(nu: float, x: float) -> float:
         if nu > -1.0:
             return 0.0
         raise DomainError("L_nu(0) diverges for nu <= -1")
-    half = math.log(0.5 * x)
+    half = _log_half(x)
     peak = 0.5 * x
     jmax = int(peak + 12.0 * math.sqrt(peak + 1.0) + 30.0)
     j = np.arange(jmax + 1, dtype=float)
     b = nu + j + 1.5
     lt = (2.0 * j + nu + 1.0) * half - gammaln(j + 1.5) - gammaln(b)
-    terms = np.where(np.isfinite(lt), gammasgn(b) * np.exp(lt), 0.0)
-    return math.fsum(terms.tolist())
+    with np.errstate(over="ignore"):
+        terms = np.where(np.isfinite(lt), gammasgn(b) * np.exp(lt), 0.0)
+    try:
+        total = math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # fsum of terms past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericError(f"struve_l overflows a float at nu={nu}, x={x}")
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +370,11 @@ def _sc_sum(k: int, nu: float, rho: float, cosh_variant: bool) -> float:
         raise DomainError("rho must be positive")
     i_plus = bessel_i(0.5, rho)
     i_minus = bessel_i(-0.5, rho)
-    pref = math.sqrt(0.5 * math.pi) * rho ** (k + 1.5 - nu)
+    what = f"{'c' if cosh_variant else 's'}_integral at nu={nu}, rho={rho}"
+    try:
+        pref = math.sqrt(0.5 * math.pi) * rho ** (k + 1.5 - nu)
+    except OverflowError:
+        raise NumericError(f"{what} overflows a float") from None
     coef = 1.0
     total = 0.0
     for j in range(k + 1):
@@ -305,7 +390,7 @@ def _sc_sum(k: int, nu: float, rho: float, cosh_variant: bool) -> float:
         else:
             pair = k1 * (i_plus if even else i_minus) + k2 * (i_minus if even else i_plus)
         total += coef * pair
-    return pref * total
+    return _finite(pref * total, what)
 
 
 def s_integral(k: int, nu: float, rho: float) -> float:
@@ -325,30 +410,35 @@ def l_integral(two_k: int, nu: float, rho: float) -> float:
     """
     if two_k < 0 or two_k % 2 != 0:
         raise DomainError("l_integral requires an even nonnegative power 2k")
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    _check_order(nu, "l_integral")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("rho must be positive and finite")
     if rho > 30.0:
         raise UnsupportedRangeError("l_integral supports rho <= 30 (Struve range)")
     k = two_k // 2
     arg = 0.5 - nu + k
     if arg <= 0.0 and abs(arg - round(arg)) < 1e-12:
         raise DomainError(f"l_integral undefined at nu={nu} (Gamma pole)")
-    total = 0.0
-    for j in range(k):
-        coef = (
-            math.factorial(2 * k) * math.factorial(k - j)
-            / (2.0 ** j * math.factorial(k) * math.factorial(2 * k - 2 * j))
+    what = f"l_integral at nu={nu}, rho={rho}"
+    try:
+        total = 0.0
+        for j in range(k):
+            coef = (
+                math.factorial(2 * k) * math.factorial(k - j)
+                / (2.0 ** j * math.factorial(k) * math.factorial(2 * k - 2 * j))
+            )
+            total -= coef * rho ** (2 * k - j - nu) * bessel_k(nu - 1.0 - j, rho)
+        boundary = (
+            math.sqrt(math.pi) * math.gamma(arg) * 2.0 ** (k - nu - 1.0)
+            * math.factorial(2 * k) / (2.0 ** k * math.factorial(k))
         )
-        total -= coef * rho ** (2 * k - j - nu) * bessel_k(nu - 1.0 - j, rho)
-    boundary = (
-        math.sqrt(math.pi) * math.gamma(arg) * 2.0 ** (k - nu - 1.0)
-        * math.factorial(2 * k) / (2.0 ** k * math.factorial(k))
-    )
+    except OverflowError:
+        raise NumericError(f"{what} overflows a float") from None
     total += boundary * rho * (
         bessel_k(k - nu, rho) * struve_l(k - nu - 1.0, rho)
         + bessel_k(k - nu - 1.0, rho) * struve_l(k - nu, rho)
     )
-    return total
+    return _finite(total, what)
 
 
 # ----------------------------------------------------------------------

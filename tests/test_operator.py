@@ -32,7 +32,7 @@ from hypfrac.operator import (
     second_difference,
     tabulated,
 )
-from hypfrac.operator import _PANEL_LIMIT, _graded_cuts
+from hypfrac.operator import _PANEL_LIMIT, _angular, _graded_cuts
 from hypfrac.scale import i0_closed, iinf_closed
 
 UNIT = EllipticityBounds(1.0, 1.0)
@@ -262,6 +262,15 @@ class TestSpectralOracle:
         assert multiplier_oracle(u, 0.5, 0.6) == pytest.approx(
             apply_fraclap(u, 0.5, 0.6), rel=1e-8)
 
+    @pytest.mark.parametrize("width", [2.5, 3.0, 4.0])
+    def test_wider_bumps_match_jump_integral(self, width):
+        # r_max bounds the forward integrand u(r) r sinh(r), not u alone: cut
+        # where u fell below 1e-14, these widths' forward values at large
+        # lambda were the cut-off tail (2.5 did not decay, 3 and 4 were rejected)
+        u = gaussian_bump(width)
+        assert multiplier_oracle(u, 0.5, 0.6) == pytest.approx(
+            apply_fraclap(u, 0.5, 0.6), rel=1e-6)
+
     def test_gamma_one_against_stencil(self):
         st = SphericalTransform(gaussian_bump())
         for R0 in (0.0, 0.7):
@@ -276,11 +285,12 @@ class TestPucci:
         assert pucci_minus(u, 0.5, 0.5, WIDE) == 0.0
 
     def test_collapse_to_fraclap(self):
-        u = gaussian_bump()
-        assert pucci_plus(u, 0.5, 0.6, UNIT) == pytest.approx(
-            apply_fraclap(u, 0.5, 0.6), rel=1e-9)
-        assert pucci_minus(u, 0.5, 0.6, UNIT) == pytest.approx(
-            apply_fraclap(u, 0.5, 0.6), rel=1e-9)
+        barrier = barrier_profile(BarrierSpec(delta=0.5, alpha=4.0, R=1.0, gamma=0.6))
+        for u in (gaussian_bump(), barrier):
+            assert pucci_plus(u, 0.5, 0.6, UNIT) == pytest.approx(
+                apply_fraclap(u, 0.5, 0.6), rel=1e-9)
+            assert pucci_minus(u, 0.5, 0.6, UNIT) == pytest.approx(
+                apply_fraclap(u, 0.5, 0.6), rel=1e-9)
 
     def test_ordering_and_duality(self, rng):
         profiles = [gaussian_bump(), polynomial_bump(2.0), gaussian_bump(0.5)]
@@ -327,6 +337,26 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
     for op, m in want.items():
         assert op(scaled, R0, gamma, WIDE) == pytest.approx(
             c * m, rel=1e-9, abs=1e-8 * c * spread)
+
+
+class TestAngularForms:
+    """A linear combine integrates u(w) - u0 one-sided over the whole sphere;
+    the antipodal pair (what a nonlinear combine needs) gives the same value.
+    Closer in, at r = 2e-3, the one-sided form loses digits (3.2e-9 on the
+    barrier at alpha 2, R0 2.7), which is why the frozen node at r = 1e-3
+    stays paired."""
+
+    RADII = np.array([1e-2, 0.1, 1.0, 3.0])
+    CASES = ([(barrier_profile(BarrierSpec(delta=0.5, alpha=a, R=1.0, gamma=0.99)), R0)
+              for a in (2.0, 16.0, 64.0) for R0 in (0.3, 1.0, 2.7)]
+             + [(gaussian_bump(0.8), R0) for R0 in (0.5, 1.5)])
+
+    @pytest.mark.parametrize("u,R0", CASES)
+    def test_one_sided_matches_paired(self, u, R0):
+        u0 = u(R0)
+        one_sided = _angular(u, R0, u0, self.RADII, 1.0, 1.0, False)
+        paired = _angular(u, R0, u0, self.RADII, 1.0, 1.0, True)
+        np.testing.assert_allclose(one_sided, paired, rtol=1e-9, atol=0.0)
 
 
 class TestRejectedQuadrature:

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings, strategies as st
 
 from hypfrac import specfun
-from hypfrac.errors import DomainError, UnsupportedRangeError
+from hypfrac.errors import DomainError, HypfracError, UnsupportedRangeError
 from hypfrac.specfun import (
     _k_table,
     bessel_i,
@@ -226,6 +228,14 @@ class TestBesselKEdges:
         assert bessel_k_scaled(1.5, np.array([])).shape == (0,)
         assert bessel_k_scaled(1.5, np.empty((0, 3))).shape == (0, 3)
 
+    def test_large_order_at_large_x(self):
+        # the cut sits near u = 0.7 and the step at 2^-28: the rule would
+        # need ~2e8 nodes (3 GB of tables); the node bound refuses it
+        with pytest.raises(UnsupportedRangeError):
+            bessel_k(1e16, 1e16)
+        with pytest.raises(UnsupportedRangeError):
+            bessel_k_scaled(1e16, np.array([1.0, 1e16]))
+
     def test_below_supported_range(self):
         # the cut would pass u = 709, where 1 - cosh u leaves the doubles
         for x in (1e-300, 1e-310):
@@ -243,6 +253,64 @@ class TestNonFiniteArguments:
             for x in (math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError):
                     f(1.5, x)
+
+    def test_order(self):
+        for f in (bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled, struve_l):
+            for nu in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    f(nu, 1.0)
+
+
+class TestScaledBesselILargeX:
+    """Beyond x = 700 exp(-x) I_nu(x) comes from Hankel's expansion, at a
+    cost that does not grow with x, where the series ran ~x terms."""
+
+    @pytest.mark.parametrize("nu", [-3.5, -1.0, 0.0, 0.3, 2.49, 10.0])
+    def test_against_mpmath(self, nu):
+        mpmath.mp.dps = 40
+        for x in (700.5, 1e3, 1e5, 1e7, 1e16, 1e300):
+            want = float(mpmath.besseli(nu, x) * mpmath.exp(-x))
+            assert bessel_i_scaled(nu, x) == pytest.approx(want, rel=1e-14)
+
+    def test_continuous_at_the_switch(self):
+        for nu in (0.3, 2.49, 10.0):
+            below, above = bessel_i_scaled(nu, 700.0), bessel_i_scaled(nu, 700.0 * (1 + 1e-15))
+            assert above == pytest.approx(below, rel=1e-12)
+
+    def test_large_order_beyond_the_series_limit(self):
+        # nu^2 > x: the expansion does not hold, and the series would run x terms
+        assert bessel_i_scaled(30.0, 800.0) == pytest.approx(
+            float(mpmath.besseli(30, 800) * mpmath.exp(-800)), rel=1e-11)
+        with pytest.raises(UnsupportedRangeError):
+            bessel_i_scaled(200.0, 2e4)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _finite_or_typed(f, *args):
+    try:
+        value = f(*args)
+    except HypfracError:
+        return
+    assert isinstance(value, float) and math.isfinite(value), (f.__name__, args, value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(f=st.sampled_from([bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled, struve_l]),
+       nu=ANY_FLOAT, x=ANY_FLOAT)
+def test_functions_return_finite_or_raise_typed(f, nu, x):
+    # large orders at large x once asked bessel_k for billions of trapezoid nodes
+    _finite_or_typed(f, nu, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(f=st.sampled_from([s_integral, c_integral, l_integral]), k=st.integers(-1, 8),
+       nu=ANY_FLOAT, rho=ANY_FLOAT)
+def test_integral_families_return_finite_or_raise_typed(f, k, nu, rho):
+    _finite_or_typed(f, k, nu, rho)
 
 
 class TestWronskian:

@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from .errors import CalibrationError, DomainError
 from .geometry import acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import ROUNDING, accepted, gk21_batch
+from .quadrature import ROUNDING, QuadratureConfig, integrate
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -285,18 +285,20 @@ def second_difference(u: RadialProfile, R0: float, r: float, omega1: float) -> f
 # (delta ~ r^2 against absolute noise ~1e-16 |u|); the smooth factor is
 # frozen at its value here, a relative modeling error of O(_R_FLOOR^2).
 _R_FLOOR = 1e-3
-# tolerances of the nonlocal core's radial and angular integrals, the panel
-# limit of both levels, and the tail bound that places the far-tail cut
-_RADIAL_REL = 1e-8
-_RADIAL_ABS = 1e-12
-_ANGULAR_REL = 1e-9
-_ANGULAR_ABS = 1e-15
+# the panel limit of every integral of this module, the tolerances of the
+# nonlocal core's radial and angular integrals and of the spherical
+# transform's r- and lambda-integrals, and the tail bound that places the
+# nonlocal core's far-tail cut
 _PANEL_LIMIT = 200
+_RADIAL = QuadratureConfig(1e-8, 1e-12, _PANEL_LIMIT)
+_ANGULAR = QuadratureConfig(1e-9, 1e-15, _PANEL_LIMIT)
+_FORWARD = QuadratureConfig(1e-11, 1e-13, _PANEL_LIMIT)
+_SPECTRAL = QuadratureConfig(1e-9, 1e-11, _PANEL_LIMIT)
 _TAIL_EPS = 1e-12
 # what apply_fraclap and the Pucci operators run on, for reports
 NONLOCAL_TOLERANCES = {
-    "radial_rel": _RADIAL_REL, "radial_abs": _RADIAL_ABS,
-    "angular_rel": _ANGULAR_REL, "angular_abs": _ANGULAR_ABS,
+    "radial_rel": _RADIAL.rel_tol, "radial_abs": _RADIAL.abs_tol,
+    "angular_rel": _ANGULAR.rel_tol, "angular_abs": _ANGULAR.abs_tol,
     "panel_limit": _PANEL_LIMIT, "tail_eps": _TAIL_EPS,
 }
 
@@ -333,9 +335,8 @@ def _angular(u, R0, u0, r, pos, neg, paired):
     the half w in [|r - R0|, w_hi] of the sphere (weight 2), the only form
     for a nonlinear combine; otherwise the linear combine (pos == neg) is
     applied to u(w) - u0 over the whole range w in [|r - R0|, r + R0]
-    (weight 1), one profile evaluation per node."""
-    if R0 == 0.0:
-        return 2.0 * _combine(u.values(r) - u0, pos, neg)
+    (weight 1), one profile evaluation per node.  Each radius is one owner
+    of the batch, its pieces the initial panels."""
     # distances through x = cosh(d) - 1, free of the cancellation of acosh
     # near 1: cosh(w_hi) - 1 = cosh r cosh R0 - 1 = 2 sinh^2((r - R0)/2) + b
     b = np.sinh(r) * math.sinh(R0)
@@ -381,10 +382,7 @@ def _angular(u, R0, u0, r, pos, neg, paired):
         w_hat = acosh1p(np.maximum(two_x[own][:, None] - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
         return _combine(0.5 * (u.values(w) + u.values(w_hat)) - u0, pos, neg) * jac
 
-    res = gk21_batch(g, lo, hi, np.arange(lo.size), lo.size, _ANGULAR_REL, _ANGULAR_ABS,
-                     _PANEL_LIMIT)
-    val, err, mass = (np.bincount(node, x, r.size) for x in res[:3])
-    val = accepted(val, err, mass, _ANGULAR_REL, _ANGULAR_ABS, "angular integral", r)
+    val, _ = integrate(g, lo, hi, node, r.size, _ANGULAR, "angular integral", r)
     out[live] = 2.0 * val if paired else val
     return out
 
@@ -426,17 +424,17 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     kink radius: ceil(log2(gap / r_k)) levels per side for the gap to the
     neighbouring break point, so a large kink gets few panels and a small
     one as many as its ramp needs.  Both levels are adaptive Gauss-Kronrod
-    (``gk21_batch``): every outer node's angular pieces are integrated
-    together in one batch, and a panel is accepted only once its two halves
-    confirm it, never on a single estimate.  The batched integrand sees at
-    most ``NODE_BUDGET`` nodes per numpy call, which bounds the memory
-    whatever the panel count.  Angular integrals are taken to
-    ``_ANGULAR_REL`` of their |f| mass (absolute floor ``_ANGULAR_ABS``; of
-    1e3 times their value under stronger cancellation), the radial integral
-    to ``_RADIAL_REL`` (absolute floor ``_RADIAL_ABS``) in the same sense;
-    ``accepted`` rejects them beyond ten times those tolerances.  Each
-    integral stops refining at ``_PANEL_LIMIT`` panels, and the far-tail cut
-    sits where the profile's tail bound reaches ``_TAIL_EPS``.
+    (``quadrature.integrate``): every outer node's angular pieces are
+    integrated together in one batch, and a panel is accepted only once its
+    two halves confirm it, never on a single estimate.  The batched integrand
+    sees at most ``NODE_BUDGET`` nodes per numpy call, which bounds the
+    memory whatever the panel count.  Angular integrals run at the config
+    ``_ANGULAR``, to its ``rel_tol`` of their |f| mass (absolute floor
+    ``abs_tol``; of 1e3 times their value under stronger cancellation), the
+    radial integral at ``_RADIAL`` in the same sense; ``integrate`` rejects
+    them beyond ten times those tolerances.  Each integral stops refining at
+    ``_PANEL_LIMIT`` panels, and the far-tail cut sits where the profile's
+    tail bound reaches ``_TAIL_EPS``.
     """
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
     # below ~1e-5 there are already negligible against it
@@ -461,9 +459,9 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     # leave its last few halvings to the adaptive bisection
     finest = min(u.kink_radii, default=math.inf)
     cuts = np.log(_graded_cuts(r_frozen, A, images, finest))
-    val, err, mass, _ = gk21_batch(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int),
-                                   1, _RADIAL_REL, _RADIAL_ABS, _PANEL_LIMIT)
-    total += accepted(val, err, mass, _RADIAL_REL, _RADIAL_ABS, "radial integral")[0]
+    val, _ = integrate(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1, _RADIAL,
+                       "radial integral")
+    total += val[0]
 
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
     total += _combine(u.limit_at_infinity - u0, pos, neg) * tail_mass
@@ -519,9 +517,6 @@ def pucci_minus(u: RadialProfile, R0: float, gamma: float,
 # spectral multiplier oracle
 
 
-# (rel, abs) tolerances of the spherical transform's r- and lambda-integrals
-_FORWARD_TOL = (1e-11, 1e-13)
-_SPECTRAL_TOL = (1e-9, 1e-11)
 # radii at which the calibrated round trip must reproduce u
 _CHECK_RADII = (0.0, 0.4, 0.9)
 # beyond r_max the forward integrand |u(r)| r sinh(r) is below this, so the
@@ -546,11 +541,10 @@ def _forward_cut(u):
                            "oracle needs a smooth rapidly-decaying profile")
 
 
-def _integrals(f, top, n, tol, what):
-    """n integrals over [0, top] at tol = (rel, abs); f(x, own) is integrand own."""
-    val, err, mass, _ = gk21_batch(f, np.zeros(n), np.full(n, top), np.arange(n), n, *tol,
-                                   _PANEL_LIMIT)
-    return accepted(val, err, mass, *tol, what)
+def _integrals(f, top, n, cfg, what):
+    """Values and |f| masses of n integrals over [0, top] at cfg; f(x, own) is
+    integrand own."""
+    return integrate(f, np.zeros(n), np.full(n, top), np.arange(n), n, cfg, what)
 
 
 class SphericalTransform:
@@ -559,9 +553,9 @@ class SphericalTransform:
     The forward transform integrates u against phi_lambda sinh^2; the inverse
     integrates against phi_lambda lambda^2 with a constant kappa fixed by the
     round-trip identity (analytically 1/(2 pi^2)), verified to 1e-6 before
-    use.  Each spectral integral is one ``gk21_batch`` reading u_hat on its
-    node array; nodes not yet memoised are transformed in one batch.  Every
-    integral goes through the one reject rule, ``quadrature.accepted``
+    use.  Each spectral integral is one batch of ``quadrature.integrate``
+    reading u_hat on its node array; nodes not yet memoised are transformed
+    in one batch.  Every integral goes through its reject rule
     (``NumericError``).
     """
 
@@ -580,40 +574,35 @@ class SphericalTransform:
         return float(self._u_hat(np.array([lam], dtype=float))[0])
 
     def _transform(self, lam):
-        """Value, error and |integrand| mass of the integral of u(r) sinc(lam
-        r) r sinh(r) over [0, r_max] at every entry of the 1-D array lam."""
+        """Value and |integrand| mass of the integral of u(r) sinc(lam r) r
+        sinh(r) over [0, r_max] at every entry of the 1-D array lam."""
         # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
         f = lambda r, own: (self.u.values(r) * np.sinc(lam[own, None] * r / math.pi)
                             * r * np.sinh(r))
-        n = lam.size
-        return gk21_batch(f, np.zeros(n), np.full(n, self.r_max), np.arange(n), n,
-                          *_FORWARD_TOL, _PANEL_LIMIT)[:3]
+        return _integrals(f, self.r_max, lam.size, _FORWARD, "forward transform")
 
     def _u_hat(self, lam):
         """u_hat at every entry of the array lam, each node integrated once."""
         cache = self._fwd_cache
         new = np.fromiter(set(lam.ravel().tolist()).difference(cache), float)
         if new.size:
-            val = accepted(*self._transform(new), *_FORWARD_TOL, "forward transform")
+            val = self._transform(new)[0]
             cache.update(zip(new.tolist(), (4.0 * math.pi * val).tolist()))
         return np.array([cache[x] for x in lam.ravel().tolist()]).reshape(lam.shape)
 
     def _find_lambda_cut(self) -> float:
         # the weight (1+lam^2)^2 dominates every multiplier used downstream; a
         # value within the rounding floor of its integral, ROUNDING times the
-        # |integrand| mass, has decayed as far as it can be seen.  Only the
-        # integrals up to the cut must be resolved: above it, a wide profile's
-        # r-range holds more periods of sinc(lam r) than the panel limit
-        lams = 5.0 * 2.0 ** np.arange(6)
-        val, err, mass = self._transform(lams)
-        small = ((4.0 * math.pi * np.abs(val) * (1.0 + lams * lams) ** 2 < 1e-10)
-                 | (np.abs(val) <= ROUNDING * mass))
-        k = int(np.argmax(small)) + 1 if small.any() else lams.size
-        accepted(val[:k], err[:k], mass[:k], *_FORWARD_TOL, "forward transform")
-        if not small.any():
-            raise CalibrationError("forward transform does not decay in lambda; the oracle "
-                                   "needs a smooth rapidly-decaying profile")
-        return float(lams[k - 1])
+        # |integrand| mass, has decayed as far as it can be seen.  The probes
+        # stop at the cut: above it, a wide profile's r-range holds more
+        # periods of sinc(lam r) than the panel limit
+        for lam in (5.0 * 2.0 ** np.arange(6)).tolist():
+            (val,), (mass,) = self._transform(np.array([lam]))
+            if (4.0 * math.pi * abs(val) * (1.0 + lam * lam) ** 2 < 1e-10
+                    or abs(val) <= ROUNDING * mass):
+                return lam
+        raise CalibrationError("forward transform does not decay in lambda; the oracle "
+                               "needs a smooth rapidly-decaying profile")
 
     def _spectral_integrals(self, radii, weight):
         """integral of weight(lam) u_hat(lam) phi_lam(R0) lam^2 over
@@ -626,7 +615,7 @@ class SphericalTransform:
             phi = np.sinc(lam * radii[own, None] / math.pi) * scale[own, None]
             return weight(lam) * self._u_hat(lam) * phi * lam * lam
 
-        return _integrals(f, self.lam_max, radii.size, _SPECTRAL_TOL, "spectral integral")
+        return _integrals(f, self.lam_max, radii.size, _SPECTRAL, "spectral integral")[0]
 
     def roundtrip(self, R0: float) -> float:
         return self.kappa * float(self._spectral_integrals([R0], np.ones_like)[0])
@@ -655,7 +644,7 @@ class SphericalTransform:
 
     def norm_sq_direct(self) -> float:
         f = lambda r, own: self.u.values(r) ** 2 * np.sinh(r) ** 2
-        return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD_TOL, "direct norm")[0])
+        return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD, "direct norm")[0][0])
 
 
 def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:

@@ -3,9 +3,9 @@
 ``gk21_batch`` integrates many independent integrals at once with the
 Gauss-Kronrod 10/21 pair of QUADPACK (Piessens et al. 1983), bisecting
 panels in numpy instead of calling a Python integrand point by point.  Every
-adaptive integral of the package runs through it, and every result through
-one reject rule, ``accepted``.  Two maps onto [0, 1] turn an algebraic
-factor into a bounded integrand, for integrands that are numpy functions:
+adaptive integral of the package runs through ``integrate``: the engine, then
+the one reject rule.  Two maps onto [0, 1] turn an algebraic factor into a
+bounded integrand, for integrands that are numpy functions:
 
 * ``alg_left`` -- the integral of (x - a)^p f(x) over [a, b], p > -1, through
   x = a + (b - a) t^(1/(1+p)); p = 0 is a plain finite integral.
@@ -24,7 +24,7 @@ __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUAD",
     "gauss_legendre",
-    "accepted",
+    "integrate",
     "ROUNDING",
     "alg_left",
     "alg_tail",
@@ -35,14 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and panel limit of the integrals of ``alg_left`` and ``alg_tail``.
+    """Tolerances and panel limit of the integrals of ``integrate``.
 
     ``rel_tol`` and ``abs_tol`` are the tolerances of ``gk21_batch`` and of
-    the reject rule ``accepted``, and ``max_subdiv`` is the panel limit of
-    each integral.  The geometry, kernel and scale quadratures take one from
-    their caller (``gyro.sphere_integral_E`` uses its two tolerances as a
-    refinement test).  The operator module takes none: its integrals run on
-    module constants of its own.
+    the reject rule, and ``max_subdiv`` is the panel limit of each integral.
+    The geometry, kernel and scale quadratures take one from their caller
+    (``gyro.sphere_integral_E`` uses its two tolerances as a refinement
+    test); the operator module's integrals run on four constants of its own.
     """
 
     rel_tol: float = 1e-10
@@ -66,17 +65,19 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def accepted(val, err, mass, rel_tol, abs_tol, what, at=None):
-    """The values of ``gk21_batch`` integrals run at (rel_tol, abs_tol).  One
+def integrate(f, lo, hi, owner, n_owners, cfg: QuadratureConfig, what, at=None):
+    """Values and |f| masses of ``gk21_batch`` integrals run at ``cfg``.  One
     whose error exceeds ten times the tolerance the batch granted it, max(abs_tol,
-    rel_tol min(mass, 1e3 |value|)) for its |f| mass, as when it ran out of
-    panels, is rejected (``NumericError``), named by ``at`` if given."""
-    bad = err > 10.0 * _granted(mass, val, rel_tol, abs_tol)
+    rel_tol min(mass, 1e3 |value|), ROUNDING mass) for its |f| mass, as when it ran
+    out of panels, is rejected (``NumericError``), named by ``at`` if given."""
+    val, err, mass, _ = gk21_batch(f, lo, hi, owner, n_owners, cfg.rel_tol, cfg.abs_tol,
+                                   cfg.max_subdiv)
+    bad = err > 10.0 * _granted(mass, val, cfg.rel_tol, cfg.abs_tol)
     if bad.any():
         k = int(np.argmax(bad))
         where = "" if at is None else f" at r={at[k]:.6g}"
         raise NumericError(f"{what}{where}: error {err[k]:.2e} too large for value {val[k]:.4e}")
-    return val
+    return val, mass
 
 
 def _on_unit(g, points, cfg, what):
@@ -84,9 +85,8 @@ def _on_unit(g, points, cfg, what):
     and shrink toward t = 0 in steps of 8: the maps turn an integrand's power series into
     powers of t that are not smooth at 0, where one panel would be bisected round by round."""
     cuts = np.array(sorted({0.0, 2.0 ** -6, 2.0 ** -3, 1.0}.union(points)))
-    val, err, mass, _ = gk21_batch(g, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, np.intp),
-                                   1, cfg.rel_tol, cfg.abs_tol, cfg.max_subdiv)
-    return float(accepted(val, err, mass, cfg.rel_tol, cfg.abs_tol, what)[0])
+    val, _ = integrate(g, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, np.intp), 1, cfg, what)
+    return float(val[0])
 
 
 def alg_left(f, a, b, p, cfg: QuadratureConfig = DEFAULT_QUAD, points=(), what="alg_left"):
@@ -110,8 +110,9 @@ def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
     """Integral of x^(-1-q) h(x) over [a, oo), a > 0, q > 0, h a numpy function.
 
     Through x = a t^(-1/q) it is a^(-q)/q times the integral of h(x(t)) over
-    t in [0, 1].  x is clamped at 1e150, which a t^(-1/q) passes on much of
-    [0, 1] when q is small, so h must be flat to O(1/x) out there.
+    t in [0, 1].  x is clamped at X = 1e20, which a t^(-1/q) passes on much of
+    [0, 1] when q is small, so h must be flat to O(1/x) out there; the
+    clamped part is then O((a/X)^q / X) of the integral.
     """
     if not (a > 0.0 and q > 0.0):
         raise DomainError(f"{what} requires a > 0 and q > 0")
@@ -119,7 +120,7 @@ def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
 
     def g(t, own):
         with np.errstate(over="ignore", divide="ignore"):
-            x = np.minimum(a * t ** (-1.0 / q), 1e150)
+            x = np.minimum(a * t ** (-1.0 / q), 1e20)
         return c * h(x)
 
     return _on_unit(g, (), cfg, what)
@@ -160,7 +161,8 @@ _W21 = np.concatenate([_WK, [_WK_MID], _WK[::-1]])
 _G21 = np.zeros(21)
 _G21[1:10:2] = _WG
 _G21[11:20:2] = _WG[::-1]
-ROUNDING = 50.0 * np.finfo(float).eps  # a panel's least error, per unit of its |f| mass
+# a panel's least error, per unit of its |f| mass; no tolerance is granted below it
+ROUNDING = 50.0 * np.finfo(float).eps
 # the |f| mass sets a batched integral's tolerance until it exceeds the
 # value this many times; beyond, the value does
 _CANCELLATION = 1e3
@@ -168,7 +170,8 @@ _CANCELLATION = 1e3
 
 def _granted(mass, val, rel_tol, abs_tol):
     """The tolerance of batched integrals of |f| mass ``mass`` and value ``val``."""
-    return np.maximum(abs_tol, rel_tol * np.minimum(mass, _CANCELLATION * np.abs(val)))
+    return np.maximum(np.maximum(abs_tol, ROUNDING * mass),
+                      rel_tol * np.minimum(mass, _CANCELLATION * np.abs(val)))
 
 
 def _gk21(f, lo, hi, own):
@@ -203,9 +206,9 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
 
     Integral ``i`` (its owner index) is the sum over the initial panels
     ``[lo[j], hi[j]]`` with ``owner[j] == i``.  ``f(x, own)`` receives a 2-D
-    array of nodes, one row per panel, and the owner of each row, and returns
-    the integrand at the nodes; it is called with at most ``NODE_BUDGET``
-    nodes at a time.
+    array of nodes, one row per panel, and for each row the index ``j`` of
+    the initial panel it descends from, and returns the integrand at the
+    nodes; it is called with at most ``NODE_BUDGET`` nodes at a time.
 
     A panel is never accepted on its own estimate.  It is bisected, and the
     halves confirm it: its error is ``max(|K_parent - K_left - K_right|,
@@ -213,31 +216,33 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
     value is ``K_left + K_right``.  The owner's tolerance is ``tol =
     _granted(M, I, rel_tol, abs_tol)`` for its current |f| mass M and value
     I: relative to the mass, unless cancellation makes the value a thousand
-    times smaller.  A panel is accepted when its error is within
-    its share of ``tol``, by |f| mass or by width, whichever is larger, or
-    when the errors of the owner's accepted and open panels add up to at
-    most ``tol``.  Otherwise both halves are bisected in turn.  An owner
-    split into ``limit`` panels stops refining and keeps the errors it has,
-    so that the caller's error check rejects it.
+    times smaller, and never below the rounding floor ``ROUNDING * M``.  A
+    panel is accepted when its error is within its share of ``tol``, by |f|
+    mass or by width, whichever is larger, or when the errors of the owner's
+    accepted and open panels add up to at most ``tol``.  Otherwise both
+    halves are bisected in turn.  An owner split into ``limit`` panels stops
+    refining and keeps the errors it has, so that ``integrate`` rejects it.
 
     Returns arrays ``(value, error, mass, neval)`` indexed by owner: the
-    |f| mass is what ``accepted`` weighs the error against.
+    |f| mass is what ``integrate`` weighs the error against.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    owner = np.asarray(owner, dtype=np.intp)
-    width = np.bincount(owner, hi - lo, n_owners)
-    leaves = np.bincount(owner, minlength=n_owners)
+    owner_of = np.asarray(owner, dtype=np.intp)
+    root = np.arange(lo.size)
+    width = np.bincount(owner_of, hi - lo, n_owners)
+    leaves = np.bincount(owner_of, minlength=n_owners)
     neval = 21 * leaves
     value = np.zeros(n_owners)
     error = np.zeros(n_owners)
     done_mass = np.zeros(n_owners)
-    k = _gk21(f, lo, hi, owner)[0]
+    k = _gk21(f, lo, hi, root)[0]
     while lo.size:
         n = lo.size
+        owner = owner_of[root]
         mid = 0.5 * (lo + hi)
         ck, ce, cm = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                           np.concatenate([owner, owner]))
+                           np.concatenate([root, root]))
         pair_k = ck[:n] + ck[n:]
         pair_m = cm[:n] + cm[n:]
         err = np.maximum(np.abs(k - pair_k), np.maximum(ce[:n], ce[n:]))
@@ -259,6 +264,6 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
         leaves += np.bincount(owner[keep], minlength=n_owners)
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
-        owner = np.concatenate([owner[keep], owner[keep]])
+        root = np.concatenate([root[keep], root[keep]])
         k = np.concatenate([ck[:n][keep], ck[n:][keep]])
     return value, error, done_mass, neval

@@ -262,14 +262,17 @@ class TestSpectralOracle:
         assert multiplier_oracle(u, 0.5, 0.6) == pytest.approx(
             apply_fraclap(u, 0.5, 0.6), rel=1e-8)
 
-    @pytest.mark.parametrize("width", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("width", [2.5, 3.0, 4.0, 5.0, 6.0])
     def test_wider_bumps_match_jump_integral(self, width):
         # r_max bounds the forward integrand u(r) r sinh(r), not u alone: cut
         # where u fell below 1e-14, these widths' forward values at large
-        # lambda were the cut-off tail (2.5 did not decay, 3 and 4 were rejected)
+        # lambda were the cut-off tail (2.5 did not decay, 3 and 4 were
+        # rejected).  5 and 6 need the rounding floor of the reject rule: their
+        # forward values at lambda 5 converge to rounding, whose error estimate
+        # is more than ten times the absolute tolerance of the forward integrals
         u = gaussian_bump(width)
         assert multiplier_oracle(u, 0.5, 0.6) == pytest.approx(
-            apply_fraclap(u, 0.5, 0.6), rel=1e-6)
+            apply_fraclap(u, 0.5, 0.6), rel=1e-9)
 
     def test_gamma_one_against_stencil(self):
         st = SphericalTransform(gaussian_bump())

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from hypfrac.errors import DomainError, NumericError
-from hypfrac.quadrature import NODE_BUDGET, alg_left, alg_tail, gk21_batch
+from hypfrac.quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, alg_left, alg_tail,
+                                gk21_batch, integrate)
 
 
 def test_many_integrals_at_once():
     # owner k < 6: x^k on [0, 1]; owner 6: sin on [0, pi] in two initial
-    # panels; owner 7: sqrt(x) on [0, 1], singular derivative at 0
+    # panels; owner 7: sqrt(x) on [0, 1], singular derivative at 0.  The
+    # integrand receives the initial panel of each row, here mapped to its owner
     powers = np.arange(6.0)
 
-    def f(x, own):
-        own = own[:, None]
+    def f(x, panel):
+        own = np.array(owner)[panel][:, None]
         p = np.where(own < 6, powers[np.minimum(own, 5)], 0.0)
         return np.where(own < 6, x ** p, np.where(own == 6, np.sin(x), np.sqrt(np.abs(x))))
 
@@ -55,6 +57,34 @@ def test_non_finite_integrand_raises():
                    1e-10, 1e-14, 200)
 
 
+def test_integrate_returns_values_and_masses():
+    # owner 0: sin on [0, 2 pi] in two initial panels, |f| mass 4; owner 1: -x on [0, 1]
+    def f(x, panel):
+        return np.where((panel < 2)[:, None], np.sin(x), -x)
+
+    val, mass = integrate(f, [0.0, math.pi, 0.0], [math.pi, 2.0 * math.pi, 1.0], [0, 0, 1], 2,
+                          QuadratureConfig(), "test")
+    np.testing.assert_allclose(val, [0.0, -0.5], atol=1e-13)
+    np.testing.assert_allclose(mass, [4.0, 0.5], rtol=1e-13)
+
+
+def test_integrate_names_the_owner_out_of_panels():
+    cfg = QuadratureConfig(1e-10, 1e-14, 20)
+    f = lambda x, panel: np.where((panel == 1)[:, None], np.sin(1e5 * x), x)
+    with pytest.raises(NumericError, match=r"^noise at r=0\.75: error"):
+        integrate(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2, cfg, "noise", at=[0.25, 0.75])
+
+
+def test_integrate_accepts_the_rounding_floor():
+    # sin over whole periods cancels to rounding noise, far above the
+    # absolute tolerance asked for: its error estimate, at least ROUNDING
+    # times the |f| mass, is within ten times the granted tolerance
+    cfg = QuadratureConfig(1e-12, 1e-300)
+    f = lambda x, panel: 1e3 * np.sin(x)
+    val, mass = integrate(f, [0.0], [20.0 * math.pi], [0], 1, cfg, "test")
+    assert abs(val[0]) <= ROUNDING * mass[0]
+
+
 @pytest.mark.parametrize("p", [-0.998, -0.5, 0.98])
 def test_alg_left_at_extreme_exponents(p):
     # integral_0^1 x^p cos x dx = sum_k (-1)^k / ((2k)! (2k + 1 + p))
@@ -64,8 +94,8 @@ def test_alg_left_at_extreme_exponents(p):
 
 @pytest.mark.parametrize("q", [0.001, 0.01, 0.5, 0.99])
 def test_alg_tail_at_extreme_exponents(q):
-    # integral_1^oo x^(-1-q) (1 + 1/x) dx; at q = 0.001 the map sends 70 %
-    # of [0, 1] beyond the clamp x = 1e150
+    # integral_1^oo x^(-1-q) (1 + 1/x) dx; at q = 0.001 the map sends 95 %
+    # of [0, 1] beyond the clamp x = 1e20
     got = alg_tail(lambda x: 1.0 + 1.0 / x, 1.0, q)
     assert got == pytest.approx(1.0 / q + 1.0 / (1.0 + q), rel=1e-10)
 

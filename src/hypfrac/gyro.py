@@ -1,10 +1,20 @@
 """Mobius gyrogroup algebra on the conformal ball, plane-wave eigenfunctions,
 and the sphere-averaged identities they satisfy.
 
-Gyration is computed compositionally through the gyroassociativity identity
-rather than via Clifford products; the only Clifford quantity ever needed is
-the real norm |1 + conj(z) y / t^2|^2, which has the closed form
-(1 + <z,y>/t^2)^2 + (|z|^2 |y|^2 - <z,y>^2)/t^4.
+Elements hold their coordinates as a tuple of Python floats, and the group
+operations compute on those floats in unit-ball coordinates x/t, so that no
+ball radius t, however tiny or huge, under- or overflows t^2 or t^4.
+Gyration has Ungar's closed form for Mobius gyrovector spaces: with
+u = a/t, v = b/t, w = z/t,
+
+    gyr[a,b]z = z + 2 (A a + B b) / D,
+    A = -(u.w)|v|^2 + (v.w) + 2 (u.v)(v.w),   B = -(v.w)|u|^2 - (u.w),
+    D = 1 + 2 u.v + |u|^2 |v|^2,
+
+which the tests check against its compositional definition
+(-(a (+) b)) (+) (a (+) (b (+) z)).  Clifford products are never formed; the
+only Clifford quantity needed is the real norm |1 + conj(z) y / t^2|^2, which
+has the closed form (1 + <z,y>/t^2)^2 + (|z|^2 |y|^2 - <z,y>^2)/t^4.
 
 Complex powers always have a strictly positive real base for interior points;
 this is asserted at runtime.
@@ -40,6 +50,45 @@ __all__ = [
     "sphere_integral_E_reference",
 ]
 
+# |log(base)| of a finite positive double is below 745, so the plane-wave
+# phase (lam t / 2) log(base) stays finite while |lam t / 2| <= 1e300
+_MAX_HALF_PHASE = 1e300
+
+
+def _radius(t) -> float:
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError("ball radius t must be finite and positive")
+    return t
+
+
+def _direction(xi) -> np.ndarray:
+    arr = np.asarray(xi, dtype=float)
+    if arr.shape != (3,):
+        raise DomainError("xi must be a 3-vector direction")
+    if not abs(math.hypot(*arr.tolist()) - 1.0) <= 1e-14:
+        raise DomainError("xi must be a unit vector (within 1e-14)")
+    return arr
+
+
+def _exponent(half_phase: float) -> complex:
+    """1 + i half_phase, the exponent of the plane-wave power."""
+    if not abs(half_phase) <= _MAX_HALF_PHASE:
+        raise DomainError("lam * t out of range for the plane-wave phase")
+    return complex(1.0, half_phase)
+
+
+def _unit_ball(y, t: float, what: str) -> np.ndarray:
+    """y / t for points y of shape (..., 3); the caller checks |y / t| < 1.
+
+    Each |y_i| < t is checked first, so that neither y / t nor a square of it
+    can overflow.
+    """
+    arr = np.asarray(y, dtype=float)
+    if not (abs(arr) < t).all():
+        raise DomainError(f"{what} requires interior points")
+    return arr / t
+
 
 @dataclass(frozen=True, eq=False)
 class GyroElement:
@@ -52,19 +101,26 @@ class GyroElement:
         arr = np.asarray(y, dtype=float)
         if arr.shape != (3,):
             raise DomainError("GyroElement needs a 3-vector")
-        if t <= 0.0:
-            raise DomainError("ball radius t must be positive")
-        if not float(np.linalg.norm(arr)) < t:
+        self._set(tuple(arr.tolist()), _radius(t))
+
+    def _set(self, y: tuple, t: float) -> "GyroElement":
+        if not math.hypot(*y) < t:
             raise DomainError("GyroElement must lie strictly inside the ball")
-        object.__setattr__(self, "y", tuple(arr))
-        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "t", t)
+        return self
 
     @property
     def vec(self) -> np.ndarray:
         return np.array(self.y)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.y))
+        return math.hypot(*self.y)
+
+
+def _element(y: tuple, t: float) -> GyroElement:
+    """A GyroElement from a tuple of three floats and an already checked t."""
+    return object.__new__(GyroElement)._set(y, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +132,14 @@ class EigenParams:
     t: float
 
     def __init__(self, lam, xi, t):
-        arr = np.asarray(xi, dtype=float)
-        if arr.shape != (3,):
-            raise DomainError("EigenParams needs a 3-vector direction")
-        if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-14:
-            raise DomainError("xi must be a unit vector (within 1e-14)")
-        if t <= 0.0:
-            raise DomainError("ball radius t must be positive")
-        object.__setattr__(self, "lam", float(lam))
-        object.__setattr__(self, "xi", tuple(arr))
-        object.__setattr__(self, "t", float(t))
+        lam = float(lam)
+        if not math.isfinite(lam):
+            raise DomainError("spectral parameter lam must be finite")
+        xi = tuple(_direction(xi).tolist())
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "t", _radius(t))
+        object.__setattr__(self, "_xi", np.array(xi))  # broadcast by eigenfunction
 
 
 def _same_t(a: GyroElement, b: GyroElement):
@@ -93,21 +147,38 @@ def _same_t(a: GyroElement, b: GyroElement):
         raise DomainError("gyro operands must share the same ball radius t")
 
 
+def _positive(den: float, what: str) -> float:
+    if not den > 0.0:
+        raise DomainError(f"{what} reaches the boundary of the ball in floating point")
+    return den
+
+
+def _unit(a: GyroElement) -> tuple:
+    """The unit-ball coordinates a / t."""
+    t = a.t
+    y0, y1, y2 = a.y
+    return y0 / t, y1 / t, y2 / t
+
+
 def mobius_add(a: GyroElement, b: GyroElement) -> GyroElement:
     """Mobius addition a (+) b on the ball."""
     _same_t(a, b)
-    t2 = a.t * a.t
-    x, y = a.vec, b.vec
-    xy = float(x @ y)
-    nx = float(x @ x)
-    ny = float(y @ y)
-    den = 1.0 + 2.0 * xy / t2 + nx * ny / (t2 * t2)
-    num = (1.0 + 2.0 * xy / t2 + ny / t2) * x + (1.0 - nx / t2) * y
-    return GyroElement(num / den, a.t)
+    t = a.t
+    u0, u1, u2 = _unit(a)
+    v0, v1, v2 = _unit(b)
+    uv = u0 * v0 + u1 * v1 + u2 * v2
+    uu = u0 * u0 + u1 * u1 + u2 * u2
+    vv = v0 * v0 + v1 * v1 + v2 * v2
+    den = _positive(1.0 + 2.0 * uv + uu * vv, "mobius_add")
+    p = 1.0 + 2.0 * uv + vv
+    q = 1.0 - uu
+    return _element((t * (p * u0 + q * v0) / den, t * (p * u1 + q * v1) / den,
+                     t * (p * u2 + q * v2) / den), t)
 
 
 def neg(a: GyroElement) -> GyroElement:
-    return GyroElement(-a.vec, a.t)
+    y0, y1, y2 = a.y
+    return _element((-y0, -y1, -y2), a.t)
 
 
 def mobius_sub(a: GyroElement, b: GyroElement) -> GyroElement:
@@ -115,10 +186,23 @@ def mobius_sub(a: GyroElement, b: GyroElement) -> GyroElement:
 
 
 def gyration(a: GyroElement, b: GyroElement, z: GyroElement) -> GyroElement:
-    """gyr[a,b]z = (-(a+b)) (+) (a (+) (b (+) z)); a rotation fixing 0."""
+    """gyr[a,b]z, a rotation fixing 0, in Ungar's closed form (module docstring)."""
     _same_t(a, b)
     _same_t(a, z)
-    return mobius_add(neg(mobius_add(a, b)), mobius_add(a, mobius_add(b, z)))
+    t = a.t
+    u0, u1, u2 = _unit(a)
+    v0, v1, v2 = _unit(b)
+    w0, w1, w2 = _unit(z)
+    uv = u0 * v0 + u1 * v1 + u2 * v2
+    uw = u0 * w0 + u1 * w1 + u2 * w2
+    vw = v0 * w0 + v1 * w1 + v2 * w2
+    uu = u0 * u0 + u1 * u1 + u2 * u2
+    vv = v0 * v0 + v1 * v1 + v2 * v2
+    k = 2.0 / _positive(1.0 + 2.0 * uv + uu * vv, "gyration")
+    A = k * (vw - uw * vv + 2.0 * uv * vw)
+    B = -k * (uw + vw * uu)
+    return _element((t * (w0 + A * u0 + B * v0), t * (w1 + A * u1 + B * v1),
+                     t * (w2 + A * u2 + B * v2)), t)
 
 
 def coadd(a: GyroElement, b: GyroElement) -> GyroElement:
@@ -130,12 +214,16 @@ def coadd(a: GyroElement, b: GyroElement) -> GyroElement:
 def cosub(a: GyroElement, b: GyroElement) -> GyroElement:
     """Cosubtraction a [-] b, rational closed form."""
     _same_t(a, b)
-    t2 = a.t * a.t
-    na = float(a.vec @ a.vec)
-    nb = float(b.vec @ b.vec)
-    den = 1.0 - na * nb / (t2 * t2)
-    vec = ((1.0 - nb / t2) * a.vec - (1.0 - na / t2) * b.vec) / den
-    return GyroElement(vec, a.t)
+    t = a.t
+    u0, u1, u2 = _unit(a)
+    v0, v1, v2 = _unit(b)
+    uu = u0 * u0 + u1 * u1 + u2 * u2
+    vv = v0 * v0 + v1 * v1 + v2 * v2
+    den = _positive(1.0 - uu * vv, "cosub")
+    p = 1.0 - vv
+    q = 1.0 - uu
+    return _element((t * (p * u0 - q * v0) / den, t * (p * u1 - q * v1) / den,
+                     t * (p * u2 - q * v2) / den), t)
 
 
 def cosub_compositional(a: GyroElement, b: GyroElement) -> GyroElement:
@@ -167,41 +255,44 @@ def cancellation_check(a: GyroElement, b: GyroElement, tol: float = 1e-12) -> Ca
     _same_t(a, b)
     left = mobius_add(a, mobius_add(neg(a), b))
     right = mobius_add(cosub(b, a), a)
-    r1 = float(np.linalg.norm(left.vec - b.vec))
-    r2 = float(np.linalg.norm(right.vec - b.vec))
+    r1 = math.dist(left.y, b.y)
+    r2 = math.dist(right.y, b.y)
     return CancellationResult(max(r1, r2) <= tol, r1, r2)
+
+
+def _clifford_unit(dot, nz, ny):
+    """|1 + conj(z) y|^2 from <z,y>, |z|^2 and |y|^2 of unit-ball coordinates."""
+    return (1.0 + dot) ** 2 + np.maximum(nz * ny - dot * dot, 0.0)
 
 
 def clifford_norm_sq(z, y, t: float):
     """|1 + conj(z) y / t^2|^2 for vectors z, y (broadcasting over leading axes)."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t2 = t * t
-    dot = np.sum(z * y, axis=-1)
-    nz = np.sum(z * z, axis=-1)
-    ny = np.sum(y * y, axis=-1)
-    wedge = np.maximum(nz * ny - dot * dot, 0.0)
-    return (1.0 + dot / t2) ** 2 + wedge / (t2 * t2)
+    t = _radius(t)
+    z = np.asarray(z, dtype=float) / t
+    y = np.asarray(y, dtype=float) / t
+    return _clifford_unit(np.vecdot(z, y), np.vecdot(z, z), np.vecdot(y, y))
+
+
+def _unit_pair(z: GyroElement, y: GyroElement):
+    """1 - |z|^2 |y|^2 / t^4, 1 - |y|^2 / t^2 and clifford_norm_sq(z, y, t)."""
+    _same_t(z, y)
+    zu, yu = _unit(z), _unit(y)
+    dot = sum(p * q for p, q in zip(zu, yu))
+    nz = sum(c * c for c in zu)
+    ny = sum(c * c for c in yu)
+    return _positive(1.0 - nz * ny, "z [-] y"), 1.0 - ny, float(_clifford_unit(dot, nz, ny))
 
 
 def boxminus_jacobian(z: GyroElement, y: GyroElement) -> float:
     """Jacobian determinant of w -> w [-] y at w = z (n = 3)."""
-    _same_t(z, y)
-    t2 = z.t * z.t
-    nz = float(z.vec @ z.vec)
-    ny = float(y.vec @ y.vec)
-    a = 1.0 - nz * ny / (t2 * t2)
-    return a ** (-4.0) * (1.0 - ny / t2) ** 3 * float(clifford_norm_sq(z.vec, y.vec, z.t))
+    a, b, cl = _unit_pair(z, y)
+    return a ** (-4.0) * b ** 3 * cl
 
 
 def measure_factor(z: GyroElement, y: GyroElement) -> float:
     """Density of the ball measure pulled back through z -> z [-] y (n = 3)."""
-    _same_t(z, y)
-    t2 = z.t * z.t
-    nz = float(z.vec @ z.vec)
-    ny = float(y.vec @ y.vec)
-    a = 1.0 - nz * ny / (t2 * t2)
-    return (a / float(clifford_norm_sq(z.vec, y.vec, z.t))) ** 2
+    a, _, cl = _unit_pair(z, y)
+    return (a / cl) ** 2
 
 
 def eigenfunction(ep: EigenParams, y) -> complex:
@@ -210,58 +301,53 @@ def eigenfunction(ep: EigenParams, y) -> complex:
     Accepts a BallPoint or an array of shape (..., 3); broadcasts in the
     latter case.
     """
-    if isinstance(y, BallPoint):
-        arr = y.vec
-    else:
-        arr = np.asarray(y, dtype=float)
     t = ep.t
-    xi = np.array(ep.xi)
-    ny = np.sum(arr * arr, axis=-1)
-    if np.any(ny >= t * t):
-        raise DomainError("eigenfunction requires |y| < t")
-    diff = t * xi - arr
-    base = (t * t - ny) / np.sum(diff * diff, axis=-1)
-    if np.any(base <= 0.0):
+    w = _unit_ball(y.vec if isinstance(y, BallPoint) else y, t, "eigenfunction")
+    nw = np.vecdot(w, w)
+    diff = ep._xi - w
+    den = np.vecdot(diff, diff)
+    interior = nw < 1.0
+    if not (interior & (den > 0.0)).all():
+        if not interior.all():
+            raise DomainError("eigenfunction requires |y| < t")
         raise NumericError("eigenfunction base left the positive axis")
-    expo = 1.0 + 0.5j * ep.lam * t
-    out = np.exp(expo * np.log(base))
+    out = np.exp(_exponent(0.5 * ep.lam * t) * np.log((1.0 - nw) / den))
     if out.ndim == 0:
         return complex(out)
     return out
 
 
 def _e_parts(lam: float, xi, y, z, t: float):
-    xi = np.asarray(xi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    t2 = t * t
-    ny = np.sum(y * y, axis=-1)
-    nz = np.sum(z * z, axis=-1)
-    if np.any(ny >= t2) or np.any(nz >= t2):
+    t = _radius(t)
+    xi = _direction(xi)
+    y = _unit_ball(y, t, "e_factor")
+    z = _unit_ball(z, t, "e_factor")
+    ny = np.vecdot(y, y)
+    nz = np.vecdot(z, z)
+    if not ((ny < 1.0) & (nz < 1.0)).all():
         raise DomainError("e_factor requires interior points")
-    a = 1.0 - nz * ny / (t2 * t2)
-    b = 1.0 - ny / t2
-    c = 1.0 - nz / t2
-    cl = clifford_norm_sq(z, y, t)
-    diff = xi - z / t
-    vec = a[..., None] * xi - b[..., None] * (z / t) + c[..., None] * (y / t)
-    base = np.sum(diff * diff, axis=-1) * b * cl / np.sum(vec * vec, axis=-1)
-    if np.any(base <= 0.0):
+    a = 1.0 - nz * ny
+    b = 1.0 - ny
+    c = 1.0 - nz
+    cl = _clifford_unit(np.vecdot(z, y), nz, ny)
+    diff = xi - z
+    vec = a[..., None] * xi - b[..., None] * z + c[..., None] * y
+    num = np.vecdot(diff, diff) * b * cl
+    den = np.vecdot(vec, vec)
+    if not ((num > 0.0) & (den > 0.0)).all():
         raise NumericError("e_factor base left the positive axis")
-    return base, a, cl
+    return num / den, a, cl, _exponent(-0.5 * float(lam) * t)
 
 
 def transport_prefactor(lam: float, xi, y, z, t: float):
     """The factor carrying e_{-lam,xi;t}(z) to e_{-lam,xi;t}(z [-] y)."""
-    base, _, _ = _e_parts(lam, xi, y, z, t)
-    expo = 1.0 - 0.5j * lam * t
+    base, _, _, expo = _e_parts(lam, xi, y, z, t)
     return np.exp(expo * np.log(base))
 
 
 def e_factor(lam: float, xi, y, z, t: float):
     """Transport prefactor times the pulled-back measure density (n = 3)."""
-    base, a, cl = _e_parts(lam, xi, y, z, t)
-    expo = 1.0 - 0.5j * lam * t
+    base, a, cl, expo = _e_parts(lam, xi, y, z, t)
     out = np.exp(expo * np.log(base)) * (a / cl) ** 2
     if out.ndim == 0:
         return complex(out)
@@ -287,7 +373,10 @@ def sphere_integral_E(
         raise DomainError("sphere_integral_E requires 0 < r < t")
     z.validate(m)
     xi = np.asarray(xi, dtype=float)
-    xi = xi / np.linalg.norm(xi)
+    norm = math.hypot(*xi.tolist()) if xi.shape == (3,) else math.nan
+    if not 0.0 < norm < math.inf:
+        raise DomainError("xi must be a nonzero finite 3-vector")
+    xi = xi / norm
     zv = z.vec
 
     def level(nc: int, ntheta: int) -> complex:

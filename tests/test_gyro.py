@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from hypfrac.errors import DomainError
+from hypfrac.errors import DomainError, HypfracError
 from hypfrac.geometry import BallPoint
 from hypfrac.gyro import (
     CancellationResult,
@@ -53,6 +54,18 @@ class TestGyroElement:
         with pytest.raises(DomainError):
             GyroElement((2.0, 0.0, 0.0), 2.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -2.0])
+    def test_radius_must_be_finite_and_positive(self, t):
+        with pytest.raises(DomainError):
+            GyroElement((1.0, 0.0, 0.0), t)
+        with pytest.raises(DomainError):
+            EigenParams(1.0, (1.0, 0.0, 0.0), t)
+
+    def test_vec_is_an_array_of_the_coordinates(self):
+        a = GyroElement(np.array([0.5, -0.25, 1.0]), T)
+        assert isinstance(a.vec, np.ndarray) and a.vec.tolist() == [0.5, -0.25, 1.0]
+        assert all(type(c) is float for c in a.y) and type(a.t) is float
+
     def test_mismatched_t(self, rng):
         a = sample(rng)
         b = GyroElement((0.1, 0.0, 0.0), 3.0)
@@ -98,7 +111,23 @@ class TestGroupAxioms:
             assert np.linalg.norm(lhs.vec - rhs.vec) <= 1e-12
 
 
+def gyration_by_definition(a, b, z):
+    """gyr[a,b]z through its definition (-(a (+) b)) (+) (a (+) (b (+) z))."""
+    return mobius_add(neg(mobius_add(a, b)), mobius_add(a, mobius_add(b, z)))
+
+
 class TestGyration:
+    def test_closed_form_matches_definition(self, rng):
+        for _ in range(1000):
+            a, b, z = sample(rng, 0.8), sample(rng, 0.8), sample(rng, 0.8)
+            d = np.linalg.norm(gyration(a, b, z).vec - gyration_by_definition(a, b, z).vec)
+            assert d <= 1e-12
+
+    def test_norm_preserving_near_boundary(self, rng):
+        for _ in range(1000):
+            a, b, z = boundary_sample(rng), boundary_sample(rng), boundary_sample(rng)
+            assert gyration(a, b, z).norm() == pytest.approx(z.norm(), abs=1e-13)
+
     def test_identity_slots(self, rng):
         for _ in range(100):
             a, z = sample(rng), sample(rng)
@@ -147,6 +176,39 @@ class TestCancellation:
             res = cancellation_check(
                 boundary_sample(rng), boundary_sample(rng), tol=1e-9)
             assert res, res
+
+
+class TestExtremeRadius:
+    # the algebra runs in unit-ball coordinates x / t, so any finite t works
+    @pytest.mark.parametrize("t", [1e-160, 1e300])
+    def test_group_law_scales_with_t(self, t):
+        a, b = GyroElement((0.3, -0.1, 0.5), 1.0), GyroElement((-0.2, 0.6, 0.1), 1.0)
+        at, bt = GyroElement(t * a.vec, t), GyroElement(t * b.vec, t)
+        for op in (mobius_add, cosub, cosub_compositional):
+            assert np.allclose(op(at, bt).vec / t, op(a, b).vec, rtol=0, atol=1e-14)
+        assert np.allclose(gyration(at, bt, at).vec / t, gyration(a, b, a).vec,
+                           rtol=0, atol=1e-14)
+        assert cancellation_check(at, bt, tol=1e-14 * t)
+        assert boxminus_jacobian(at, bt) == pytest.approx(boxminus_jacobian(a, b), rel=1e-13)
+        assert measure_factor(at, bt) == pytest.approx(measure_factor(a, b), rel=1e-13)
+
+    def test_rounding_onto_the_boundary_raises_typed(self):
+        # a (+) (-a) is 0 / 0 here, and |b / t|^2 rounds to 1 for b [-] b
+        a = GyroElement((math.nextafter(T, 0.0), 0.0, 0.0), T)
+        with pytest.raises(DomainError):
+            mobius_add(a, neg(a))
+        with pytest.raises(DomainError):
+            gyration(a, neg(a), a)
+        b = GyroElement((-1.6143142946256421, 0.2619407075276678, 1.1512499398076943), T)
+        with pytest.raises(DomainError):
+            cosub(b, b)
+        with pytest.raises(DomainError):
+            boxminus_jacobian(b, b)
+
+    def test_huge_radius_interior_sum(self):
+        t = 1e300
+        s = mobius_add(GyroElement((1e200, 0.0, 0.0), t), GyroElement((0.0, 1e200, 0.0), t))
+        assert s.vec == pytest.approx([1e200, 1e200, 0.0], rel=1e-15)
 
 
 class TestJacobianAndMeasure:
@@ -319,6 +381,11 @@ class TestSphereIntegral:
         with pytest.raises(DomainError):
             sphere_integral_E(1.0, 2.5, BallPoint((0.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("xi", [(0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, 0.0)])
+    def test_direction_must_be_nonzero_and_finite(self, xi):
+        with pytest.raises(DomainError):
+            sphere_integral_E(1.0, 0.5, BallPoint((0.0, 0.0, 0.0)), xi=xi)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
@@ -339,3 +406,59 @@ def test_cancellation_property(ax, ay, az, bx, by, bz):
 def test_clifford_norm_nonnegative(zx, zy, zz, yx, yy, yz):
     val = clifford_norm_sq(np.array([zx, zy, zz]), np.array([yx, yy, yz]), T)
     assert val >= 0.0
+
+
+def _vectors(t):
+    """Any three floats, or three floats of the ball of radius t."""
+    return st.one_of(
+        st.tuples(st.floats(), st.floats(), st.floats()),
+        st.tuples(*[st.floats(-0.577, 0.577).map(lambda c: c * t)] * 3),
+    )
+
+
+def _directions():
+    """Any three floats, or the unit vector along three floats."""
+    def unit(v):
+        n = math.hypot(*v)
+        return tuple(c / n for c in v) if 0.0 < n < math.inf else (0.0, 0.0, 1.0)
+
+    floats = st.tuples(st.floats(), st.floats(), st.floats())
+    return st.one_of(floats, floats.filter(lambda v: all(map(math.isfinite, v))).map(unit))
+
+
+def _attempt(fn, *args):
+    """fn(*args) when it returns an in-ball element or a finite value, None
+    when it raises a typed error; any other exception fails the test."""
+    try:
+        out = fn(*args)
+    except HypfracError:
+        return None
+    if isinstance(out, GyroElement):
+        assert all(map(math.isfinite, out.y)) and out.norm() < out.t
+    elif isinstance(out, CancellationResult):
+        assert math.isfinite(out.left_residual) and math.isfinite(out.right_residual)
+    elif isinstance(out, EigenParams):
+        assert math.isfinite(out.lam) and 0.0 < out.t < math.inf
+    else:
+        assert cmath.isfinite(out)
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), t=st.one_of(st.floats(), st.sampled_from([1e-160, 2.0, 1e300])),
+       lam=st.floats(), xi=_directions())
+def test_gyro_entry_points_return_in_ball_or_finite_or_raise_typed(data, t, lam, xi):
+    vectors = _vectors(t) if math.isfinite(t) else st.tuples(st.floats(), st.floats(), st.floats())
+    ya, yb, yz = (data.draw(vectors) for _ in range(3))
+    a, b, z = (_attempt(GyroElement, y, t) for y in (ya, yb, yz))
+    if a is not None:
+        _attempt(neg, a)
+    if a is not None and b is not None:
+        for op in (mobius_add, coadd, cosub, cosub_compositional, cancellation_check):
+            _attempt(op, a, b)
+        if z is not None:
+            _attempt(gyration, a, b, z)
+    ep = _attempt(EigenParams, lam, xi, t)
+    if ep is not None:
+        _attempt(eigenfunction, ep, np.array(ya))
+    _attempt(transport_prefactor, lam, xi, np.array(yb), np.array(yz), t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, UnsupportedRangeError
 from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
 # arccosh arguments in [1 - ACOSH_SLACK, 1] are clamped to 1; larger deficits
 # are treated as caller errors rather than rounding noise
 ACOSH_SLACK = 1e-12
+# up to r + R0 = 350, cosh(d) - 1 (~e^350 / 2) and its square inside acosh1p
+# stay finite in law_of_cosines
+_MAX_SPAN = 350.0
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class ModelParams:
     b: float = 2.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.t <= 0 or self.b <= 0:
-            raise DomainError("model parameters must be strictly positive")
+        if not all(0.0 < v < math.inf for v in (self.tau, self.t, self.b)):
+            raise DomainError("model parameters must be positive and finite")
         if abs(self.b / self.t - self.tau) > 1e-12 * self.tau:
             raise DomainError("model parameters must satisfy b/t = tau")
 
@@ -83,13 +86,15 @@ class HyperPoint:
         return np.array([self.x0, self.x1, self.x2, self.x3])
 
     def lorentz_sq(self) -> float:
-        return self.x0 ** 2 - self.x1 ** 2 - self.x2 ** 2 - self.x3 ** 2
+        return self.x0 * self.x0 - self.x1 * self.x1 - self.x2 * self.x2 - self.x3 * self.x3
 
     def validate(self, m: ModelParams = DEFAULT_MODEL):
         # the cancellation noise in x0^2 - |x'|^2 scales with x0^2, so the
-        # 1e-12 relative check is taken against that scale
-        scale = max(self.x0 ** 2, m.tau ** 2)
-        if self.x0 <= 0 or abs(self.lorentz_sq() - m.tau ** 2) > 1e-12 * scale:
+        # 1e-12 relative check is taken against that scale, which must be finite
+        tau2 = m.tau * m.tau
+        scale = max(self.x0 * self.x0, tau2)
+        if not (self.x0 > 0 and scale < math.inf
+                and abs(self.lorentz_sq() - tau2) <= 1e-12 * scale):
             raise DomainError(f"point is not on the tau={m.tau} hyperboloid: {self}")
 
 
@@ -103,14 +108,16 @@ class BallPoint:
         arr = np.asarray(y, dtype=float)
         if arr.shape != (3,):
             raise DomainError("BallPoint needs a 3-vector")
-        object.__setattr__(self, "y", tuple(arr))
+        if not np.isfinite(arr).all():
+            raise DomainError("BallPoint coordinates must be finite")
+        object.__setattr__(self, "y", tuple(arr.tolist()))
 
     @property
     def vec(self) -> np.ndarray:
         return np.array(self.y)
 
     def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.y))
+        return math.hypot(*self.y)
 
     def validate(self, m: ModelParams = DEFAULT_MODEL):
         if not self.norm() < m.t:
@@ -179,10 +186,12 @@ def law_of_cosines(r: float, R0: float, omega1: float):
     A = cosh r cosh R0 and B = sinh r sinh R0 omega1, evaluated through the
     cancellation-free rearrangement cosh(r -+ R0) + (1 -+ omega1) sinh r sinh R0.
     """
-    if r < 0.0 or R0 < 0.0:
-        raise DomainError("law_of_cosines requires r, R0 >= 0")
-    if abs(omega1) > 1.0 + 1e-12:
+    if not (0.0 <= r < math.inf and 0.0 <= R0 < math.inf):
+        raise DomainError("law_of_cosines requires finite r, R0 >= 0")
+    if not abs(omega1) <= 1.0 + 1e-12:
         raise DomainError("omega1 must lie in [-1, 1]")
+    if r + R0 > _MAX_SPAN:
+        raise UnsupportedRangeError(f"law_of_cosines requires r + R0 <= {_MAX_SPAN:g}")
     omega1 = min(1.0, max(-1.0, omega1))
     if r == 0.0:
         return R0, R0
@@ -207,9 +216,11 @@ def law_of_cosines(r: float, R0: float, omega1: float):
 def ball_volume(r: float) -> float:
     """Volume of the geodesic ball of radius r at tau = 1:
     pi * (sinh 2r - 2r)."""
-    if r < 0.0:
-        raise DomainError("ball_volume requires r >= 0")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("ball_volume requires finite r >= 0")
     x = 2.0 * r
+    if x > 709.0:
+        raise UnsupportedRangeError("ball_volume overflows beyond r = 354.5")
     if x == 0.0:
         return 0.0
     if x < 0.5:
@@ -221,7 +232,7 @@ def ball_volume(r: float) -> float:
             total += term
             term *= x * x / ((2 * k + 2) * (2 * k + 3))
             k += 1
-            if term < 1e-20 * total:
+            if term <= 1e-20 * total:
                 break
         return math.pi * total
     return math.pi * (math.sinh(x) - x)
@@ -354,6 +365,8 @@ def ring_sector_volume(
         raise DomainError("ring_sector_volume requires 0 < r_in < r_out")
     if not -1.0 <= omega1_min <= 1.0:
         raise DomainError("omega1_min must lie in [-1, 1]")
+    if not math.tanh(0.5 * r_out) < 1.0:
+        raise UnsupportedRangeError("ring_sector_volume: tanh(r_out / 2) rounds to 1")
     solid = 2.0 * math.pi * (1.0 - omega1_min)
 
     def density(rho):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .geometry import BallPoint, ModelParams, DEFAULT_MODEL
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, gauss_legendre
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, integrate
 
 __all__ = [
     "GyroElement",
@@ -364,8 +364,10 @@ def sphere_integral_E(
 ) -> complex:
     """Integral of E(lam, xi, r*omega, z) over the unit sphere of directions.
 
-    Product quadrature: Gauss-Legendre in the polar cosine, trapezoid in the
-    azimuth, doubled until two consecutive refinements agree.  The result is
+    Two nested ``quadrature.integrate`` calls at ``cfg``: the outer integral
+    runs over the polar cosine c in [-1, 1], one owner for the real part and
+    one for the imaginary part, and each batch of outer nodes integrates the
+    azimuth in [0, 2 pi] at once, one owner per outer node.  The result is
     independent of xi and z; its imaginary part vanishes analytically.
     """
     t = m.t
@@ -379,28 +381,27 @@ def sphere_integral_E(
     xi = xi / norm
     zv = z.vec
 
-    def level(nc: int, ntheta: int) -> complex:
-        cnodes, cweights = gauss_legendre(nc)
-        theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
-        st = np.sqrt(np.maximum(1.0 - cnodes ** 2, 0.0))
-        omega = np.empty((nc, ntheta, 3))
-        omega[:, :, 0] = cnodes[:, None]
-        omega[:, :, 1] = st[:, None] * np.cos(theta)[None, :]
-        omega[:, :, 2] = st[:, None] * np.sin(theta)[None, :]
-        vals = e_factor(lam, xi, r * omega, zv, t)
-        inner = vals.sum(axis=1) * (2.0 * math.pi / ntheta)
-        return complex(np.sum(cweights * inner))
+    def polar(c, own):
+        # one initial panel per owner: panel 0 is the real part, panel 1 the imaginary
+        shape = c.shape
+        imag = np.repeat(own == 1, shape[1])
+        c = c.ravel()
+        s = r * np.sqrt(np.maximum(1.0 - c * c, 0.0))
 
-    nc, ntheta = 24, 48
-    prev = level(nc, ntheta)
-    for _ in range(8):
-        nc *= 2
-        ntheta *= 2
-        cur = level(nc, ntheta)
-        if abs(cur - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise NumericError("sphere_integral_E did not converge under refinement")
+        def azimuth(theta, node):
+            y = np.stack([np.broadcast_to(r * c[node, None], theta.shape),
+                          s[node, None] * np.cos(theta), s[node, None] * np.sin(theta)], -1)
+            e = e_factor(lam, xi, y, zv, t)
+            return np.where(imag[node, None], e.imag, e.real)
+
+        n = c.size
+        val, _ = integrate(azimuth, np.zeros(n), np.full(n, 2.0 * math.pi), np.arange(n), n, cfg,
+                           "sphere integral, azimuth")
+        return val.reshape(shape)
+
+    val, _ = integrate(polar, [-1.0, -1.0], [1.0, 1.0], [0, 1], 2, cfg,
+                       "sphere integral, polar cosine")
+    return complex(val[0], val[1])
 
 
 def sphere_integral_E_reference(lam: float, r: float, m: ModelParams = DEFAULT_MODEL) -> float:

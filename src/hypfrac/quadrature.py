@@ -14,7 +14,6 @@ bounded integrand, for integrands that are numpy functions:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import DomainError, NumericError
 __all__ = [
     "QuadratureConfig",
     "DEFAULT_QUAD",
-    "gauss_legendre",
     "integrate",
     "ROUNDING",
     "alg_left",
@@ -39,9 +37,8 @@ class QuadratureConfig:
 
     ``rel_tol`` and ``abs_tol`` are the tolerances of ``gk21_batch`` and of
     the reject rule, and ``max_subdiv`` is the panel limit of each integral.
-    The geometry, kernel and scale quadratures take one from their caller
-    (``gyro.sphere_integral_E`` uses its two tolerances as a refinement
-    test); the operator module's integrals run on four constants of its own.
+    The geometry, kernel, scale and gyro quadratures take one from their
+    caller; the operator module's integrals run on four constants of its own.
     """
 
     rel_tol: float = 1e-10
@@ -56,13 +53,6 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre(n: int):
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 def integrate(f, lo, hi, owner, n_owners, cfg: QuadratureConfig, what, at=None):

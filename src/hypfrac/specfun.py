@@ -182,15 +182,25 @@ def _log_cosh(t):
     return t + np.log1p(np.exp(-2.0 * t)) - _LOG2
 
 
-def _k_cutoff(nu: float, x, acosh):
-    # smallest u with x*(cosh u - 1) - nu*u >= _K_DECAY, padded by 5%; x is a
-    # float with acosh = math.acosh or an array with acosh = np.arccosh, which
-    # differ in the last bit, so each path keeps its own.  The callers add
-    # 0.25, or beyond x = 1024 a few widths 8/sqrt(x) of the integrand's peak
-    u = acosh(1.0 + _K_DECAY / x)
-    for _ in range(4):
-        u = acosh(1.0 + (_K_DECAY + nu * u) / x)
-    return 1.05 * u
+def _k_cutoff(nu: float, x, asinh, any_):
+    """Smallest u with x (cosh u - 1) - nu u >= _K_DECAY, padded by 5%.
+
+    Its half v = u/2 is the fixed point of v = asinh(sqrt((_K_DECAY / 2 + nu v) / x)),
+    free of the cancellation of acosh(1 + y) once 1 + y rounds to 1.  From
+    v = 0 the steps rise to it, each closer by the factor nu / (x sinh u),
+    which is below tanh(u/2) / u < 1/2 at the fixed point, and stop once a
+    step moves v by at most 1e-6 of it.  x is a float, with (asinh, any_) =
+    (math.asinh, bool), or an array, with (np.arcsinh, np.any), which differ
+    in the last bit, so each path keeps its own.  The callers add 0.25, or
+    beyond x = 1024 a few widths 8/sqrt(x) of the integrand's peak.
+    """
+    a, c = 0.5 * _K_DECAY / x, nu / x
+    v = 0.0
+    while True:
+        step = asinh((a + c * v) ** 0.5)
+        if not any_(step - v > 1e-6 * step):
+            return 2.1 * step
+        v = step
 
 
 def _k_unsupported(nu: float):
@@ -221,7 +231,7 @@ def _k_table(nu: float, level: int, size: int):
 def _k_trapezoid(nu: float, x: float) -> float:
     """exp(x) K_nu(x) at a float x > 0."""
     nu = abs(nu)
-    cut = _k_cutoff(nu, x, math.acosh) + min(0.25, 8.0 / math.sqrt(x))
+    cut = _k_cutoff(nu, x, math.asinh, bool) + min(0.25, 8.0 / math.sqrt(x))
     if not cut <= _K_U_MAX:
         raise _k_unsupported(nu)
     # the step 2^-level is the largest power of two <= min(1/16, 1/(2 sqrt x)),
@@ -244,8 +254,9 @@ def _k_trapezoid_array(nu: float, x):
     """exp(x) K_nu(x) at every entry of the 1-D array x: the rule of
     ``_k_trapezoid``, run on the rows that share a node table at once."""
     nu = abs(nu)
-    with np.errstate(over="ignore"):  # x < ~1e-307: an infinite cut, refused below
-        cut = _k_cutoff(nu, x, np.arccosh) + np.minimum(0.25, 8.0 / np.sqrt(x))
+    # x < ~1e-307: an infinite cut (inf - inf in the steps after), refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cut = _k_cutoff(nu, x, np.arcsinh, np.any) + np.minimum(0.25, 8.0 / np.sqrt(x))
     if not np.all(cut <= _K_U_MAX):
         raise _k_unsupported(nu)
     m, e = np.frexp(x)

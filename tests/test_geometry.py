@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypfrac.errors import DomainError
+from hypfrac.errors import DomainError, HypfracError
 from hypfrac.geometry import (
     BallPoint,
     DEFAULT_MODEL,
@@ -46,10 +46,10 @@ class TestModelParams:
         assert m.t == 6.0 and m.b == 18.0
 
     def test_invalid(self):
-        with pytest.raises(DomainError):
-            ModelParams(tau=1.0, t=2.0, b=3.0)
-        with pytest.raises(DomainError):
-            ModelParams(tau=-1.0, t=-2.0, b=2.0)
+        for tau, t, b in [(1.0, 2.0, 3.0), (-1.0, -2.0, 2.0), (1.0, math.inf, math.inf),
+                          (math.nan, 2.0, 2.0)]:
+            with pytest.raises(DomainError):
+                ModelParams(tau=tau, t=t, b=b)
 
 
 class TestIsometry:
@@ -279,3 +279,36 @@ def test_law_of_cosines_triangle_window(r, R0, w1):
     assert dm <= r + R0 + 1e-12
     assert dp <= r + R0 + 1e-12
     assert dm >= abs(r - R0) - 1e-12
+
+
+def _finite_or_typed(fn, *args):
+    """fn(*args) when every number it returns is finite, None when it raises
+    a typed error; any other exception fails the test."""
+    try:
+        out = fn(*args)
+    except HypfracError:
+        return None
+    if isinstance(out, ModelParams):
+        assert all(map(math.isfinite, (out.tau, out.t, out.b)))
+    elif isinstance(out, BallPoint):
+        assert all(map(math.isfinite, out.y))
+    elif out is not None:
+        assert all(map(math.isfinite, np.atleast_1d(out)))
+    return out
+
+
+_any = st.one_of(st.floats(), st.floats(-2.0, 40.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tau=_any, t=_any, b=_any, p=st.tuples(_any, _any, _any, _any), r=_any, R0=_any, w=_any)
+def test_geometry_entry_points_return_finite_or_raise_typed(tau, t, b, p, r, R0, w):
+    m = _finite_or_typed(ModelParams, tau, t, b) or DEFAULT_MODEL
+    _finite_or_typed(ModelParams.from_tau, tau)
+    y = _finite_or_typed(BallPoint, p[1:])
+    if y is not None:
+        _finite_or_typed(y.validate, m)
+    _finite_or_typed(HyperPoint(*p).validate, m)
+    _finite_or_typed(ball_volume, r)
+    _finite_or_typed(law_of_cosines, r, R0, w)
+    _finite_or_typed(ring_sector_volume, r, R0, w)

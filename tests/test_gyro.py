@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from hypfrac.errors import DomainError, HypfracError
+from hypfrac.errors import DomainError, HypfracError, NumericError
 from hypfrac.geometry import BallPoint
 from hypfrac.gyro import (
     CancellationResult,
@@ -376,6 +377,23 @@ class TestSphereIntegral:
         got = sphere_integral_E(1e-4, r, z, cfg=cfg)
         want = sphere_integral_E_reference(0.0, r)
         assert got.real == pytest.approx(want, rel=1e-6)
+
+    def test_near_boundary_is_bounded(self):
+        # r = 1.9 of t = 2 at lam = 8: a steep integrand, in bounded memory
+        z = BallPoint((0.3, 0.2, 0.1))
+        tracemalloc.start()
+        try:
+            got = sphere_integral_E(8.0, 1.9, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - sphere_integral_E_reference(8.0, 1.9)) <= 1e-10
+        assert peak < 64 << 20
+
+    def test_panel_limit_rejects(self):
+        with pytest.raises(NumericError):
+            sphere_integral_E(8.0, 1.9, BallPoint((0.3, 0.2, 0.1)),
+                              cfg=QuadratureConfig(max_subdiv=10))
 
     def test_domain(self):
         with pytest.raises(DomainError):

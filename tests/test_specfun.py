@@ -230,11 +230,22 @@ class TestBesselKEdges:
 
     def test_large_order_at_large_x(self):
         # the cut sits near u = 0.7 and the step at 2^-28: the rule would
-        # need ~2e8 nodes (3 GB of tables); the node bound refuses it
-        with pytest.raises(UnsupportedRangeError):
-            bessel_k(1e16, 1e16)
-        with pytest.raises(UnsupportedRangeError):
-            bessel_k_scaled(1e16, np.array([1.0, 1e16]))
+        # need ~2e8 nodes (3 GB of tables); the node bound refuses it.  At
+        # 1e20 the cut must not collapse to 0, as 1 + 45/x rounding to 1 did
+        for big in (1e16, 1e20):
+            with pytest.raises(UnsupportedRangeError):
+                bessel_k(big, big)
+            with pytest.raises(UnsupportedRangeError):
+                bessel_k_scaled(big, np.array([1.0, big]))
+
+    @pytest.mark.parametrize("x", [10.0 ** k for k in range(-3, 21)])
+    def test_cut_clears_the_decay_at_any_x(self, x):
+        # x (cosh u - 1) written as 2 x sinh^2(u/2), exact at the tiny cuts of huge x
+        for nu in (0.0, 2.49, x):
+            cuts = (specfun._k_cutoff(nu, x, math.asinh, bool),
+                    float(specfun._k_cutoff(nu, np.array([x]), np.arcsinh, np.any)[0]))
+            for u in cuts:
+                assert 2.0 * x * math.sinh(0.5 * u) ** 2 - nu * u >= 45.0
 
     def test_below_supported_range(self):
         # the cut would pass u = 709, where 1 - cosh u leaves the doubles

@@ -209,6 +209,8 @@ def _cmd_gyro_check(args, cfg):
     rng = np.random.default_rng(args.seed)
     t = 2.0
     n = args.n_cases
+    if n < 1:
+        raise DomainError("--n-cases must be at least 1")
     tol, tol_boundary = 1e-10, 1e-9
     worst = {k: 0.0 for k in (
         "left_identity", "left_inverse", "gyroassociativity", "left_loop",
@@ -269,6 +271,8 @@ def _cmd_gyro_check(args, cfg):
 
 
 def _cmd_barrier_check(args, cfg):
+    if args.n_samples < 1:
+        raise DomainError("--n-samples must be at least 1")
     bounds = EllipticityBounds(args.lambda_lo, args.lambda_hi)
     lo = args.delta * args.R / 4.0
     hi = 5.0 * args.R

@@ -199,12 +199,10 @@ def law_of_cosines(r: float, R0: float, omega1: float):
         return r, r
     if max(r, R0) < 1e-6:
         # Euclidean regime: the acosh route cannot resolve these scales, the
-        # flat law of cosines is exact to relative O((r + R0)^2)
-        cross = 2.0 * r * R0 * omega1
-        return (
-            math.sqrt(max(r * r + R0 * R0 - cross, 0.0)),
-            math.sqrt(r * r + R0 * R0 + cross),
-        )
+        # flat law of cosines is exact to relative O((r + R0)^2); hypot of
+        # the legs along and across the axis keeps radii whose squares underflow
+        across = R0 * math.sqrt((1.0 - omega1) * (1.0 + omega1))
+        return math.hypot(r - R0 * omega1, across), math.hypot(r + R0 * omega1, across)
     s = math.sinh(r) * math.sinh(R0)
     # cosh(d) - 1 = cosh(r - R0) - 1 + (1 -+ omega1) s, with cosh(r - R0) - 1
     # written as 2 sinh^2((r - R0)/2) so that no cancellation occurs
@@ -356,20 +354,22 @@ def ring_sector_volume(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
     """Volume of the part of the ring B_{r_out} \\ B_{r_in} whose polar cosine
-    against a fixed axis exceeds omega1_min, computed in ball coordinates.
+    against a fixed axis exceeds omega1_min.
 
     The sector spans solid angle 2*pi*(1 - omega1_min); the radial factor is
-    the unit-ball density (2/(1-rho^2))^3 rho^2 with rho = tanh(r/2).
+    the integral of sinh^2 r over [r_in, r_out], taken against e^(2 r_out),
+    so that no node overflows up to ``ball_volume``'s limit r_out <= 354.5.
     """
     if not 0.0 < r_in < r_out:
         raise DomainError("ring_sector_volume requires 0 < r_in < r_out")
     if not -1.0 <= omega1_min <= 1.0:
         raise DomainError("omega1_min must lie in [-1, 1]")
-    if not math.tanh(0.5 * r_out) < 1.0:
-        raise UnsupportedRangeError("ring_sector_volume: tanh(r_out / 2) rounds to 1")
+    if 2.0 * r_out > 709.0:
+        raise UnsupportedRangeError("ring_sector_volume overflows beyond r_out = 354.5")
     solid = 2.0 * math.pi * (1.0 - omega1_min)
 
-    def density(rho):
-        return solid * (2.0 / (1.0 - rho * rho)) ** 3 * rho * rho
+    def density(r):
+        # sinh^2(r) e^(-2 r_out)
+        return solid * (0.5 * np.expm1(-2.0 * r)) ** 2 * np.exp(2.0 * (r - r_out))
 
-    return alg_left(density, math.tanh(0.5 * r_in), math.tanh(0.5 * r_out), 0.0, cfg)
+    return alg_left(density, r_in, r_out, 0.0, cfg) * math.exp(2.0 * r_out)

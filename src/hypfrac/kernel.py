@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left, alg_tail
-from .specfun import bessel_k, bessel_k_scaled
+from .specfun import _finite, bessel_k, bessel_k_scaled
 
 __all__ = [
     "KernelSpec",
@@ -39,8 +39,8 @@ class KernelSpec:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise DomainError("kernel order gamma must lie in (0, 1)")
-        if self.tau <= 0.0:
-            raise DomainError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError("tau must be finite and positive")
 
 
 def gamma_abs_neg(gamma: float) -> float:
@@ -52,33 +52,39 @@ def gamma_abs_neg(gamma: float) -> float:
 
 def normalizing_constant(n: int, gamma: float) -> float:
     """C(n, gamma) = 2^(2 gamma) Gamma(n/2 + gamma) / (pi^(n/2) |Gamma(-gamma)|)."""
-    if n < 1:
+    if not (1 <= n < math.inf and n == int(n)):
         raise DomainError("dimension must be a positive integer")
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
-    return (
-        2.0 ** (2.0 * gamma)
-        * math.gamma(0.5 * n + gamma)
-        / (math.pi ** (0.5 * n) * gamma_abs_neg(gamma))
-    )
+    try:
+        return (
+            2.0 ** (2.0 * gamma)
+            * math.gamma(0.5 * n + gamma)
+            / (math.pi ** (0.5 * n) * gamma_abs_neg(gamma))
+        )
+    except OverflowError:
+        raise NumericError(f"normalizing_constant overflows a float at n={n}") from None
 
 
 def kernel_value(spec: KernelSpec, rho: float) -> float:
     """Jump kernel at geodesic distance rho > 0 (n = 3)."""
-    if rho <= 0.0:
-        raise DomainError("kernel_value requires rho > 0")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("kernel_value requires finite rho > 0")
     g, tau = spec.gamma, spec.tau
     x = rho / tau
     if x > 700.0:
         # exp(-2x)-type decay: the correctly rounded double is zero
         return 0.0
-    return (
-        normalizing_constant(3, g)
-        * (1.0 / tau) / math.sinh(x)
-        * rho ** (-0.5 - g)
-        * 2.0 * bessel_k(1.5 + g, x)
-        / (math.gamma(1.5 + g) * (2.0 * tau) ** (1.5 + g))
-    )
+    try:
+        return _finite(
+            normalizing_constant(3, g)
+            * (1.0 / tau) / math.sinh(x)
+            * rho ** (-0.5 - g)
+            * 2.0 * bessel_k(1.5 + g, x)
+            / (math.gamma(1.5 + g) * (2.0 * tau) ** (1.5 + g)), "kernel_value")
+    except (OverflowError, ZeroDivisionError):
+        # rho^(-1/2 - gamma) or 1/tau^(3/2 + gamma) out of range
+        raise NumericError(f"kernel_value overflows a float at rho={rho}") from None
 
 
 def _sinh2_prefactor(gamma: float) -> float:
@@ -104,13 +110,18 @@ def kernel_sinh2(gamma: float, rho):
         rho = rho.astype(float, copy=False)
         if not np.all((rho > 0.0) & (rho < np.inf)):
             raise DomainError("kernel_sinh2 requires finite rho > 0")
-        ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-np.expm1(-2.0 * rho)) / 2.0
-        return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
+        with np.errstate(over="ignore"):
+            # 2 rho may overflow, where 1 - exp(-2 rho) is 1 all the same
+            ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-np.expm1(-2.0 * rho)) / 2.0
+            out = _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
+        if not np.all(np.isfinite(out)):
+            raise NumericError("kernel_sinh2 overflows a float")
+        return out
     if not 0.0 < rho < math.inf:
         raise DomainError("kernel_sinh2 requires finite rho > 0")
     # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow
     ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-math.expm1(-2.0 * rho)) / 2.0
-    return _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
+    return _finite(_sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh, "kernel_sinh2")
 
 
 # up to this rho, where the near maps send most nodes as gamma -> 1 and kernel_sinh2
@@ -131,19 +142,28 @@ def _kernel_sinh2_regular(gamma: float, rho):
 
 def euclidean_limit_ratio(gamma: float, rho: float, tau: float) -> float:
     """kernel / (C(3,gamma) rho^(-3-2 gamma)); tends to 1 as tau -> infinity."""
-    if rho <= 0.0 or tau <= 0.0:
-        raise DomainError("euclidean_limit_ratio requires rho, tau > 0")
     spec = KernelSpec(gamma=gamma, tau=tau)
-    return kernel_value(spec, rho) / (
-        normalizing_constant(3, gamma) * rho ** (-3.0 - 2.0 * gamma)
-    )
+    value = kernel_value(spec, rho)
+    try:
+        return _finite(value / (normalizing_constant(3, gamma) * rho ** (-3.0 - 2.0 * gamma)),
+                       "euclidean_limit_ratio")
+    except (OverflowError, ZeroDivisionError):
+        raise NumericError(f"euclidean_limit_ratio: rho^(-3 - 2 gamma) out of range at "
+                           f"rho={rho}") from None
 
 
 def spectral_kernel(lam: float, t: float, rho: float) -> float:
     """Radial spectral kernel -(1/(4 pi^2)) (2/t) lam sin(lam rho)/sinh(2 rho/t)."""
-    if t <= 0.0 or rho <= 0.0:
-        raise DomainError("spectral_kernel requires t, rho > 0")
-    return -(1.0 / (4.0 * math.pi ** 2)) * (2.0 / t) * lam * math.sin(lam * rho) / math.sinh(2.0 * rho / t)
+    if not (math.isfinite(lam) and 0.0 < t < math.inf and 0.0 < rho < math.inf):
+        raise DomainError("spectral_kernel requires finite lam and finite t, rho > 0")
+    phase, s = lam * rho, 2.0 * rho / t
+    if not (math.isfinite(phase) and s > 0.0):
+        raise NumericError(f"spectral_kernel: lam rho or 2 rho / t out of the float range "
+                           f"at rho={rho}")
+    front = -(1.0 / (4.0 * math.pi ** 2)) * (2.0 / t) * lam * math.sin(phase)
+    # beyond s = 700, where sinh nears overflow, 1/sinh(s) is 2 exp(-s) to rounding
+    return _finite(front / math.sinh(s) if s < 700.0 else front * 2.0 * math.exp(-s),
+                   "spectral_kernel")
 
 
 def _taylor_rest(z2, sign):

@@ -7,8 +7,9 @@ to the 2-D product measure 2 pi sinh^2(r) dr d(omega1); full 3-D evaluation
 points enter only through the law of cosines.
 """
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -58,13 +59,14 @@ class RadialProfile:
     ``support_radius`` is math.inf for unbounded supports; ``tail_width``
     then converts a tolerance eps into a radius beyond which |f| <= eps.
     ``kink_radii`` lists radii where f is only Lipschitz; the declared C2
-    class is understood away from those radii.  ``f_array`` evaluates f on a
-    numpy array, ``f`` at one radius; give either or both.  Without
-    ``f_array``, f is wrapped once with ``np.frompyfunc``; without ``f``,
-    ``u(r)`` is ``f_array`` on a 0-d array, returned as a float.
+    class is understood away from those radii.  ``f`` maps a float array of
+    radii to the array of values, of the same shape; ``u(r)`` applies it to
+    r and returns a float for a scalar r, an array for an array.  The
+    quadratures of this module call ``f`` on their node arrays; ``u(r)`` is
+    the per-point entry that the benchmark tracer counts.
     """
 
-    f: callable = None
+    f: callable
     support_radius: float = math.inf
     smoothness: str = "C2"
     bounded: bool = True
@@ -72,22 +74,11 @@ class RadialProfile:
     tail_width: callable = None
     limit_at_infinity: float = 0.0
     name: str = "custom"
-    f_array: callable = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.f is None:
-            f_array = self.f_array
-            object.__setattr__(self, "f", lambda r: float(f_array(np.array(r, dtype=float))))
-        elif self.f_array is None:
-            ufunc = np.frompyfunc(self.f, 1, 1)
-            object.__setattr__(self, "f_array", lambda r: ufunc(r).astype(float))
 
     def __call__(self, r):
-        return self.f(r)
-
-    def values(self, r) -> np.ndarray:
-        """f at every entry of the array r (``__call__`` stays scalar)."""
-        return self.f_array(np.asarray(r, dtype=float))
+        # np.ndim: f may return a Python float for a 0-d input
+        v = self.f(np.asarray(r, dtype=float))
+        return float(v) if np.ndim(v) == 0 else v
 
     def tail_radius(self, eps: float) -> float:
         if math.isfinite(self.support_radius):
@@ -106,7 +97,7 @@ def constant_profile(value: float = 1.0) -> RadialProfile:
         tail_width=lambda eps: 1.0,
         limit_at_infinity=value,
         name="constant",
-        f_array=lambda r: np.full(r.shape, float(value)),
+        f=lambda r: np.full(r.shape, float(value)),
     )
 
 
@@ -119,7 +110,7 @@ def gaussian_bump(width: float = 1.0) -> RadialProfile:
         support_radius=math.inf,
         tail_width=lambda eps: width * math.sqrt(math.log(1.0 / eps)) + 1.0,
         name="gaussian-bump",
-        f_array=lambda r: np.exp(-((r / width) ** 2)),
+        f=lambda r: np.exp(-((r / width) ** 2)),
     )
 
 
@@ -128,11 +119,11 @@ def polynomial_bump(radius: float = 1.0) -> RadialProfile:
     if radius <= 0.0:
         raise DomainError("radius must be positive")
 
-    def f_array(r):
+    def f(r):
         u = r / radius
         return np.where(u < 1.0, (1.0 - u * u) ** 3, 0.0)
 
-    return RadialProfile(support_radius=radius, name="polynomial-bump", f_array=f_array)
+    return RadialProfile(support_radius=radius, name="polynomial-bump", f=f)
 
 
 def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> RadialProfile:
@@ -143,7 +134,7 @@ def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> R
         support_radius=math.inf,
         bounded=False,
         name="paraboloid",
-        f_array=lambda r: offset - curvature * r * r / (2.0 * R * R),
+        f=lambda r: offset - curvature * r * r / (2.0 * R * R),
     )
 
 
@@ -156,10 +147,10 @@ def tabulated(r_samples, values) -> RadialProfile:
     spline = CubicSpline(r_samples, values, extrapolate=False)
     top = float(r_samples[-1])
 
-    def f_array(r):
+    def f(r):
         return np.where(r > top, 0.0, spline(np.clip(r, float(r_samples[0]), top)))
 
-    return RadialProfile(support_radius=top, name="tabulated", f_array=f_array)
+    return RadialProfile(support_radius=top, name="tabulated", f=f)
 
 
 _PROFILE_FAMILIES = {
@@ -172,13 +163,18 @@ _PROFILE_FAMILIES = {
 
 
 def make_profile(name: str, **params) -> RadialProfile:
-    """Profile factory keyed by family name."""
+    """Profile factory keyed by family name; parameters the family does not
+    take, or lacks, are a ``DomainError``."""
     try:
         factory = _PROFILE_FAMILIES[name]
     except KeyError:
         raise DomainError(
             f"unknown profile family '{name}'; choose from {sorted(_PROFILE_FAMILIES)}"
         ) from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise DomainError(f"profile family '{name}': {exc}") from None
     return factory(**params)
 
 
@@ -253,7 +249,7 @@ def barrier_profile(spec: BarrierSpec) -> RadialProfile:
     def tail_width(eps):
         return 5.0 * spec.R * eps ** (-0.5 / spec.alpha) + 1.0
 
-    def f_array(r):
+    def f(r):
         # spec.floor raises OverflowError where the floor overflows a float,
         # as barrier_value does; every value lies between it and 0
         floor = spec.floor
@@ -266,7 +262,7 @@ def barrier_profile(spec: BarrierSpec) -> RadialProfile:
         kink_radii=(spec.kink_radius,),
         tail_width=tail_width,
         name="barrier",
-        f_array=f_array,
+        f=f,
     )
 
 
@@ -345,7 +341,7 @@ def _angular(u, R0, u0, r, pos, neg, paired):
     # for R0 << r the w-range shrinks to width ~R0, where rounding of w
     # would distort the omega1-measure; there the sphere average of delta is
     # u(r) - u0 up to O(R0^2) (relative < 1e-11 below the cut)
-    out = 2.0 * _combine(u.values(r) - u0, pos, neg)
+    out = 2.0 * _combine(u.f(r) - u0, pos, neg)
     live = w_hi - w_lo > 1e-6 * w_hi
     r, b, x_hi, w_lo, w_hi = r[live], b[live], x_hi[live], w_lo[live], w_hi[live]
     w_top = w_hi if paired else r + R0
@@ -377,10 +373,10 @@ def _angular(u, R0, u0, r, pos, neg, paired):
         else:
             w, jac = x, np.sinh(x) * scale[own][:, None]
         if not paired:
-            return (u.values(w) - u0) * jac
+            return (u.f(w) - u0) * jac
         # the mirror distance: cosh(w_hat) = 2 cosh r cosh R0 - cosh w
         w_hat = acosh1p(np.maximum(two_x[own][:, None] - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
-        return _combine(0.5 * (u.values(w) + u.values(w_hat)) - u0, pos, neg) * jac
+        return _combine(0.5 * (u.f(w) + u.f(w_hat)) - u0, pos, neg) * jac
 
     val, _ = integrate(g, lo, hi, node, r.size, _ANGULAR, "angular integral", r)
     out[live] = 2.0 * val if paired else val
@@ -533,10 +529,15 @@ def _forward_cut(u):
     r = u.tail_radius(1e-14)
     if math.isfinite(u.support_radius):
         return r
-    while r < 700.0:  # sinh overflows a float near 710
-        if abs(u(r)) * r * math.sinh(r) <= _FORWARD_CUT:
-            return r
-        r += 0.25
+    # the steps below 700 (sinh overflows a float near 710), summed one at a
+    # time as a loop of r += 0.25 would
+    steps = math.ceil(4.0 * (700.0 - r)) if r < 700.0 else 0
+    rs = np.cumsum(np.r_[r, np.full(steps, 0.25)])
+    rs = rs[rs < 700.0]
+    with np.errstate(over="ignore"):
+        small = np.abs(u.f(rs)) * rs * np.sinh(rs) <= _FORWARD_CUT
+    if small.any():
+        return float(rs[small.argmax()])
     raise CalibrationError(f"profile '{u.name}' does not decay against r sinh(r); the "
                            "oracle needs a smooth rapidly-decaying profile")
 
@@ -577,7 +578,7 @@ class SphericalTransform:
         """Value and |integrand| mass of the integral of u(r) sinc(lam r) r
         sinh(r) over [0, r_max] at every entry of the 1-D array lam."""
         # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
-        f = lambda r, own: (self.u.values(r) * np.sinc(lam[own, None] * r / math.pi)
+        f = lambda r, own: (self.u.f(r) * np.sinc(lam[own, None] * r / math.pi)
                             * r * np.sinh(r))
         return _integrals(f, self.r_max, lam.size, _FORWARD, "forward transform")
 
@@ -643,7 +644,7 @@ class SphericalTransform:
         return self.kappa * float(self._spectral_integrals([0.0], self._u_hat)[0])
 
     def norm_sq_direct(self) -> float:
-        f = lambda r, own: self.u.values(r) ** 2 * np.sinh(r) ** 2
+        f = lambda r, own: self.u.f(r) ** 2 * np.sinh(r) ** 2
         return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD, "direct norm")[0][0])
 
 
@@ -652,9 +653,9 @@ def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:
     return SphericalTransform(u).multiplier_value(R0, gamma)
 
 
-def laplace_beltrami_radial(u: RadialProfile, R0: float, h: float = 1e-4) -> float:
-    """Radial Laplace-Beltrami stencil u'' + 2 coth(r) u', Richardson-refined;
-    at the origin this is 3 u''(0)."""
+def laplace_beltrami_radial(u: RadialProfile, R0: float) -> float:
+    """Radial Laplace-Beltrami stencil u'' + 2 coth(r) u' at steps 1e-4 and
+    5e-5, Richardson-refined; at the origin this is 3 u''(0)."""
 
     def second(rr, hh):
         return (u(rr + hh) - 2.0 * u(rr) + u(abs(rr - hh))) / (hh * hh)
@@ -667,7 +668,7 @@ def laplace_beltrami_radial(u: RadialProfile, R0: float, h: float = 1e-4) -> flo
             return 3.0 * second(0.0, hh)
         return second(R0, hh) + 2.0 / math.tanh(R0) * first(R0, hh)
 
-    d1, d2 = stencil(h), stencil(0.5 * h)
+    d1, d2 = stencil(1e-4), stencil(0.5e-4)
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -797,13 +798,12 @@ def arccos_inequalities(alpha: float, R0: float, t: float) -> ArccosReport:
 # envelope and contact set
 
 
-def polar_grid(r_max: float, n_r: int, n_phi: int, r_min: float = 0.0):
-    """Planar geodesic-polar grid: rows of (r, phi) pairs, flattened."""
+def polar_grid(r_max: float, n_r: int, n_phi: int):
+    """Planar geodesic-polar grid on [0, r_max]: rows of (r, phi) pairs,
+    flattened."""
     if r_max <= 0.0 or n_r < 2 or n_phi < 3:
         raise DomainError("polar_grid needs r_max > 0, n_r >= 2, n_phi >= 3")
-    radii = np.linspace(r_min, r_max, n_r)
-    if radii[0] == 0.0:
-        radii = radii[1:]
+    radii = np.linspace(0.0, r_max, n_r)[1:]
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     rr, pp = np.meshgrid(radii, phis, indexing="ij")
     pts = np.column_stack([rr.ravel(), pp.ravel()])
@@ -835,12 +835,13 @@ class EnvelopeResult:
         return int(np.sum(self.contact_mask))
 
 
-def envelope(points, values, R: float, vertices=None, tol: float = None) -> EnvelopeResult:
+def envelope(points, values, R: float) -> EnvelopeResult:
     """Envelope of u by paraboloids c_y - d^2(., y)/(2 R^2) with vertices in B_R.
 
     ``points`` are planar polar samples (r, phi) covering B_5R; the envelope
-    and the contact mask are returned on the same samples.  Brute-force double
-    loop over (sample, vertex); that is the definition.
+    and the contact mask are returned on the same samples.  The vertices are
+    a polar grid of B_R, 12 radii by the samples' azimuths (at least 8).
+    Brute-force double loop over (sample, vertex); that is the definition.
     """
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -850,12 +851,8 @@ def envelope(points, values, R: float, vertices=None, tol: float = None) -> Enve
         raise DomainError("R must be positive")
     if not np.all(np.isfinite(vals)):
         raise DomainError("sample values must be finite (u bounded below)")
-    if vertices is None:
-        n_phi = max(8, len(np.unique(pts[:, 1])))
-        vertices = polar_grid(R, 12, n_phi)
-    vertices = np.asarray(vertices, dtype=float)
-    if len(vertices) == 0:
-        raise DomainError("vertex grid is empty")
+    phis = np.unique(pts[:, 1])
+    vertices = polar_grid(R, 12, max(8, len(phis)))
 
     dist = _pairwise_distance(pts, vertices)  # samples x vertices
     pen = dist * dist / (2.0 * R * R)
@@ -866,13 +863,11 @@ def envelope(points, values, R: float, vertices=None, tol: float = None) -> Enve
     # a max of minorants cannot exceed u; shave the half-ulp float excess
     gamma_values = np.minimum(gamma_values, vals)
 
-    if tol is None:
-        # grid resolution: radial step and worst azimuthal arc
-        rs = np.unique(pts[:, 0])
-        dr = float(np.min(np.diff(rs))) if len(rs) > 1 else float(rs[0])
-        phis = np.unique(pts[:, 1])
-        dphi = 2.0 * math.pi / max(len(phis), 1)
-        spacing = max(dr, math.sinh(float(rs.max())) * dphi)
-        tol = 1e-8 + 2.0 * spacing ** 2
+    # grid resolution: radial step and worst azimuthal arc
+    rs = np.unique(pts[:, 0])
+    dr = float(np.min(np.diff(rs))) if len(rs) > 1 else float(rs[0])
+    dphi = 2.0 * math.pi / len(phis)
+    spacing = max(dr, math.sinh(float(rs.max())) * dphi)
+    tol = 1e-8 + 2.0 * spacing ** 2
     contact = vals - gamma_values <= tol
     return EnvelopeResult(gamma_values, contact, vertex_index, vertices, c_values, tol)

@@ -7,6 +7,7 @@ as two genuinely different evaluation routes and must agree to 1e-8.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ __all__ = [
 
 
 def _validate(R: float, gamma: float):
-    if R <= 0.0:
-        raise DomainError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise DomainError("R must be finite and positive")
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
 
@@ -148,9 +149,18 @@ def scale_values(R: float, gamma: float) -> ScaleValues:
 _I0_SMALL_R = 1e-3
 
 
+def _i0_normal(R: float, gamma: float) -> float:
+    """i0_closed(R, gamma), which must be a normal float: r0_solve takes
+    the logarithm of it and of its half."""
+    value = i0_closed(R, gamma)
+    if not sys.float_info.min <= value < math.inf:
+        raise NumericError(f"r0_solve: I0({R}) = {value} is out of the float range")
+    return value
+
+
 def _log_i0(log_x: float, gamma: float, anchor_log: float) -> float:
     if log_x >= math.log(_I0_SMALL_R):
-        return math.log(i0_closed(math.exp(log_x), gamma))
+        return math.log(_i0_normal(math.exp(log_x), gamma))
     # continuous continuation with the Euclidean slope 2 - 2 gamma
     return anchor_log + (2.0 - 2.0 * gamma) * (log_x - math.log(_I0_SMALL_R))
 
@@ -165,8 +175,8 @@ def r0_solve(R: float, gamma: float, rho0: float = 0.25) -> float:
     _validate(R, gamma)
     if not 0.0 < rho0 < 1.0:
         raise DomainError("rho0 must lie in (0, 1)")
-    target = math.log(i0_closed(R, gamma) / 2.0)
-    anchor_log = math.log(i0_closed(_I0_SMALL_R, gamma))
+    target = math.log(_i0_normal(R, gamma) / 2.0)
+    anchor_log = math.log(_i0_normal(_I0_SMALL_R, gamma))
     lo, hi = math.log(1e-300), math.log(R)
     if _log_i0(lo, gamma, anchor_log) > target:
         raise NumericError("r0_solve: no root above the representable floor")

@@ -63,6 +63,11 @@ _K_MAX_NODES = 1 << 16
 # exponents are floored here before exp, whose results below ~1e-308 take a
 # slow path; exp(-700) is < 1e-300 of the u = 0 node, which contributes 1
 _K_EXP_FLOOR = -700.0
+# above this exponent exp, or the sum of up to _K_MAX_NODES + 1 nodes, may
+# overflow: log(float max) = 709.78 less log(_K_MAX_NODES + 1) = 11.09.  No
+# exponent exceeds nu times the last node, so only a large order at small x
+# looks at them
+_K_EXP_MAX = 698.0
 
 
 # the ascending series of I_nu runs up to here; bessel_i_scaled goes on with
@@ -72,9 +77,15 @@ _I_SERIES_MAX = 700.0
 _I_SERIES_LIMIT = 1e4
 
 
+# beyond this order, nu log(x / 2) in the series may overflow a float
+_MAX_ORDER = 1e300
+
+
 def _check_order(nu: float, what: str):
     if not math.isfinite(nu):
         raise DomainError(f"{what} requires a finite order")
+    if abs(nu) > _MAX_ORDER:
+        raise UnsupportedRangeError(f"{what} supports orders |nu| <= {_MAX_ORDER:g}")
 
 
 def _finite(value: float, what: str) -> float:
@@ -243,11 +254,10 @@ def _k_trapezoid(nu: float, x: float) -> float:
         raise _k_too_long(nu)
     sinh2, logcosh = _k_table(nu, level, 1 << (n - 1).bit_length())
     expo = x * sinh2[:n + 1] + logcosh[:n + 1]
-    f = np.exp(np.maximum(expo, _K_EXP_FLOOR, out=expo), out=expo)
-    val = math.ldexp(float(f.sum()) - 0.5 * float(f[0] + f[n]), -level)
-    if not math.isfinite(val):
+    if nu * math.ldexp(n, -level) > _K_EXP_MAX and expo.max() > _K_EXP_MAX:
         raise NumericError(f"bessel_k overflow at nu={nu}, x={x}")
-    return val
+    f = np.exp(np.maximum(expo, _K_EXP_FLOOR, out=expo), out=expo)
+    return math.ldexp(float(f.sum()) - 0.5 * float(f[0] + f[n]), -level)
 
 
 def _k_trapezoid_array(nu: float, x):
@@ -264,6 +274,7 @@ def _k_trapezoid_array(nu: float, x):
     n = np.maximum(80, np.ceil(np.ldexp(cut, level)))
     if not np.all(n <= _K_MAX_NODES):
         raise _k_too_long(nu)
+    check_max = nu * float(np.ldexp(n, -level).max(initial=0.0)) > _K_EXP_MAX
     n = n.astype(np.int64)
     # rows of one (level, size) share a table, size = 2^bits >= n
     key = 64 * level + np.frexp(n - 1)[1]
@@ -279,12 +290,12 @@ def _k_trapezoid_array(nu: float, x):
             r = rows[s:s + chunk]
             nr = n[r]
             expo = x[r, None] * sinh2 + logcosh
+            if check_max and expo.max() > _K_EXP_MAX:
+                raise NumericError(f"bessel_k overflow at nu={nu}")
             f = np.exp(np.maximum(expo, _K_EXP_FLOOR, out=expo), out=expo)
             f[j > nr[:, None]] = 0.0  # each row is its scalar rule: no node past n
             ends = f[:, 0] + f[np.arange(r.size), nr]
             out[r] = np.ldexp(f.sum(axis=1) - 0.5 * ends, -lv)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"bessel_k overflow at nu={nu}")
     return out
 
 

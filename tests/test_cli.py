@@ -91,6 +91,22 @@ class TestUsageErrors:
         assert out == ""
         assert "usage error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--command", "gamma-limit", "--profile", "tabulated"),
+        ("--command", "barrier-check", "--n-samples", "-5"),
+        ("--command", "barrier-check", "--n-samples", "0"),
+        ("--command", "gyro-check", "--n-cases", "0"),
+        ("--command", "gyro-check", "--n-cases", "-1"),
+    ])
+    def test_no_traceback_and_no_vacuous_pass(self, capsys, argv):
+        # a family that needs parameters, and an empty or negative count,
+        # once gave a raw traceback or exited 0 with no records
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+
     def test_non_finite_grid_entry(self, capsys):
         code, out, err = run(
             capsys, "--command", "scale-sweep", "--r-grid", "nan", "--gamma-grid", ".5")

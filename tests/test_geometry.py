@@ -116,6 +116,8 @@ class TestLawOfCosines:
         assert dp == pytest.approx(3.5, abs=1e-13)
         dm, dp = law_of_cosines(3.0, 1.0, 1.0)
         assert dm == pytest.approx(2.0, abs=1e-13)
+        # the flat branch once squared radii whose squares underflow to 0
+        assert law_of_cosines(1e-300, 1e-300, 1.0) == (0.0, 2e-300)
 
     def test_against_explicit_isometry(self, rng):
         # place the configuration on the hyperboloid and measure directly
@@ -240,8 +242,13 @@ class TestDyadicLadder:
 
 class TestRingSector:
     def test_full_ring_is_volume_difference(self):
-        full = ring_sector_volume(0.5, 1.2, -1.0)
-        assert full == pytest.approx(ball_volume(1.2) - ball_volume(0.5), rel=1e-10)
+        # r_out 20, 30 and 36 once raised NumericError: the ball-coordinate
+        # density had a pole just beyond tanh(r_out / 2)
+        for r_in, r_out, w in [(0.5, 1.2, -1.0), (0.5, 20.0, 0.0), (0.5, 30.0, 0.0),
+                               (0.5, 36.0, 0.0)]:
+            got = ring_sector_volume(r_in, r_out, w)
+            want = (1.0 - w) / 2.0 * (ball_volume(r_out) - ball_volume(r_in))
+            assert got == pytest.approx(want, rel=1e-10), (r_in, r_out, w)
 
     def test_quarter_at_half(self):
         full = ring_sector_volume(0.3, 0.9, -1.0)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hypfrac.errors import DomainError
+from hypfrac.errors import DomainError, HypfracError
 from hypfrac.kernel import (
     KernelSpec,
     euclidean_limit_ratio,
@@ -15,6 +17,7 @@ from hypfrac.kernel import (
     spectral_kernel,
 )
 from hypfrac.quadrature import QuadratureConfig
+from hypfrac.scale import i0_closed, iinf_closed, r0_solve
 
 
 class TestNormalizingConstant:
@@ -186,3 +189,45 @@ class TestInvarianceIntegral:
         cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10, max_subdiv=100)
         got = invariance_integral(2.0, 0.8, 2.0, cfg)
         assert got == pytest.approx(5.0 ** 0.8, rel=1e-7)
+
+
+def _finite_or_typed(fn, *args):
+    """fn(*args) must return a finite float (a 1-entry array for an array
+    argument) or raise a typed error; any other exception, and any
+    RuntimeWarning, fails the test."""
+    try:
+        out = fn(*args)
+    except HypfracError:
+        return
+    if isinstance(out, np.ndarray):
+        assert out.shape == (1,) and np.isfinite(out[0]), (fn.__name__, args, out)
+    else:
+        assert isinstance(out, float) and math.isfinite(out), (fn.__name__, args, out)
+
+
+def _kernel_value(gamma, tau, rho):
+    return kernel_value(KernelSpec(gamma, tau), rho)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.floats(), b=st.floats(), c=st.floats(), n=st.one_of(st.integers(), st.floats()))
+# each raised or warned at the parent: ZeroDivisionError in kernel_value and
+# euclidean_limit_ratio, OverflowError and nan in spectral_kernel, a Bessel K
+# exp-overflow RuntimeWarning in kernel_sinh2 and i0_closed
+@example(a=1e-12, b=1e-300, c=1e-300, n=3)
+@example(a=1.0, b=1e-20, c=1.0, n=3)
+@example(a=800.0, b=2.0, c=800.0, n=3)
+@example(a=1.0, b=1e-320, c=1.0, n=3)
+@example(a=0.5, b=1e-200, c=1.0, n=3)
+@example(a=1e-200, b=0.5, c=0.25, n=3)
+def test_kernel_and_scale_entry_points_return_finite_or_raise_typed(a, b, c, n):
+    _finite_or_typed(_kernel_value, a, b, c)
+    _finite_or_typed(euclidean_limit_ratio, a, b, c)
+    _finite_or_typed(spectral_kernel, a, b, c)
+    _finite_or_typed(normalizing_constant, n, a)
+    _finite_or_typed(kernel_sinh2, a, b)
+    _finite_or_typed(kernel_sinh2, a, np.array([b]))
+    _finite_or_typed(i0_closed, a, b)
+    _finite_or_typed(iinf_closed, a, b)
+    _finite_or_typed(r0_solve, a, b)
+    _finite_or_typed(r0_solve, a, b, c)

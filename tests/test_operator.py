@@ -67,11 +67,11 @@ class TestProfiles:
 
 
 class TestArrayEvaluation:
-    """``RadialProfile.values`` agrees with the scalar ``__call__`` entrywise."""
+    """``u`` on an array agrees with ``u`` at each scalar entrywise."""
 
     def check(self, u, radii):
         radii = np.asarray(radii, dtype=float)
-        got = u.values(radii.reshape(-1, 1)).ravel()
+        got = u(radii.reshape(-1, 1)).ravel()
         want = np.array([u(float(r)) for r in radii])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -93,13 +93,9 @@ class TestArrayEvaluation:
         r = [0.0, 0.5 * rk, rk * (1 - 1e-12), rk, rk * (1 + 1e-12), 2 * rk, 1.0, 4.9, 30.0]
         self.check(barrier_profile(spec), r)
 
-    def test_scalar_profile_is_wrapped(self):
-        u = RadialProfile(f=lambda r: -math.exp(-r), name="scalar-only")
-        self.check(u, np.linspace(0.0, 3.0, 7))
-
 
 class TestScalarEvaluation:
-    """``u(r)`` of every family, derived from its array evaluator, against
+    """``u(r)`` of every family, its array evaluator at a scalar, against
     the family's formula written out."""
 
     RADII = (0.0, 0.3, 1.0, 1.5, 2.7)
@@ -183,7 +179,7 @@ class TestFracLap:
         assert errs == sorted(errs, reverse=True)
 
     def test_requires_smoothness(self):
-        u = RadialProfile(f=lambda r: max(0.0, 1 - r), smoothness="C0", name="cone")
+        u = RadialProfile(f=lambda r: np.maximum(0.0, 1 - r), smoothness="C0", name="cone")
         with pytest.raises(DomainError):
             apply_fraclap(u, 0.0, 0.5)
 
@@ -248,9 +244,9 @@ class TestSpectralOracle:
         # profiles whose forward values decay under the weight (1 + lam^2)^2
         # before they reach the rounding floor keep the cut of the weight
         tail = lambda eps: math.sqrt(math.log(1.0 / eps)) + 1.0
-        two_bumps = RadialProfile(f_array=lambda r: np.exp(-r * r) - 0.5 * np.exp(-4.0 * r * r),
+        two_bumps = RadialProfile(f=lambda r: np.exp(-r * r) - 0.5 * np.exp(-4.0 * r * r),
                                   tail_width=tail)
-        wave = RadialProfile(f_array=lambda r: np.exp(-r * r) * np.cos(2.0 * r), tail_width=tail)
+        wave = RadialProfile(f=lambda r: np.exp(-r * r) * np.cos(2.0 * r), tail_width=tail)
         for u, cut in ((two_bumps, 40.0), (wave, 20.0)):
             st = SphericalTransform(u)
             assert st.lam_max == cut
@@ -330,7 +326,6 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
     u = make_profile(family)
     scaled = RadialProfile(
         f=lambda r: c * u(r),
-        f_array=lambda r: c * u.values(r),
         support_radius=u.support_radius,
         tail_width=u.tail_width,
         name="scaled",
@@ -365,7 +360,7 @@ class TestAngularForms:
 class TestRejectedQuadrature:
     # oscillates far faster than 200 Gauss-Kronrod panels can follow
     NOISE = RadialProfile(
-        f=lambda r: math.sin(1e8 * r) if r < 2.0 else 0.0,
+        f=lambda r: np.where(r < 2.0, np.sin(1e8 * r), 0.0),
         support_radius=2.0, name="noise")
 
     def test_unresolvable_profile_raises_numeric_error(self):

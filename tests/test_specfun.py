@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypfrac import specfun
 from hypfrac.errors import DomainError, HypfracError, UnsupportedRangeError
@@ -307,16 +307,17 @@ def _finite_or_typed(f, *args):
     assert isinstance(value, float) and math.isfinite(value), (f.__name__, args, value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(f=st.sampled_from([bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled, struve_l]),
        nu=ANY_FLOAT, x=ANY_FLOAT)
+# the series overflowed nu log(x / 2) with a RuntimeWarning at such orders
+@example(f=bessel_i, nu=1.2967614853529988e308, x=0.5)
+@example(f=struve_l, nu=1.2967614853529988e308, x=0.5)
 def test_functions_return_finite_or_raise_typed(f, nu, x):
     # large orders at large x once asked bessel_k for billions of trapezoid nodes
     _finite_or_typed(f, nu, x)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(f=st.sampled_from([s_integral, c_integral, l_integral]), k=st.integers(-1, 8),
        nu=ANY_FLOAT, rho=ANY_FLOAT)

@@ -31,13 +31,14 @@ from .gyro import (
 from .kernel import KernelSpec, euclidean_limit_ratio, invariance_integral, kernel_value
 from .operator import (
     NONLOCAL_TOLERANCES,
+    BarrierSpec,
     EllipticityBounds,
     barrier_alpha_sweep,
     laplace_beltrami_radial,
     make_profile,
     apply_fraclap,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .scale import (
     i0_closed,
     i0_quadrature,
@@ -130,6 +131,8 @@ def _cmd_verify_constant(args, cfg):
     lam_grid = _parse_grid(args.lambda_grid, "lambda")
     gam_grid = _parse_grid(args.gamma_grid, "gamma")
     t = args.t
+    if not (0.0 < t < math.inf and t * t > 4.0 / sys.float_info.max):
+        raise DomainError("--t must be finite and positive, with 4/t^2 a float")
     records = []
     ok = True
     for lam in lam_grid:
@@ -274,6 +277,8 @@ def _cmd_barrier_check(args, cfg):
     if args.n_samples < 1:
         raise DomainError("--n-samples must be at least 1")
     bounds = EllipticityBounds(args.lambda_lo, args.lambda_hi)
+    # the flags' checks, before they place the sample radii
+    BarrierSpec(args.delta, args.alpha_start, args.R, args.gamma, args.kappa)
     lo = args.delta * args.R / 4.0
     hi = 5.0 * args.R
     radii = np.linspace(lo, hi, args.n_samples + 2)[1:-1]
@@ -335,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
-    p.add_argument("--max-subdiv", type=int, default=200, dest="max_subdiv")
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_QUAD.rel_tol, dest="rel_tol")
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_QUAD.abs_tol, dest="abs_tol")
+    p.add_argument("--max-subdiv", type=int, default=DEFAULT_QUAD.max_subdiv, dest="max_subdiv")
     # verify-constant
     p.add_argument("--lambda-grid", default="0,0.5,1,2,4", dest="lambda_grid")
     p.add_argument("--gamma-grid", default="0.2,0.5,0.8,0.95", dest="gamma_grid")

@@ -153,17 +153,22 @@ def euclidean_limit_ratio(gamma: float, rho: float, tau: float) -> float:
 
 
 def spectral_kernel(lam: float, t: float, rho: float) -> float:
-    """Radial spectral kernel -(1/(4 pi^2)) (2/t) lam sin(lam rho)/sinh(2 rho/t)."""
+    """Radial spectral kernel -(1/(4 pi^2)) (2/t) lam sin(lam rho)/sinh(2 rho/t),
+    computed as -(1/(4 pi^2)) lam^2 sinc(lam rho) s / sinh(s) at s = 2 rho / t,
+    free of 1/t, which overflows where t is tiny."""
     if not (math.isfinite(lam) and 0.0 < t < math.inf and 0.0 < rho < math.inf):
         raise DomainError("spectral_kernel requires finite lam and finite t, rho > 0")
     phase, s = lam * rho, 2.0 * rho / t
-    if not (math.isfinite(phase) and s > 0.0):
-        raise NumericError(f"spectral_kernel: lam rho or 2 rho / t out of the float range "
-                           f"at rho={rho}")
-    front = -(1.0 / (4.0 * math.pi ** 2)) * (2.0 / t) * lam * math.sin(phase)
-    # beyond s = 700, where sinh nears overflow, 1/sinh(s) is 2 exp(-s) to rounding
-    return _finite(front / math.sinh(s) if s < 700.0 else front * 2.0 * math.exp(-s),
-                   "spectral_kernel")
+    if not math.isfinite(phase):
+        raise NumericError(f"spectral_kernel: lam rho out of the float range at rho={rho}")
+    sinc = math.sin(phase) / phase if phase else 1.0
+    # s / sinh(s) is 1 where s underflows, and beyond s = 700, where sinh nears
+    # overflow, 2 s exp(-s) to rounding (0 where s overflows)
+    if s < 700.0:
+        damp = s / math.sinh(s) if s else 1.0
+    else:
+        damp = 2.0 * s * math.exp(-s) if s < math.inf else 0.0
+    return _finite(-lam * (lam * sinc) * damp / (4.0 * math.pi ** 2), "spectral_kernel")
 
 
 def _taylor_rest(z2, sign):
@@ -178,9 +183,10 @@ def _taylor_rest(z2, sign):
 def _one_minus_product(a: float, rho):
     """1 - sinc(a rho) rho / sinh(rho) at every entry of the array rho > 0, as (1 - sinc u)
     + sinc(u) (1 - rho / sinh rho), u = a rho, each term by its Taylor series below 1."""
-    u = a * rho
     with np.errstate(over="ignore", invalid="ignore"):
-        # sin(u) / u, and rho / sinh(rho) in a form that underflows gracefully
+        # sin(u) / u, and rho / sinh(rho) in a form that underflows gracefully;
+        # u past the float range gives a nan, which the quadrature refuses
+        u = a * rho
         sinc = np.sinc(u / math.pi)
         ros = 2.0 * rho * np.exp(-rho) / -np.expm1(-2.0 * rho)
         omc = np.where(np.abs(u) < 1.0, u * u / 6.0 * _taylor_rest(u * u, -1.0), 1.0 - sinc)
@@ -204,10 +210,13 @@ def invariance_integral(
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be finite and positive")
     a = 0.5 * lam * t
-    scale = math.pi * 2.0 ** (2.0 + 2.0 * gamma) * t ** (-2.0 * gamma)
+    try:
+        scale = math.pi * 2.0 ** (2.0 + 2.0 * gamma) * t ** (-2.0 * gamma)
+    except OverflowError:
+        raise NumericError(f"invariance_integral overflows a float at t={t}") from None
     least = [0.0]
 
     def seen(v):

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .errors import CalibrationError, DomainError
-from .geometry import acosh1p, aux_H, law_of_cosines
+from .errors import CalibrationError, DomainError, UnsupportedRangeError
+from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
 from .quadrature import ROUNDING, QuadratureConfig, integrate
 from .scale import i0_closed, iinf_closed
@@ -106,11 +105,15 @@ def gaussian_bump(width: float = 1.0) -> RadialProfile:
     if width <= 0.0:
         raise DomainError("width must be positive")
 
+    def f(r):
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 where (r/width)^2 overflows
+            return np.exp(-((r / width) ** 2))
+
     return RadialProfile(
         support_radius=math.inf,
         tail_width=lambda eps: width * math.sqrt(math.log(1.0 / eps)) + 1.0,
         name="gaussian-bump",
-        f=lambda r: np.exp(-((r / width) ** 2)),
+        f=f,
     )
 
 
@@ -144,6 +147,10 @@ def tabulated(r_samples, values) -> RadialProfile:
     values = np.asarray(values, dtype=float)
     if r_samples.ndim != 1 or r_samples.shape != values.shape or len(r_samples) < 4:
         raise DomainError("tabulated profile needs >= 4 matching samples")
+    # the one use of scipy in hypfrac: imported here, so that importing the
+    # package loads numpy and the standard library only
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(r_samples, values, extrapolate=False)
     top = float(r_samples[-1])
 
@@ -186,8 +193,8 @@ class EllipticityBounds:
     lambda_hi: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_lo <= self.lambda_hi:
-            raise DomainError("need 0 < lambda_lo <= lambda_hi")
+        if not 0.0 < self.lambda_lo <= self.lambda_hi < math.inf:
+            raise DomainError("need 0 < lambda_lo <= lambda_hi < inf")
 
 
 @dataclass(frozen=True)
@@ -203,12 +210,12 @@ class BarrierSpec:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
-        if self.alpha <= 0.0:
-            raise DomainError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError("alpha must be finite and positive")
         if not 0.0 < self.kappa <= 0.25:
             raise DomainError("kappa must lie in (0, 1/4]")
-        if self.R <= 0.0:
-            raise DomainError("R must be positive")
+        if not 0.0 < 7.0 * self.R < math.inf:  # the margins are checked on B_7R
+            raise DomainError("R must be positive, with 7R a finite float")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError("gamma must lie in (0, 1)")
 
@@ -383,6 +390,9 @@ def _angular(u, R0, u0, r, pos, neg, paired):
     return out
 
 
+# a product past the float range, at extreme slopes or profile values, is inf,
+# which the quadrature refuses as a non-finite integrand (NumericError)
+@np.errstate(over="ignore")
 def _nonlocal_integral(u, R0, gamma, pos, neg):
     """Common quadrature core: integral of the combine of delta against the
     kernel, slope ``pos`` on delta >= 0 and ``neg`` below.
@@ -432,9 +442,17 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     ``_PANEL_LIMIT`` panels, and the far-tail cut sits where the profile's
     tail bound reaches ``_TAIL_EPS``.
     """
+    if not 0.0 <= R0 < math.inf:
+        raise DomainError("R0 must be finite and nonnegative")
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
     # below ~1e-5 there are already negligible against it
     A = R0 + min(u.tail_radius(_TAIL_EPS), 80.0)
+    # the angular integrals reach cosh r cosh R0 - 1 ~ e^(r + R0)/2 at r <= A,
+    # and acosh1p squares twice that: finite while A + R0 stays in the span
+    # of the law of cosines
+    if A + R0 > _MAX_SPAN:
+        raise UnsupportedRangeError(
+            f"the nonlocal operators need R0 + (cut radius {A:g}) <= {_MAX_SPAN:g}")
     u0 = u(R0)
 
     paired = pos != neg
@@ -481,8 +499,6 @@ def apply_fraclap(u: RadialProfile, R0: float, gamma: float) -> float:
     _require_c2_bounded(u, "apply_fraclap")
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
-    if R0 < 0.0:
-        raise DomainError("R0 must be nonnegative")
     return _nonlocal_integral(u, R0, gamma, 1.0, 1.0)
 
 
@@ -656,6 +672,8 @@ def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:
 def laplace_beltrami_radial(u: RadialProfile, R0: float) -> float:
     """Radial Laplace-Beltrami stencil u'' + 2 coth(r) u' at steps 1e-4 and
     5e-5, Richardson-refined; at the origin this is 3 u''(0)."""
+    if not 0.0 <= R0 < math.inf:
+        raise DomainError("R0 must be finite and nonnegative")
 
     def second(rr, hh):
         return (u(rr + hh) - 2.0 * u(rr) + u(abs(rr - hh))) / (hh * hh)
@@ -726,6 +744,8 @@ def barrier_alpha_sweep(
 ):
     """Double alpha until every margin is nonpositive; returns
     (alpha or None, reports).  None means the cap was hit (inconclusive)."""
+    if not (0.0 < alpha_start < math.inf and alpha_start <= alpha_cap):
+        raise DomainError("need finite alpha_start > 0 and alpha_cap >= alpha_start")
     reports = {}
     found = None
     alpha = alpha_start

@@ -13,6 +13,7 @@ bounded integrand, for integrands that are numpy functions:
   x = a t^(-1/q).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class QuadratureConfig:
     max_subdiv: int = 200
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < math.inf):
+            raise DomainError("need rel_tol in (0, 1) and a finite abs_tol > 0")
         if self.max_subdiv < 10:
             raise DomainError("max_subdiv must be at least 10")
 
@@ -62,7 +63,7 @@ def integrate(f, lo, hi, owner, n_owners, cfg: QuadratureConfig, what, at=None):
     out of panels, is rejected (``NumericError``), named by ``at`` if given."""
     val, err, mass, _ = gk21_batch(f, lo, hi, owner, n_owners, cfg.rel_tol, cfg.abs_tol,
                                    cfg.max_subdiv)
-    bad = err > 10.0 * _granted(mass, val, cfg.rel_tol, cfg.abs_tol)
+    bad = err / 10.0 > _granted(mass, val, cfg.rel_tol, cfg.abs_tol)
     if bad.any():
         k = int(np.argmax(bad))
         where = "" if at is None else f" at r={at[k]:.6g}"
@@ -106,7 +107,12 @@ def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
     """
     if not (a > 0.0 and q > 0.0):
         raise DomainError(f"{what} requires a > 0 and q > 0")
-    c = a ** -q / q
+    try:
+        c = a ** -q / q
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:
+        raise NumericError(f"{what}: its factor a^-q / q overflows a float")
 
     def g(t, own):
         with np.errstate(over="ignore", divide="ignore"):

@@ -3,10 +3,12 @@ indefinite-integral families built from them.
 
 The evaluators are self-contained:
 
-* ``bessel_i`` sums the ascending series in log space.  For orders nu >= -1
-  every term is nonnegative, so the sum is cancellation-free on the whole
-  supported range x in (0, ~700].  ``bessel_i_scaled`` goes on beyond 700
-  with Hankel's asymptotic expansion where nu^2 <= x.
+* ``bessel_i`` and ``struve_l`` share one ascending-series core: each term is
+  its neighbour times a rational ratio, from the largest term, which carries
+  the scale (in log space, by ``math.lgamma``, where it is not a float).  For
+  I at nu >= -1 the terms are nonnegative: no cancellation on x in (0, ~700];
+  ``bessel_i_scaled`` goes on beyond 700 with Hankel's expansion where
+  nu^2 <= x.  L sums its terms, of either sign at negative orders, by fsum.
 * ``bessel_k`` integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is
   exp(x) K_nu(x), with the trapezoid rule.  The rule converges geometrically
   for this analytic, double-exponentially decaying integrand (Trefethen and
@@ -19,8 +21,6 @@ The evaluators are self-contained:
   costs one multiply-add, one ``exp`` and one sum per node.  Arrays of x run
   through the same tables, rows of one table together.  A rule longer than
   2^16 nodes (a large order at large x) is refused.
-* ``struve_l`` sums the power series with exact (fsum) accumulation; terms can
-  alternate in sign for negative orders.
 
 ``s_integral``/``c_integral``/``l_integral`` evaluate the finite Bessel(-
 Struve) sums for the antiderivatives of rho^(k-nu) K_nu(rho) {sinh, cosh, 1}.
@@ -29,11 +29,9 @@ Every public function returns a finite float or raises a ``HypfracError``.
 """
 
 import math
-import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, NumericError, UnsupportedRangeError
 from .quadrature import NODE_BUDGET
@@ -98,35 +96,46 @@ def _finite(value: float, what: str) -> float:
 # modified Bessel I
 
 
-def _log_half(x: float) -> float:
-    """log(x / 2), also where x / 2 is not a normal float."""
+def _series(x: float, p: float, q: float, s: float):
+    """The terms t_j = (x/2)^(2j+p) / (Gamma(j+q) Gamma(j+s)), j < n, of the
+    ascending series of I (DLMF 10.25.2) and L (11.2.2), as (c, t_j e^-c):
+    products of the ratios (x/2)^2 / ((j+q)(j+s)) up and down from the
+    largest term t_k, or the first above the poles of Gamma(j+s), below which
+    they vanish, as 1/Gamma does, or may grow past floats (NumericError).
+    c = 0 where pow and gamma give t_k and every term is a float; else c is
+    log t_k by lgamma, off by ~eps (2k+p) log(x/2).
+    """
     half = 0.5 * x
-    return math.log(half) if half >= sys.float_info.min else math.log(x) - _LOG2
+    n = int(half + 12.0 * math.sqrt(half + 1.0) + 30.0) + 1
+    k = max(0, int(math.hypot(half, 0.5 * (q - s)) - 0.5 * (q + s)), math.floor(-s) + 1)
+    if k >= n:
+        raise NumericError(f"series degenerate at x={x}: no term above the poles of Gamma")
+    j = np.arange(n - 1, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        below = ((j[:k] + s) / half * (j[:k] + q) / half)[::-1].cumprod()[::-1]
+        top = np.abs(below).max(initial=1.0)
+    if not top < 1e300:
+        raise NumericError(f"series terms at x={x} leave the float range")
+    terms = np.concatenate((below, [1.0], (half * half / ((j[k:] + q) * (j[k:] + s))).cumprod()))
+    try:
+        tk = half ** (2 * k + p) / math.gamma(k + q) / math.gamma(k + s)
+    except ArithmeticError:  # out of the float range, or 0 ** (2k + p < 0)
+        tk = 0.0
+    if 1e-300 < tk < 1e300 / top:
+        return 0.0, tk * terms
+    return (2 * k + p) * (math.log(x) - _LOG2) - math.lgamma(k + q) - math.lgamma(k + s), terms
 
 
 def _i_series(nu: float, x: float, shift: float = 0.0) -> float:
     """exp(-shift) I_nu(x) from the ascending series."""
-    half = _log_half(x)
-    peak = 0.5 * x
-    jmax = int(peak + 12.0 * math.sqrt(peak + 1.0) + 30.0)
-    j = np.arange(jmax + 1, dtype=float)
-    a = nu + j + 1.0
-    lt = (2.0 * j + nu) * half - gammaln(j + 1.0) - gammaln(a)
-    sg = gammasgn(a)
-    finite = lt[np.isfinite(lt)]
-    if finite.size == 0:
-        raise NumericError(f"bessel_i series degenerate at nu={nu}, x={x}")
-    m = float(np.max(finite))
-    # Gamma poles in the order shift kill their terms (lt = -inf there)
-    terms = np.where(np.isfinite(lt), sg * np.exp(lt - m), 0.0)
-    s = float(np.sum(terms))
-    tail = lt[-1] - m
-    if math.isfinite(tail) and tail > -37.0:
-        raise NumericError(f"bessel_i series truncated too early at nu={nu}, x={x}")
-    if s <= 0.0:
+    c, terms = _series(x, nu, 1.0, nu + 1.0)
+    s = float(terms.sum())
+    if not s > 0.0:
         raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
+    if terms[-1] > math.exp(-37.0) * s:
+        raise NumericError(f"bessel_i series truncated too early at nu={nu}, x={x}")
     try:
-        return math.exp(m - shift + math.log(s))
+        return _finite(s * math.exp(c - shift), f"bessel_i at nu={nu}, x={x}")
     except OverflowError:
         raise NumericError(f"bessel_i overflows a float at nu={nu}, x={x}") from None
 
@@ -340,7 +349,7 @@ def bessel_k_scaled(nu: float, x):
 
 
 def struve_l(nu: float, x: float) -> float:
-    """Modified Struve function L_nu(x) by compensated series summation.
+    """Modified Struve function L_nu(x) by its ascending series, summed exactly.
 
     Supported for x in (0, 30]; larger arguments raise UnsupportedRangeError.
     """
@@ -353,21 +362,11 @@ def struve_l(nu: float, x: float) -> float:
         if nu > -1.0:
             return 0.0
         raise DomainError("L_nu(0) diverges for nu <= -1")
-    half = _log_half(x)
-    peak = 0.5 * x
-    jmax = int(peak + 12.0 * math.sqrt(peak + 1.0) + 30.0)
-    j = np.arange(jmax + 1, dtype=float)
-    b = nu + j + 1.5
-    lt = (2.0 * j + nu + 1.0) * half - gammaln(j + 1.5) - gammaln(b)
-    with np.errstate(over="ignore"):
-        terms = np.where(np.isfinite(lt), gammasgn(b) * np.exp(lt), 0.0)
+    c, terms = _series(x, nu + 1.0, 1.5, nu + 1.5)
     try:
-        total = math.fsum(terms.tolist())
-    except (OverflowError, ValueError):  # fsum of terms past the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericError(f"struve_l overflows a float at nu={nu}, x={x}")
-    return total
+        return _finite(math.fsum(terms.tolist()) * math.exp(c), f"struve_l at nu={nu}, x={x}")
+    except OverflowError:
+        raise NumericError(f"struve_l overflows a float at nu={nu}, x={x}") from None
 
 
 # ----------------------------------------------------------------------

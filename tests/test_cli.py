@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypfrac.cli import main
+from hypfrac.cli import build_parser, main
+from hypfrac.quadrature import DEFAULT_QUAD
 
 
 def run(capsys, *argv):
@@ -97,15 +101,30 @@ class TestUsageErrors:
         ("--command", "barrier-check", "--n-samples", "0"),
         ("--command", "gyro-check", "--n-cases", "0"),
         ("--command", "gyro-check", "--n-cases", "-1"),
+        ("--command", "verify-constant", "--t", "1e-300"),
+        ("--command", "verify-constant", "--t", "nan"),
+        ("--command", "gamma-limit", "--R0", "nan"),
+        ("--command", "gamma-limit", "--R0", "1e300"),
+        ("--command", "barrier-check", "--alpha-start", "nan"),
+        ("--command", "barrier-check", "--alpha-start", "inf"),
+        ("--command", "barrier-check", "--alpha-cap", "nan"),
+        ("--command", "barrier-check", "--lambda-hi", "inf"),
+        ("--command", "barrier-check", "--R", "inf"),
     ])
     def test_no_traceback_and_no_vacuous_pass(self, capsys, argv):
-        # a family that needs parameters, and an empty or negative count,
-        # once gave a raw traceback or exited 0 with no records
+        # a family that needs parameters, an empty or negative count, and a
+        # non-finite or out-of-range float once gave a raw traceback, a
+        # ZeroDivisionError or OverflowError, or exited 1 with no records
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+    def test_tolerance_defaults_are_the_quadrature_defaults(self):
+        args = build_parser().parse_args(["--command", "kernel-table"])
+        assert (args.rel_tol, args.abs_tol, args.max_subdiv) == (
+            DEFAULT_QUAD.rel_tol, DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.max_subdiv)
 
     def test_non_finite_grid_entry(self, capsys):
         code, out, err = run(
@@ -278,3 +297,38 @@ class TestFileOutput:
         assert code == 0
         assert target.exists()
         assert "rho" in target.read_text().splitlines()[0]
+
+
+# every float flag of each command, and small settings for the rest
+_FUZZ_BASE = {
+    "verify-constant": ("--lambda-grid", "1", "--gamma-grid", "0.5"),
+    "scale-sweep": ("--r-grid", "1", "--gamma-grid", "0.5"),
+    "kernel-table": ("--rho-grid", "0.5,1"),
+    "gyro-check": ("--n-cases", "5"),
+    "barrier-check": ("--n-samples", "1", "--alpha-cap", "8"),
+    "gamma-limit": ("--gamma-grid", "0.5"),
+}
+_FUZZ_FLAGS = {
+    "verify-constant": ("--rel-tol", "--abs-tol", "--tol", "--t", "--lambda-grid",
+                        "--gamma-grid"),
+    "scale-sweep": ("--rel-tol", "--abs-tol", "--rho0", "--r-grid", "--gamma-grid"),
+    "kernel-table": ("--gamma", "--tau", "--rho-grid"),
+    "gyro-check": ("--rel-tol", "--abs-tol"),
+    "barrier-check": ("--delta", "--R", "--kappa", "--gamma", "--lambda-lo", "--lambda-hi",
+                      "--alpha-start", "--alpha-cap"),
+    "gamma-limit": ("--R0", "--gamma-grid"),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), value=st.floats())
+def test_cli_fuzz_any_float_flag(data, value):
+    # one float flag of one command set to any float: a documented exit code,
+    # never a traceback (RuntimeWarning is an error in this suite)
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flag = data.draw(st.sampled_from(_FUZZ_FLAGS[command]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--command", command, *_FUZZ_BASE[command], f"{flag}={value!r}"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

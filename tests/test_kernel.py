@@ -126,6 +126,13 @@ class TestSpectralKernel:
         want = -(1 / (4 * math.pi ** 2)) * (2 / t) * lam * math.sin(lam * rho) / math.sinh(2 * rho / t)
         assert spectral_kernel(lam, t, rho) == pytest.approx(want, rel=1e-15)
 
+    def test_tiny_t(self):
+        # 2/t overflows here; the kernel itself is 0, and at rho = t a finite
+        # -(1/(4 pi^2)) lam^2 2/sinh(2)
+        assert spectral_kernel(1.0, 1e-320, 1.0) == 0.0
+        assert spectral_kernel(3.0, 1e-320, 1e-320) == pytest.approx(
+            -0.12571350289744920, rel=1e-15)
+
 
 class TestReentrancy:
     def test_concurrent_evaluations_match_serial(self):
@@ -218,6 +225,7 @@ def _kernel_value(gamma, tau, rho):
 @example(a=1.0, b=1e-20, c=1.0, n=3)
 @example(a=800.0, b=2.0, c=800.0, n=3)
 @example(a=1.0, b=1e-320, c=1.0, n=3)
+@example(a=3.0, b=1e-320, c=1e-320, n=3)
 @example(a=0.5, b=1e-200, c=1.0, n=3)
 @example(a=1e-200, b=0.5, c=0.25, n=3)
 def test_kernel_and_scale_entry_points_return_finite_or_raise_typed(a, b, c, n):

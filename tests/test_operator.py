@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypfrac.errors import CalibrationError, DomainError, NumericError
-from hypfrac.geometry import aux_H
+from hypfrac.errors import CalibrationError, DomainError, NumericError, UnsupportedRangeError
+from hypfrac.geometry import _MAX_SPAN, aux_H
 from hypfrac.operator import (
     ArccosReport,
     BarrierSpec,
@@ -14,6 +14,7 @@ from hypfrac.operator import (
     SphericalTransform,
     apply_fraclap,
     arccos_inequalities,
+    barrier_alpha_sweep,
     barrier_check,
     barrier_profile,
     barrier_shifted_value,
@@ -182,6 +183,24 @@ class TestFracLap:
         u = RadialProfile(f=lambda r: np.maximum(0.0, 1 - r), smoothness="C0", name="cone")
         with pytest.raises(DomainError):
             apply_fraclap(u, 0.0, 0.5)
+
+    @pytest.mark.parametrize("op", [
+        lambda u, R0: apply_fraclap(u, R0, 0.5),
+        lambda u, R0: pucci_plus(u, R0, 0.5, WIDE),
+        lambda u, R0: pucci_minus(u, R0, 0.5, UNIT),
+    ])
+    def test_evaluation_point_range(self, op):
+        # the cut radius A = R0 + tail radius: A + R0 must stay in the span of
+        # the law of cosines, where sinh r sinh R0 and its square are floats
+        u = gaussian_bump()
+        top = 0.5 * (_MAX_SPAN - u.tail_radius(1e-12))
+        assert math.isfinite(op(u, top - 1e-9))
+        for R0 in (top + 1e-9, 1e300):
+            with pytest.raises(UnsupportedRangeError):
+                op(u, R0)
+        for R0 in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError):
+                op(u, R0)
 
     def test_well_definedness_bound(self):
         # |Lu| <= Lambda |u|_C2 I0(R) + 2 Lambda |u|_inf Iinf(R)
@@ -508,6 +527,23 @@ class TestBarrier:
     def test_sample_radii_validated(self):
         with pytest.raises(DomainError):
             barrier_check(self.SPEC, [6.0], UNIT)
+
+    @pytest.mark.parametrize("kw", [dict(alpha=math.nan), dict(alpha=math.inf),
+                                    dict(R=math.nan), dict(R=math.inf), dict(R=1e308)])
+    def test_spec_needs_finite_alpha_and_R(self, kw):
+        with pytest.raises(DomainError):
+            BarrierSpec(**{**dict(delta=0.5, alpha=4.0, R=1.0, gamma=0.99), **kw})
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_bounds_need_finite_values(self, lo, hi):
+        with pytest.raises(DomainError):
+            EllipticityBounds(lo, hi)
+
+    @pytest.mark.parametrize("start, cap", [(math.nan, 64.0), (math.inf, 64.0),
+                                            (2.0, math.nan), (4.0, 2.0)])
+    def test_sweep_refuses_an_empty_ladder(self, start, cap):
+        with pytest.raises(DomainError):
+            barrier_alpha_sweep(0.5, 1.0, 0.99, [1.0], UNIT, alpha_start=start, alpha_cap=cap)
 
 
 class TestArccosInequalities:

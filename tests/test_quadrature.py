@@ -113,3 +113,24 @@ def test_maps_reject_bad_arguments():
         alg_left(np.cos, 1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         alg_tail(np.cos, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("rel, abs_", [(1.0, 1e-12), (math.inf, 1e-12), (math.nan, 1e-12),
+                                       (1e-10, math.inf), (1e-10, math.nan)])
+def test_config_needs_a_relative_tolerance_below_one_and_finite_tolerances(rel, abs_):
+    with pytest.raises(DomainError):
+        QuadratureConfig(rel, abs_)
+
+
+def test_reject_rule_at_the_largest_absolute_tolerance():
+    # ten times the granted tolerance would overflow; the error is divided instead
+    val, _ = integrate(lambda x, own: np.sin(x), [0.0], [1.0], [0], 1,
+                       QuadratureConfig(0.5, 1.7e308), "test")
+    assert val[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
+
+
+def test_alg_tail_factor_past_the_float_range():
+    # a^-q / q overflows at a subnormal exponent, and times a zero integrand
+    # made a nan
+    with pytest.raises(NumericError):
+        alg_tail(lambda x: np.exp(-x), 1.0, 2.2e-311)

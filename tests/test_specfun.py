@@ -7,7 +7,7 @@ import scipy.special as sps
 from hypothesis import example, given, settings, strategies as st
 
 from hypfrac import specfun
-from hypfrac.errors import DomainError, HypfracError, UnsupportedRangeError
+from hypfrac.errors import DomainError, HypfracError, NumericError, UnsupportedRangeError
 from hypfrac.specfun import (
     _k_table,
     bessel_i,
@@ -365,6 +365,40 @@ class TestLargeXAsymptotics:
             errs_k.append(abs(bessel_k(nu, x) / (math.sqrt(math.pi / (2 * x)) * math.exp(-x)) - 1))
         assert errs_i == sorted(errs_i, reverse=True)
         assert errs_k == sorted(errs_k, reverse=True)
+
+
+class TestSeriesCore:
+    """Edges of the ascending-series core that bessel_i and struve_l share."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_integer_order(self, n):
+        # 1/Gamma(j - n + 1) vanishes at the poles j < n, so I_{-n} = I_n
+        for x in (0.1, 1.0, 7.0, 40.0, 300.0):
+            assert bessel_i(-n, x) == pytest.approx(bessel_i(n, x), rel=1e-14)
+
+    @pytest.mark.parametrize("nu", [-1.5, -2.5, -3.5, -7.0])
+    def test_struve_negative_orders(self, nu):
+        with mpmath.workdps(40):
+            for x in (1e-3, 0.1, 1.0, 3.0, 10.0, 30.0):
+                assert struve_l(nu, x) == pytest.approx(float(mpmath.struvel(nu, x)), rel=1e-14)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, 1.5, 2.5])
+    def test_scale_function_orders(self, nu):
+        # the orders and radii of the closed forms of I0 and Iinf
+        with mpmath.workdps(40):
+            for x in np.linspace(5.0, 90.0, 18):
+                assert bessel_i(nu, x) == pytest.approx(float(mpmath.besseli(nu, x)), rel=1e-14)
+
+    def test_every_term_at_a_pole(self):
+        with pytest.raises(NumericError):
+            bessel_i(-46.0, 1.0)
+
+    def test_underflowing_ratio(self):
+        # (x/2)^2 underflows: below a pole the terms vanish, elsewhere they
+        # leave the float range, never as a nan
+        assert bessel_i(-1.0, 1e-300) == pytest.approx(5e-301, rel=1e-14)
+        with pytest.raises(HypfracError):
+            bessel_i(-1.5, 1e-200)
 
 
 class TestStruve:

@@ -80,6 +80,25 @@ def _parse_grid(text, name):
     return vals
 
 
+# the ranges of the integer flags, inclusive; the caps keep a run to minutes
+# and its arrays small, where a count like 1e20 once ran without end or failed
+# to allocate
+_INT_RANGES = {
+    "seed": (0, None),
+    "n_cases": (1, 10 ** 6),
+    "n_samples": (1, 10 ** 4),
+    "max_subdiv": (10, 10 ** 5),
+}
+
+
+def _check_int_flags(args):
+    for name, (lo, hi) in _INT_RANGES.items():
+        value = getattr(args, name)
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise DomainError(f"--{name.replace('_', '-')} must be {bound}, not {value}")
+
+
 def _used_tolerances(args):
     """The tolerance blocks of the JSON: what the command actually ran on."""
     if args.command in ("verify-constant", "scale-sweep"):
@@ -212,8 +231,6 @@ def _cmd_gyro_check(args, cfg):
     rng = np.random.default_rng(args.seed)
     t = 2.0
     n = args.n_cases
-    if n < 1:
-        raise DomainError("--n-cases must be at least 1")
     tol, tol_boundary = 1e-10, 1e-9
     worst = {k: 0.0 for k in (
         "left_identity", "left_inverse", "gyroassociativity", "left_loop",
@@ -274,8 +291,6 @@ def _cmd_gyro_check(args, cfg):
 
 
 def _cmd_barrier_check(args, cfg):
-    if args.n_samples < 1:
-        raise DomainError("--n-samples must be at least 1")
     bounds = EllipticityBounds(args.lambda_lo, args.lambda_hi)
     # the flags' checks, before they place the sample radii
     BarrierSpec(args.delta, args.alpha_start, args.R, args.gamma, args.kappa)
@@ -381,6 +396,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("out",)}
     try:
+        _check_int_flags(args)
         cfg = QuadratureConfig(
             rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_subdiv=args.max_subdiv
         )

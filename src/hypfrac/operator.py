@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CalibrationError, DomainError, UnsupportedRangeError
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import kernel_sinh2
-from .quadrature import ROUNDING, QuadratureConfig, integrate
+from .quadrature import ROUNDING, QuadratureConfig, antiderivative, integrate
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -298,11 +298,22 @@ _ANGULAR = QuadratureConfig(1e-9, 1e-15, _PANEL_LIMIT)
 _FORWARD = QuadratureConfig(1e-11, 1e-13, _PANEL_LIMIT)
 _SPECTRAL = QuadratureConfig(1e-9, 1e-11, _PANEL_LIMIT)
 _TAIL_EPS = 1e-12
+# the antiderivative table of a linear combine: the tolerances of its panels
+# (the absolute floor serves where u0 = 0 and u decays to 0 within a panel,
+# through subnormals or a derivative of limited smoothness), and its panel
+# limit, which leaves room for the first panels of the widest table (w up to
+# _MAX_SPAN, panels at most _TABLE_WIDTH wide) and their bisections.  The
+# first panels halve toward R0 down to _TABLE_FINEST
+_TABLE = QuadratureConfig(1e-13, 1e-18, 1 << 13)
+_TABLE_WIDTH = 0.25
+_TABLE_FINEST = 2.0 ** -6
 # what apply_fraclap and the Pucci operators run on, for reports
 NONLOCAL_TOLERANCES = {
     "radial_rel": _RADIAL.rel_tol, "radial_abs": _RADIAL.abs_tol,
     "angular_rel": _ANGULAR.rel_tol, "angular_abs": _ANGULAR.abs_tol,
-    "panel_limit": _PANEL_LIMIT, "tail_eps": _TAIL_EPS,
+    "table_rel": _TABLE.rel_tol, "table_abs": _TABLE.abs_tol,
+    "panel_limit": _PANEL_LIMIT, "table_panel_limit": _TABLE.max_subdiv,
+    "tail_eps": _TAIL_EPS,
 }
 
 
@@ -329,36 +340,26 @@ def _combine(d, pos, neg):
     return np.where(d >= 0.0, pos * d, neg * d)
 
 
-def _angular(u, R0, u0, r, pos, neg, paired):
+def _angular(u, R0, u0, r, pos, neg):
     """Integral over omega1 in [-1, 1] of the combine of delta, slopes (pos,
     neg), at each radius of the 1-D array r, in the distance variable w (see
-    ``_nonlocal_integral``).
-
-    ``paired`` integrates the antipodal average of the second difference over
-    the half w in [|r - R0|, w_hi] of the sphere (weight 2), the only form
-    for a nonlinear combine; otherwise the linear combine (pos == neg) is
-    applied to u(w) - u0 over the whole range w in [|r - R0|, r + R0]
-    (weight 1), one profile evaluation per node.  Each radius is one owner
-    of the batch, its pieces the initial panels."""
+    ``_nonlocal_integral``): the antipodal average of the second difference
+    over the half w in [|r - R0|, w_hi] of the sphere, doubled.  Each radius
+    is one owner of the batch, its pieces the initial panels."""
     # distances through x = cosh(d) - 1, free of the cancellation of acosh
     # near 1: cosh(w_hi) - 1 = cosh r cosh R0 - 1 = 2 sinh^2((r - R0)/2) + b
     b = np.sinh(r) * math.sinh(R0)
     x_hi = 2.0 * np.sinh(0.5 * (r - R0)) ** 2 + b
     w_lo, w_hi = np.abs(r - R0), acosh1p(x_hi)
-    # for R0 << r the w-range shrinks to width ~R0, where rounding of w
-    # would distort the omega1-measure; there the sphere average of delta is
-    # u(r) - u0 up to O(R0^2) (relative < 1e-11 below the cut)
     out = 2.0 * _combine(u.f(r) - u0, pos, neg)
-    live = w_hi - w_lo > 1e-6 * w_hi
+    live = _live(w_lo, w_hi)
     r, b, x_hi, w_lo, w_hi = r[live], b[live], x_hi[live], w_lo[live], w_hi[live]
-    w_top = w_hi if paired else r + R0
-    cols = [w_lo, w_top]
+    cols = [w_lo, w_hi]
     for rk in u.kink_radii:
+        # the kink and its mirror image
         cols.append(np.full_like(r, rk))
-        if paired:
-            # the mirror image of the kink
-            cols.append(acosh1p(np.maximum(2.0 * x_hi - 2.0 * math.sinh(0.5 * rk) ** 2, 0.0)))
-    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_top[:, None]), axis=1)
+        cols.append(acosh1p(np.maximum(2.0 * x_hi - 2.0 * math.sinh(0.5 * rk) ** 2, 0.0)))
+    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_hi[:, None]), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     node = np.broadcast_to(np.arange(r.size)[:, None], lo.shape)
     keep = hi > lo
@@ -369,8 +370,7 @@ def _angular(u, R0, u0, r, pos, neg, paired):
         log_w = lo >= max(min(u.kink_radii), np.finfo(float).tiny)
     lo = np.where(log_w, np.log(np.where(log_w, lo, 1.0)), lo)
     hi = np.where(log_w, np.log(hi), hi)
-    # the slope of a linear combine rides on the measure sinh(w) dw / b
-    two_x, scale = 2.0 * x_hi[node], (1.0 if paired else pos) / b[node]
+    two_x, scale = 2.0 * x_hi[node], 1.0 / b[node]
 
     def g(x, own):
         lw = log_w[own][:, None]
@@ -379,14 +379,52 @@ def _angular(u, R0, u0, r, pos, neg, paired):
             jac = np.sinh(w) * np.where(lw, w, 1.0) * scale[own][:, None]
         else:
             w, jac = x, np.sinh(x) * scale[own][:, None]
-        if not paired:
-            return (u.f(w) - u0) * jac
         # the mirror distance: cosh(w_hat) = 2 cosh r cosh R0 - cosh w
         w_hat = acosh1p(np.maximum(two_x[own][:, None] - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
         return _combine(0.5 * (u.f(w) + u.f(w_hat)) - u0, pos, neg) * jac
 
     val, _ = integrate(g, lo, hi, node, r.size, _ANGULAR, "angular integral", r)
-    out[live] = 2.0 * val if paired else val
+    out[live] = 2.0 * val
+    return out
+
+
+def _live(w_lo, w_hi):
+    """Where the sphere of distances [w_lo, w_hi] is resolved.  For R0 << r
+    the w-range shrinks to width ~R0, where rounding of w would distort the
+    omega1-measure; there the sphere average of delta is u(r) - u0 up to
+    O(R0^2) (relative < 1e-11 below the cut)."""
+    return w_hi - w_lo > 1e-6 * w_hi
+
+
+def _table(u, R0, w_max):
+    """F(w) = integral of (u(s) - u0) sinh(s) over [R0, w], for w in
+    [0, w_max].  Its first panels break at R0, the kink radii and the edge of
+    a bounded support, are at most _TABLE_WIDTH wide, and halve toward R0
+    down to _TABLE_FINEST: F(R0 + r) and F(R0 - r), ~r^2 |u'|, carry the
+    rounding of the panels they lie on, against a difference ~r^3."""
+    ends = np.union1d(_graded_cuts(0.0, w_max, {R0}, _TABLE_FINEST),
+                      [p for p in (*u.kink_radii, u.support_radius) if 0.0 < p < w_max])
+    # each gap in m equal pieces
+    gaps = np.diff(ends)
+    m = np.ceil(gaps / _TABLE_WIDTH).astype(int)
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    cuts = np.append(np.repeat(ends[:-1], m) + np.repeat(gaps / m, m) * k, w_max)
+    return antiderivative(u.f, np.sinh, cuts, R0, _TABLE, "antiderivative table")
+
+
+def _angular_table(F, u, R0, u0, r, pos):
+    """``_angular`` for the linear combine of slope ``pos``, from the table F
+    of ``_table``.  On the sphere of radius r about the evaluation point, the
+    distance w from the center of u runs over [|r - R0|, r + R0] with the
+    measure sinh(w) dw / (sinh r sinh R0) in omega1, so the integral of
+    pos (u(w) - u0) is pos (F(r + R0) - F(|r - R0|)) / (sinh r sinh R0)."""
+    out = 2.0 * pos * (u.f(r) - u0)
+    w_lo, w_hi = np.abs(r - R0), r + R0
+    live = _live(w_lo, w_hi)
+    if live.any():
+        ends = F(np.concatenate([w_hi[live], w_lo[live]]))
+        n = ends.size // 2
+        out[live] = pos * (ends[:n] - ends[n:]) / (np.sinh(r[live]) * math.sinh(R0))
     return out
 
 
@@ -397,20 +435,25 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     """Common quadrature core: integral of the combine of delta against the
     kernel, slope ``pos`` on delta >= 0 and ``neg`` below.
 
-    The angular integral is taken in the distance variable w, which is
-    monotone in omega1.  The map from w to its mirror distance on the
-    antipodal side preserves the measure sinh(w) dw / (sinh r sinh R0) and
-    swaps the two halves of the sphere, so a linear combine (pos == neg, as
-    in ``apply_fraclap`` and Pucci under equal bounds) is integrated
-    one-sided: w runs over the whole sphere, one profile value per node.  A
-    nonlinear combine needs the antipodal pair, the second difference,
-    integrated over the half w = d_minus in [|r - R0|, w_hi] and doubled.  So
-    does the frozen node below, whatever the slopes: its value is multiplied
-    by r^(2 - 2 gamma)/(2 - 2 gamma), and at r = 1e-3 the one-sided
-    integrand's |f| mass, ~ r |u'|, dwarfs a value ~ r^2 and costs it digits.
-    The profile's kinks (paired, also their mirror images) split the w-range
-    into pieces; a piece above a kink, where the power-law ramps of a barrier
-    start, is integrated in log w.  The outer r-integral has three parts:
+    The angular integral is taken in the distance variable w from the center
+    of u, which is monotone in omega1: on the sphere of radius r about the
+    evaluation point, sinh(w) dw = sinh r sinh R0 d(omega1).  A linear
+    combine (pos == neg, as in ``apply_fraclap`` and Pucci under equal
+    bounds) therefore needs no angular quadrature: its angular integral is
+    pos (F(r + R0) - F(|r - R0|)) / (sinh r sinh R0), for the antiderivative
+    F(w) = integral of (u(s) - u0) sinh(s) over [R0, w], a piecewise
+    Chebyshev table (``quadrature.antiderivative``) built once per call and
+    summed outward from F(R0) = 0.  A nonlinear combine needs the antipodal
+    pair, the second difference, integrated over the half w = d_minus in
+    [|r - R0|, w_hi] and doubled: the map from w to its mirror distance
+    preserves the measure and swaps the two halves of the sphere.  The
+    frozen node below is paired whatever the slopes, so that the near-field
+    model does not depend on them.  In the paired form the profile's kinks
+    and their mirror images split the w-range into pieces, and a piece above
+    a kink, where the power-law ramps of a barrier start, is integrated in
+    log w.  Where R0 << r (at R0 = 0, everywhere) the sphere is not resolved
+    in w, and both forms take its average of delta as u(r) - u0.  The outer
+    r-integral has three parts:
 
     * below r = 1e-3 (or A/2 if smaller) the smooth factor of the
       r^(1-2 gamma) singularity is frozen and integrated analytically;
@@ -429,18 +472,21 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     toward each image until the one next to it is no wider than the smallest
     kink radius: ceil(log2(gap / r_k)) levels per side for the gap to the
     neighbouring break point, so a large kink gets few panels and a small
-    one as many as its ramp needs.  Both levels are adaptive Gauss-Kronrod
-    (``quadrature.integrate``): every outer node's angular pieces are
-    integrated together in one batch, and a panel is accepted only once its
-    two halves confirm it, never on a single estimate.  The batched integrand
-    sees at most ``NODE_BUDGET`` nodes per numpy call, which bounds the
-    memory whatever the panel count.  Angular integrals run at the config
-    ``_ANGULAR``, to its ``rel_tol`` of their |f| mass (absolute floor
+    one as many as its ramp needs.  The radial integral and the paired
+    angular integrals are adaptive Gauss-Kronrod (``quadrature.integrate``):
+    every outer node's angular pieces are integrated together in one batch,
+    and a panel is accepted only once its two halves confirm it, never on a
+    single estimate.  Every batched integrand, and the table's profile
+    evaluations, see at most ``NODE_BUDGET`` nodes per numpy call, which
+    bounds the memory whatever the panel count.  Angular integrals run at the
+    config ``_ANGULAR``, to its ``rel_tol`` of their |f| mass (absolute floor
     ``abs_tol``; of 1e3 times their value under stronger cancellation), the
     radial integral at ``_RADIAL`` in the same sense; ``integrate`` rejects
     them beyond ten times those tolerances.  Each integral stops refining at
-    ``_PANEL_LIMIT`` panels, and the far-tail cut sits where the profile's
-    tail bound reaches ``_TAIL_EPS``.
+    ``_PANEL_LIMIT`` panels.  The table's panels are resolved to ``_TABLE``
+    (``rel_tol`` of their |f| mass), and more than its ``max_subdiv`` panels
+    raise ``NumericError``.  The far-tail cut sits where the profile's tail
+    bound reaches ``_TAIL_EPS``.
     """
     if not 0.0 <= R0 < math.inf:
         raise DomainError("R0 must be finite and nonnegative")
@@ -454,18 +500,26 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
         raise UnsupportedRangeError(
             f"the nonlocal operators need R0 + (cut radius {A:g}) <= {_MAX_SPAN:g}")
     u0 = u(R0)
+    r_frozen = min(_R_FLOOR, 0.5 * A)
 
-    paired = pos != neg
+    if pos != neg:
+        def angular(r):
+            return _angular(u, R0, u0, r, pos, neg)
+    else:
+        # no sphere is resolved at R0 = 0 (see _live): no table
+        F = _table(u, R0, A + R0) if R0 > 0.0 else None
+
+        def angular(r):
+            return _angular_table(F, u, R0, u0, r, pos)
 
     def radial(t, own):
         r = np.exp(t)
         dens = 2.0 * math.pi * kernel_sinh2(gamma, r) * r
-        return dens * _angular(u, R0, u0, r.ravel(), pos, neg, paired).reshape(r.shape)
+        return dens * angular(r.ravel()).reshape(r.shape)
 
-    r_frozen = min(_R_FLOOR, 0.5 * A)
     smooth = (2.0 * math.pi * kernel_sinh2(gamma, r_frozen)
               * r_frozen ** (2.0 * gamma - 1.0)
-              * _angular(u, R0, u0, np.array([r_frozen]), pos, neg, True)[0])
+              * _angular(u, R0, u0, np.array([r_frozen]), pos, neg)[0])
     total = smooth * r_frozen ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
 
     images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
@@ -493,8 +547,9 @@ def apply_fraclap(u: RadialProfile, R0: float, gamma: float) -> float:
     """-(-Delta)^gamma u at a point at distance R0 from the center of u.
 
     Jump integral with slopes (1, 1): the operator is linear, so each sphere
-    of radius r integrates u - u(R0) one-sided, and its average, O(r^2) as
-    r -> 0, absorbs the principal value with no explicit cutoff.
+    of radius r reads the average of u - u(R0) from one antiderivative table,
+    and that average, O(r^2) as r -> 0, absorbs the principal value with no
+    explicit cutoff.
     """
     _require_c2_bounded(u, "apply_fraclap")
     if not 0.0 < gamma < 1.0:
@@ -507,8 +562,8 @@ def pucci_plus(u: RadialProfile, R0: float, gamma: float,
     """Maximal operator: integral of Lambda delta^+ - lambda delta^-.
 
     The combine has slopes (lambda_hi, lambda_lo).  Under equal bounds it is
-    linear and the angular integrals are one-sided, as in ``apply_fraclap``;
-    otherwise they pair each distance with its antipode.
+    linear and the angular integrals come from the antiderivative table, as
+    in ``apply_fraclap``; otherwise they pair each distance with its antipode.
     """
     _require_c2_bounded(u, "pucci_plus")
     return _nonlocal_integral(u, R0, gamma, bounds.lambda_hi, bounds.lambda_lo)
@@ -518,7 +573,7 @@ def pucci_minus(u: RadialProfile, R0: float, gamma: float,
                 bounds: EllipticityBounds) -> float:
     """Minimal operator: integral of lambda delta^+ - Lambda delta^-.
 
-    The combine has slopes (lambda_lo, lambda_hi); one-sided under equal
+    The combine has slopes (lambda_lo, lambda_hi); the table under equal
     bounds, paired otherwise, as in ``pucci_plus``.
     """
     _require_c2_bounded(u, "pucci_minus")

@@ -11,10 +11,16 @@ bounded integrand, for integrands that are numpy functions:
   x = a + (b - a) t^(1/(1+p)); p = 0 is a plain finite integral.
 * ``alg_tail`` -- the integral of x^(-1-q) h(x) over [a, oo), q > 0, through
   x = a t^(-1/q).
+
+``antiderivative`` is the one table of the package: F(w), the integral of
+(v - v(anchor)) k from an anchor to w, as piecewise Chebyshev interpolants
+(the representation of Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004),
+for a caller that needs the integral of one integrand over many intervals.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +35,7 @@ __all__ = [
     "alg_tail",
     "NODE_BUDGET",
     "gk21_batch",
+    "antiderivative",
 ]
 
 
@@ -263,3 +270,123 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
         root = np.concatenate([root[keep], root[keep]])
         k = np.concatenate([ck[:n][keep], ck[n:][keep]])
     return value, error, done_mass, neval
+
+
+# ----------------------------------------------------------------------
+# piecewise Chebyshev antiderivative
+
+# degree of a panel's interpolant, on the Chebyshev points of the second kind
+# x_j = cos(pi j / 32), j = 0..32
+_CHEB_DEG = 32
+
+
+# built on first use, not at import: numpy work at import would grow the
+# memory of every process that imports hypfrac, those that never build a table
+@lru_cache(maxsize=None)
+def _chebyshev_matrices():
+    """The points, and from the values at them: the Chebyshev coefficients
+    (the inverse Vandermonde matrix, a DCT-I), the Clenshaw-Curtis weights on
+    [-1, 1], and the n + 2 coefficients of the antiderivative that vanishes at
+    x = -1 (the T_k integration recurrence)."""
+    n = _CHEB_DEG
+    k = np.arange(n + 1)
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    to_coef = (2.0 / n) * np.cos(np.pi * np.outer(k, k) / n) * ends[:, None] * ends
+    # the integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd
+    odd = k % 2 == 1
+    moments = np.where(odd, 0.0, 2.0 / np.where(odd, 2.0, 1.0 - k * k))
+    # int T_0 = T_1, int T_1 = T_2 / 4, int T_k = T_(k+1) / 2(k+1) - T_(k-1) / 2(k-1)
+    integ = np.zeros((n + 2, n + 1))
+    integ[1, 0] = 1.0
+    integ[k[1:] + 1, k[1:]] = 1.0 / (2.0 * (k[1:] + 1))
+    integ[k[2:] - 1, k[2:]] -= 1.0 / (2.0 * (k[2:] - 1))
+    integ[0] = -((-1.0) ** np.arange(n + 2)) @ integ
+    return np.cos(np.pi * k / n), to_coef, moments @ to_coef, integ @ to_coef
+
+
+def _clenshaw(coef, i, x):
+    """sum_k coef[k, i] T_k(x): the Chebyshev series of column i of coef at
+    each entry of x, gathering one coefficient at a time, so that the
+    temporaries are the size of x."""
+    b1 = b2 = np.zeros_like(x)
+    for c in coef[:0:-1]:
+        b1, b2 = c[i] + 2.0 * x * b1 - b2, b1
+    return coef[0][i] + x * b1 - b2
+
+
+def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
+    """F(w) = the integral of (v(s) - v(anchor)) k(s) over [anchor, w], for w
+    in [cuts[0], cuts[-1]]; v and k are numpy functions.
+
+    F is built once, as a degree-32 Chebyshev interpolant of the integrand on
+    each panel, starting from the panels between the ``cuts`` (and
+    ``anchor``), and v and k see at most ``NODE_BUDGET`` nodes per call.  A
+    panel is bisected until its last four Chebyshev coefficients, times its
+    width, are within the larger of ``cfg.rel_tol`` times its |f| mass
+    (Clenshaw-Curtis weights on |f|), ``cfg.abs_tol`` times its width, and
+    ``ROUNDING`` times its |v k| mass, or until it reaches float resolution.
+    The last is the rounding of the integrand: each value of v carries
+    ~eps |v|, which near the anchor, where v - v(anchor) vanishes, is no
+    longer small against |f|.  More than ``cfg.max_subdiv`` panels, or an
+    integrand that is not finite, raise ``NumericError``.
+
+    The panel integrals are summed outward from the anchor on both sides, so
+    F(w) carries the rounding of the panels between the anchor and w only,
+    and none of the integral beyond.  Returns F as a numpy function of an
+    array of w.
+    """
+    nodes, to_coef, cc_weights, to_anti = _chebyshev_matrices()
+    v0 = v(np.array([float(anchor)]))[0]
+    cuts = np.unique(np.append(np.asarray(cuts, dtype=float), anchor))
+    lo, hi = cuts[:-1], cuts[1:]
+    kept = []
+    n_kept = 0
+    step = max(1, NODE_BUDGET // nodes.size)
+
+    def values(x):
+        """The integrand, and the magnitude |v k| of its rounding, at x."""
+        vx, kx = v(x), k(x)
+        return (vx - v0) * kx, np.abs(vx * kx)
+
+    while lo.size:
+        if n_kept + lo.size > cfg.max_subdiv:
+            raise NumericError(f"{what}: more than {cfg.max_subdiv} panels")
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        x = mid[:, None] + half[:, None] * nodes
+        fx, vk = (np.concatenate(part) for part in
+                  zip(*(values(x[s:s + step]) for s in range(0, lo.size, step))))
+        if not np.all(np.isfinite(fx)):
+            raise NumericError(f"{what}: integrand is not finite")
+        tail = np.abs(fx @ to_coef[-4:].T).sum(axis=1) * (hi - lo)
+        mass = half * (np.abs(fx) @ cc_weights)
+        rounding = ROUNDING * half * (vk @ cc_weights)
+        ok = tail <= np.maximum(np.maximum(cfg.rel_tol * mass, cfg.abs_tol * (hi - lo)),
+                                rounding)
+        ok |= (mid <= lo) | (mid >= hi)
+        kept.append((lo[ok], hi[ok], fx[ok]))
+        n_kept += int(ok.sum())
+        lo = np.concatenate([lo[~ok], mid[~ok]])
+        hi = np.concatenate([mid[~ok], hi[~ok]])
+    lo, hi, fx = (np.concatenate(part) for part in zip(*kept))
+    order = np.argsort(lo)
+    lo, hi, fx = lo[order], hi[order], fx[order]
+    half = 0.5 * (hi - lo)
+    # each panel's antiderivative, in x on [-1, 1], from its end nearest the
+    # anchor: one column of coefficients per panel
+    anti = to_anti @ fx.T
+    total = half * anti.sum(axis=0)
+    left = hi <= anchor
+    anti[0, left] -= anti[:, left].sum(axis=0)
+    offset = np.empty_like(total)
+    offset[~left] = np.cumsum(np.r_[0.0, total[~left][:-1]])
+    offset[left] = -np.cumsum(np.r_[0.0, total[left][:0:-1]])[::-1]
+    mid = lo + half
+
+    def F(w):
+        w = np.asarray(w, dtype=float)
+        i = np.clip(np.searchsorted(lo, w.ravel(), side="right") - 1, 0, lo.size - 1)
+        x = (w.ravel() - mid[i]) / half[i]
+        return (offset[i] + half[i] * _clenshaw(anti, i, x)).reshape(w.shape)
+
+    return F

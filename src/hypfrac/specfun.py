@@ -4,8 +4,9 @@ indefinite-integral families built from them.
 The evaluators are self-contained:
 
 * ``bessel_i`` and ``struve_l`` share one ascending-series core: each term is
-  its neighbour times a rational ratio, from the largest term, which carries
-  the scale (in log space, by ``math.lgamma``, where it is not a float).  For
+  its neighbour times a rational ratio, from the largest term in magnitude,
+  which carries the scale and the sign (in log space, by ``math.lgamma``,
+  where it is not a float).  For
   I at nu >= -1 the terms are nonnegative: no cancellation on x in (0, ~700];
   ``bessel_i_scaled`` goes on beyond 700 with Hankel's expansion where
   nu^2 <= x.  L sums its terms, of either sign at negative orders, by fsum.
@@ -77,6 +78,9 @@ _I_SERIES_LIMIT = 1e4
 
 # beyond this order, nu log(x / 2) in the series may overflow a float
 _MAX_ORDER = 1e300
+# no series runs more terms: x = 1e4 takes ~6.2k; only an order far below 0
+# asks for more
+_SERIES_MAX_TERMS = 1 << 16
 
 
 def _check_order(nu: float, what: str):
@@ -100,17 +104,25 @@ def _series(x: float, p: float, q: float, s: float):
     """The terms t_j = (x/2)^(2j+p) / (Gamma(j+q) Gamma(j+s)), j < n, of the
     ascending series of I (DLMF 10.25.2) and L (11.2.2), as (c, t_j e^-c):
     products of the ratios (x/2)^2 / ((j+q)(j+s)) up and down from the
-    largest term t_k, or the first above the poles of Gamma(j+s), below which
-    they vanish, as 1/Gamma does, or may grow past floats (NumericError).
+    largest |t_k|.  Below j = -s, Gamma(j+s) has a pole at each integer,
+    where 1/Gamma and the term vanish, and between them alternates in sign:
+    at s < 0 the terms run past -s as far as they run past x/2 elsewhere, and
+    at a non-integer s < 0, where none vanishes and |t_j| may peak on either
+    side of -s, k is the largest by the cumulative sum of log|ratio|.
     c = 0 where pow and gamma give t_k and every term is a float; else c is
-    log t_k by lgamma, off by ~eps (2k+p) log(x/2).
+    log|t_k| by lgamma (log|Gamma|), the sign of Gamma(z) at z < 0 being
+    (-1)^(floor(-z)+1), off by ~eps (2k+p) log(x/2).
     """
     half = 0.5 * x
-    n = int(half + 12.0 * math.sqrt(half + 1.0) + 30.0) + 1
-    k = max(0, int(math.hypot(half, 0.5 * (q - s)) - 0.5 * (q + s)), math.floor(-s) + 1)
-    if k >= n:
-        raise NumericError(f"series degenerate at x={x}: no term above the poles of Gamma")
+    n = max(0, math.ceil(-s)) + int(half + 12.0 * math.sqrt(half + 1.0) + 30.0) + 1
+    if n > _SERIES_MAX_TERMS:
+        raise NumericError(f"series at x={x} needs more than {_SERIES_MAX_TERMS} terms")
     j = np.arange(n - 1, dtype=float)
+    if s < 0.0 and s != math.floor(s):
+        log_ratio = 2.0 * (math.log(x) - _LOG2) - np.log(j + q) - np.log(np.abs(j + s))
+        k = int(np.argmax(np.concatenate(([0.0], np.cumsum(log_ratio)))))
+    else:
+        k = max(0, int(math.hypot(half, 0.5 * (q - s)) - 0.5 * (q + s)), math.floor(-s) + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         below = ((j[:k] + s) / half * (j[:k] + q) / half)[::-1].cumprod()[::-1]
         top = np.abs(below).max(initial=1.0)
@@ -121,8 +133,10 @@ def _series(x: float, p: float, q: float, s: float):
         tk = half ** (2 * k + p) / math.gamma(k + q) / math.gamma(k + s)
     except ArithmeticError:  # out of the float range, or 0 ** (2k + p < 0)
         tk = 0.0
-    if 1e-300 < tk < 1e300 / top:
+    if 1e-300 < abs(tk) < 1e300 / top:
         return 0.0, tk * terms
+    if k + s < 0.0 and math.floor(-(k + s)) % 2 == 0:
+        terms = -terms
     return (2 * k + p) * (math.log(x) - _LOG2) - math.lgamma(k + q) - math.lgamma(k + s), terms
 
 
@@ -132,7 +146,7 @@ def _i_series(nu: float, x: float, shift: float = 0.0) -> float:
     s = float(terms.sum())
     if not s > 0.0:
         raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
-    if terms[-1] > math.exp(-37.0) * s:
+    if abs(terms[-1]) > math.exp(-37.0) * s:
         raise NumericError(f"bessel_i series truncated too early at nu={nu}, x={x}")
     try:
         return _finite(s * math.exp(c - shift), f"bessel_i at nu={nu}, x={x}")

@@ -110,11 +110,16 @@ class TestUsageErrors:
         ("--command", "barrier-check", "--alpha-cap", "nan"),
         ("--command", "barrier-check", "--lambda-hi", "inf"),
         ("--command", "barrier-check", "--R", "inf"),
+        ("--command", "gyro-check", "--seed", "-1"),
+        ("--command", "gyro-check", "--n-cases", "100000000000000000000"),
+        ("--command", "barrier-check", "--n-samples", "100000000000000000000"),
+        ("--command", "verify-constant", "--max-subdiv", "1000000"),
     ])
     def test_no_traceback_and_no_vacuous_pass(self, capsys, argv):
-        # a family that needs parameters, an empty or negative count, and a
-        # non-finite or out-of-range float once gave a raw traceback, a
-        # ZeroDivisionError or OverflowError, or exited 1 with no records
+        # a family that needs parameters, an empty, negative or huge count, a
+        # negative seed, and a non-finite or out-of-range float once gave a
+        # raw traceback, a ZeroDivisionError or OverflowError, ran without
+        # end, or exited 1 with no records
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -266,6 +271,7 @@ class TestJsonFormat:
         assert code == 0
         doc = json.loads(out)
         assert doc["tolerances"]["radial_rel"] == 1e-8
+        assert doc["tolerances"]["table_rel"] == 1e-13
         assert "rel_tol" not in doc["tolerances"]
         assert "quadrature" not in doc
 
@@ -320,6 +326,13 @@ _FUZZ_FLAGS = {
 }
 
 
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), value=st.floats())
 def test_cli_fuzz_any_float_flag(data, value):
@@ -327,8 +340,52 @@ def test_cli_fuzz_any_float_flag(data, value):
     # never a traceback (RuntimeWarning is an error in this suite)
     command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
     flag = data.draw(st.sampled_from(_FUZZ_FLAGS[command]))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--command", command, *_FUZZ_BASE[command], f"{flag}={value!r}"])
+    code, err = _run_quietly(["--command", command, *_FUZZ_BASE[command], f"{flag}={value!r}"])
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# each integer flag: a command that reads it, its least valid value, its
+# largest small value drawn, and its cap (the seed has none: values beyond
+# 2^64 are drawn instead, which are valid and cheap).  Valid counts far below
+# a cap are slow, not faulty, and are not drawn
+_INT_FLAGS = {
+    "--n-cases": ("gyro-check", 1, 5, 10 ** 6),
+    "--n-samples": ("barrier-check", 1, 2, 10 ** 4),
+    "--max-subdiv": ("verify-constant", 10, 60, 10 ** 5),
+    "--seed": ("gyro-check", 0, 1000, None),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_integer_flags(data):
+    # below the range, small and valid, or above the cap: a usage error for
+    # every value out of range, one line and no traceback
+    flag = data.draw(st.sampled_from(sorted(_INT_FLAGS)))
+    command, lo, small, cap = _INT_FLAGS[flag]
+    value = data.draw(st.one_of(st.integers(max_value=lo - 1), st.integers(lo, small),
+                                st.integers(min_value=2 ** 64 if cap is None else cap + 1)))
+    code, err = _run_quietly(["--command", command, *_FUZZ_BASE[command], f"{flag}={value}"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if value < lo or (cap is not None and value > cap):
+        assert code == 2 and err.startswith("usage error:") and err.count("\n") == 1
+
+
+_TEXT_FLAGS = {
+    "verify-constant": ("--lambda-grid", "--gamma-grid"),
+    "scale-sweep": ("--r-grid", "--gamma-grid"),
+    "kernel-table": ("--rho-grid",),
+    "gamma-limit": ("--profile", "--gamma-grid"),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), value=st.text())
+def test_cli_fuzz_string_flags(data, value):
+    command = data.draw(st.sampled_from(sorted(_TEXT_FLAGS)))
+    flag = data.draw(st.sampled_from(_TEXT_FLAGS[command]))
+    code, err = _run_quietly(["--command", command, *_FUZZ_BASE[command], f"{flag}={value}"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

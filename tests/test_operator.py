@@ -33,7 +33,9 @@ from hypfrac.operator import (
     second_difference,
     tabulated,
 )
-from hypfrac.operator import _PANEL_LIMIT, _angular, _graded_cuts
+from hypfrac.operator import (_PANEL_LIMIT, _TAIL_EPS, _angular, _angular_table,
+                              _graded_cuts, _table)
+from hypfrac.quadrature import integrate
 from hypfrac.scale import i0_closed, iinf_closed
 
 UNIT = EllipticityBounds(1.0, 1.0)
@@ -357,11 +359,15 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
 
 
 class TestAngularForms:
-    """A linear combine integrates u(w) - u0 one-sided over the whole sphere;
-    the antipodal pair (what a nonlinear combine needs) gives the same value.
-    Closer in, at r = 2e-3, the one-sided form loses digits (3.2e-9 on the
-    barrier at alpha 2, R0 2.7), which is why the frozen node at r = 1e-3
-    stays paired."""
+    """A linear combine integrates u(w) - u0 one-sided over the whole sphere,
+    and reads it from one antiderivative table, F(r + R0) - F(|r - R0|) over
+    sinh r sinh R0; the antipodal pair (what a nonlinear combine needs) gives
+    the same value.
+
+    The table's first panels halve toward R0, so even at r = 1e-2, where
+    F(R0 +- r) ~ r^2 |u'| stand against a difference ~ r^3, the two forms
+    agree to 1e-9 (worst 9.1e-11 here; against a 40-digit mpmath quadrature
+    the table is off by <= 1.0e-11 there, the paired form by <= 8.9e-11)."""
 
     RADII = np.array([1e-2, 0.1, 1.0, 3.0])
     CASES = ([(barrier_profile(BarrierSpec(delta=0.5, alpha=a, R=1.0, gamma=0.99)), R0)
@@ -371,9 +377,77 @@ class TestAngularForms:
     @pytest.mark.parametrize("u,R0", CASES)
     def test_one_sided_matches_paired(self, u, R0):
         u0 = u(R0)
-        one_sided = _angular(u, R0, u0, self.RADII, 1.0, 1.0, False)
-        paired = _angular(u, R0, u0, self.RADII, 1.0, 1.0, True)
-        np.testing.assert_allclose(one_sided, paired, rtol=1e-9, atol=0.0)
+        table = _table(u, R0, 2.0 * R0 + self.RADII[-1])
+        from_table = _angular_table(table, u, R0, u0, self.RADII, 1.0)
+        paired = _angular(u, R0, u0, self.RADII, 1.0, 1.0)
+        np.testing.assert_allclose(from_table, paired, rtol=1e-9, atol=0.0)
+
+    def test_linear_operators_integrate_only_the_frozen_node(self, monkeypatch):
+        # a linear combine reads every radial node's sphere from the table;
+        # only the frozen node (one radius) and a nonlinear combine integrate
+        # over omega1
+        radii = []
+
+        def counting(f, lo, hi, owner, n_owners, cfg, what, at=None):
+            if what == "angular integral":
+                radii.append(n_owners)
+            return integrate(f, lo, hi, owner, n_owners, cfg, what, at)
+
+        monkeypatch.setattr("hypfrac.operator.integrate", counting)
+        u = barrier_profile(BarrierSpec(delta=0.5, alpha=4.0, R=1.0, gamma=0.99))
+        for value in (pucci_plus(u, 1.0, 0.99, UNIT), apply_fraclap(gaussian_bump(), 0.5, 0.6)):
+            assert math.isfinite(value)
+        assert radii == [1, 1]
+        pucci_plus(gaussian_bump(), 0.5, 0.6, WIDE)
+        assert len(radii) > 3
+
+
+class TestAntiderivativeTable:
+    @pytest.mark.parametrize("width", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("R0", [0.3, 1.5])
+    def test_gaussian_closed_form(self, width, R0):
+        # (w sqrt(pi)/4) e^(w^2/4) (erfc(s/w + w/2) - erfc(s/w - w/2)) is an
+        # antiderivative of e^(-s^2/w^2) sinh(s); erfc keeps its digits where
+        # both erf values are near 1
+        def P(s):
+            return (width * math.sqrt(math.pi) / 4.0 * math.exp(width * width / 4.0)
+                    * (math.erfc(s / width + width / 2.0) - math.erfc(s / width - width / 2.0)))
+
+        u = gaussian_bump(width)
+        u0 = u(R0)
+        top = 2.0 * R0 + u.tail_radius(_TAIL_EPS)  # A + R0, as the operator builds it
+
+        def F(s):
+            return P(s) - P(R0) - u0 * (math.cosh(s) - math.cosh(R0))
+
+        # u - u0 changes sign at R0 only, so F(0) and F(top) hold the |f| mass
+        mass = abs(F(0.0)) + abs(F(top))
+        s = np.linspace(0.0, top, 1001)
+        got = _table(u, R0, top)(s)
+        want = np.array([F(x) for x in s])
+        assert np.max(np.abs(got - want)) <= 1e-12 * mass
+
+    @pytest.mark.parametrize("u, R0", [(gaussian_bump(6.0), 1e-4), (gaussian_bump(2.0), 0.05),
+                                       (polynomial_bump(2.0), 0.05)])
+    def test_rounding_next_to_R0(self, u, R0):
+        # u(s) - u0 vanishes at R0 but carries the rounding of u(s): panels
+        # resolved to that rounding are accepted, where bisecting them to
+        # 1e-13 of their |f| mass once ran into the panel limit
+        top = 2.0 * R0 + u.tail_radius(_TAIL_EPS)
+        s = np.array([0.0, R0, top])
+        assert np.all(np.isfinite(_table(u, R0, top)(s)))
+        assert math.isfinite(apply_fraclap(u, R0, 0.6))
+
+    @pytest.mark.parametrize("width, gamma, gap", [(0.8, 0.3, 1.5e-11), (0.8, 0.6, 1.9e-9),
+                                                   (1.0, 0.3, 7.7e-12)])
+    def test_unresolved_spheres_near_the_center(self, width, gamma, gap):
+        # at R0 = 0 no sphere is resolved and no table is built; at R0 = 1e-9
+        # the spheres with 2 R0 <= 1e-6 r are not.  Both match the spectral
+        # oracle as closely as the jump integral did before the table (gap)
+        st = SphericalTransform(gaussian_bump(width))
+        for R0 in (0.0, 1e-9):
+            got = apply_fraclap(gaussian_bump(width), R0, gamma)
+            assert got == pytest.approx(st.multiplier_value(R0, gamma), rel=1.5 * gap)
 
 
 class TestRejectedQuadrature:

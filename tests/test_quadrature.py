@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypfrac.errors import DomainError, NumericError
 from hypfrac.quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, alg_left, alg_tail,
-                                gk21_batch, integrate)
+                                antiderivative, gk21_batch, integrate)
 
 
 def test_many_integrals_at_once():
@@ -134,3 +135,54 @@ def test_alg_tail_factor_past_the_float_range():
     # made a nan
     with pytest.raises(NumericError):
         alg_tail(lambda x: np.exp(-x), 1.0, 2.2e-311)
+
+
+TABLE = QuadratureConfig(1e-13, 1e-18, 1 << 13)
+
+
+def test_antiderivative_from_the_anchor():
+    # the integral of (cos(s) - cos(2)) e^s over [2, w], on both sides of the
+    # anchor; the first panels are far too wide, so they are bisected
+    F = antiderivative(np.cos, np.exp, [0.0, 5.0, 9.0], 2.0, TABLE, "test")
+
+    def exact(w):
+        return (math.exp(w) * (math.cos(w) + math.sin(w)) / 2.0 - math.cos(2.0) * math.exp(w)
+                - (math.exp(2.0) * (math.cos(2.0) + math.sin(2.0)) / 2.0
+                   - math.cos(2.0) * math.exp(2.0)))
+
+    w = np.linspace(0.0, 9.0, 301)
+    want = np.array([exact(x) for x in w])
+    np.testing.assert_allclose(F(w), want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+    assert abs(F(np.array([2.0]))[0]) <= 1e-14
+    assert F(np.array([[1.0, 3.0]])).shape == (1, 2)
+
+
+def test_antiderivative_sees_the_node_budget():
+    sizes = []
+
+    def v(x):
+        sizes.append(x.size)
+        return np.exp(-x)
+
+    antiderivative(v, np.ones_like, np.linspace(0.0, 300.0, 1201), 0.0, TABLE, "test")
+    assert max(sizes) <= NODE_BUDGET and sum(sizes) > NODE_BUDGET
+
+
+def test_antiderivative_panel_limit_is_a_numeric_error_in_bounded_memory():
+    # sin(1e8 s) needs ~1e8 panels: the table stops at its panel limit with
+    # a typed error, holding at most that many panels, not a MemoryError
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match="panels"):
+            antiderivative(lambda s: np.sin(1e8 * s), np.ones_like, [0.0, 2.0], 1.0, TABLE,
+                           "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_antiderivative_of_a_non_finite_integrand():
+    with pytest.raises(NumericError, match="not finite"):
+        antiderivative(lambda s: np.where(s > 0.5, np.inf, s), np.ones_like, [0.0, 1.0], 0.0,
+                       TABLE, "test")

@@ -389,9 +389,19 @@ class TestSeriesCore:
             for x in np.linspace(5.0, 90.0, 18):
                 assert bessel_i(nu, x) == pytest.approx(float(mpmath.besseli(nu, x)), rel=1e-14)
 
-    def test_every_term_at_a_pole(self):
-        with pytest.raises(NumericError):
-            bessel_i(-46.0, 1.0)
+    def test_terms_past_the_poles(self):
+        # the first 46 terms of I_{-46}(1) sit at poles of Gamma(j - 45); the
+        # series runs past them as far as it runs past x/2
+        assert bessel_i(-46.0, 1.0) == pytest.approx(bessel_i(46.0, 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("nu, x", [(-46.5, 1.0), (-2.5, 1e-100), (-46.5, 20.0),
+                                       (-10.5, 100.0), (-3.5, 5.0)])
+    def test_orders_below_minus_one(self, nu, x):
+        # anchored at the largest |term|, which at a non-integer order below
+        # -1 may lie below the poles, where the terms alternate in sign
+        with mpmath.workdps(40):
+            want = float(mpmath.besseli(nu, x))
+        assert bessel_i(nu, x) == pytest.approx(want, rel=1e-14)
 
     def test_underflowing_ratio(self):
         # (x/2)^2 underflows: below a pole the terms vanish, elsewhere they

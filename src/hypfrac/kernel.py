@@ -10,14 +10,17 @@ multiplier (lambda^2 + 4/t^2)^gamma.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left, alg_tail
+from .quadrature import (QuadratureConfig, DEFAULT_QUAD, _chebyshev_matrices, _clenshaw,
+                         alg_left, alg_tail)
 from .specfun import _finite, bessel_k, bessel_k_scaled
 
 __all__ = [
+    "KERNEL_TABLE_REL",
     "KernelSpec",
     "gamma_abs_neg",
     "normalizing_constant",
@@ -98,11 +101,14 @@ def kernel_sinh2(gamma: float, rho):
     This is the density against which every radial integral is taken; the
     exponential growth of sinh^2 exactly cancels the kernel's decay, leaving
     an algebraic rho^(-1-gamma) tail.  K_{3/2+gamma} comes from
-    ``bessel_k_scaled``, whose trapezoid nodes sit on power-of-two steps
-    shared by all rho of one step, so the node tables of one gamma serve
-    every call.  rho may be a numpy array (all entries through those tables
-    in batches; an empty array gives an empty array); a scalar rho takes the
-    scalar path.  rho must be finite and positive (``DomainError``).
+    ``bessel_k_scaled``: Hankel's expansion from rho = 20 on, and below, the
+    trapezoid rule, whose node tables of one gamma serve every call.  rho
+    may be a numpy array (an empty array gives an empty array); a scalar rho
+    takes the scalar path.  rho must be finite and positive
+    (``DomainError``).  This is the exact reference of the density: the
+    radial integrals of ``operator`` read it from the jump-kernel table
+    (``_kernel_sinh2_log``), within ``KERNEL_TABLE_REL`` of it, and the
+    scale quadratures and ``invariance_integral`` call it directly.
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
@@ -122,6 +128,82 @@ def kernel_sinh2(gamma: float, rho):
     # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow
     ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-math.expm1(-2.0 * rho)) / 2.0
     return _finite(_sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh, "kernel_sinh2")
+
+
+# the jump-kernel table: Chebyshev points of degree _KT_GAMMA_DEG in gamma on
+# [0, 1], and panels _KT_WIDTH wide in t = log rho from _KT_T0, degree
+# _KT_T_DEG on each, up to the first panel end past rho = 400.  The span
+# starts a panel below rho = 1e-3, where the radial integrals of ``operator``
+# start
+_KT_GAMMA_DEG = 14
+_KT_T_DEG = 16
+_KT_WIDTH = 0.25
+_KT_T0 = math.log(1e-3) - _KT_WIDTH
+_KT_PANELS = math.ceil((math.log(400.0) - _KT_T0) / _KT_WIDTH)
+_KT_END = _KT_T0 + _KT_PANELS * _KT_WIDTH
+# a bound on the table's relative error against kernel_sinh2, checked on a
+# grid of gamma in [1e-6, 1 - 1e-9] by log rho over the whole span (worst
+# measured: 1.6e-14, near the ends of the span)
+KERNEL_TABLE_REL = 5e-14
+
+
+# built on first use, not at import, like the Chebyshev matrices it reads
+@lru_cache(maxsize=None)
+def _kernel_table():
+    """Chebyshev coefficients c[j, k, i] of L(gamma, t) =
+    log(rho^(1+2 gamma) kernel_sinh2(gamma, rho) / P(gamma)) at rho = e^t,
+    P = ``_sinh2_prefactor``: the coefficient of T_j(2 gamma - 1) T_k(x) on
+    panel i, x in [-1, 1] across it.  L = (1/2 + gamma) t + log(K_{3/2+gamma}
+    (rho) sinh rho) is the log of the smooth factor left by the singularity
+    at 0, bounded there and growing like gamma t, and analytic in the order,
+    so that its values at the ends gamma = 0 and 1, which kernel_sinh2
+    refuses, come from ``bessel_k_scaled`` as well.  Read-only."""
+    g_nodes, g_coef = _chebyshev_matrices(_KT_GAMMA_DEG)[:2]
+    t_nodes, t_coef = _chebyshev_matrices(_KT_T_DEG)[:2]
+    mid = _KT_T0 + _KT_WIDTH * (np.arange(_KT_PANELS) + 0.5)
+    t = (mid[:, None] + 0.5 * _KT_WIDTH * t_nodes).ravel()
+    rho = np.exp(t)
+    half_sinh = -np.expm1(-2.0 * rho) / 2.0
+    values = np.array([(0.5 + g) * t + np.log(bessel_k_scaled(1.5 + g, rho) * half_sinh)
+                       for g in 0.5 * (g_nodes + 1.0)])
+    # gamma, then t on each panel: (gamma coefficient, panel, t coefficient)
+    coef = (g_coef @ values).reshape(-1, _KT_PANELS, t_nodes.size) @ t_coef.T
+    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))
+    coef.flags.writeable = False
+    return coef
+
+
+@lru_cache(maxsize=8)
+def _kernel_table_at(gamma: float):
+    """The table's coefficients at one order, c[k, i] of T_k(x) on panel i
+    (the gamma series summed for every (k, i) at once), and P(gamma).
+    Read-only."""
+    coef = _clenshaw(_kernel_table(), slice(None), 2.0 * gamma - 1.0)
+    coef.flags.writeable = False
+    return coef, _sinh2_prefactor(gamma)
+
+
+def _kernel_sinh2_log(gamma: float, t):
+    """kernel_sinh2(gamma, e^t) at every entry of the array t, from the
+    jump-kernel table where t lies in its span: the panel
+    floor((t - _KT_T0) / _KT_WIDTH), Clenshaw's sum there, and
+    P exp(L - (1 + 2 gamma) t), within ``KERNEL_TABLE_REL`` of kernel_sinh2.
+    Entries outside the span are kernel_sinh2's own values."""
+    if not 0.0 < gamma < 1.0:
+        raise DomainError("gamma must lie in (0, 1)")
+    coef, pref = _kernel_table_at(gamma)
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    inside = (flat >= _KT_T0) & (flat <= _KT_END)
+    out = np.empty(flat.shape)
+    t_in = flat[inside]
+    s = (t_in - _KT_T0) / _KT_WIDTH
+    i = np.minimum(s.astype(np.intp), _KT_PANELS - 1)
+    L = _clenshaw(coef, i, 2.0 * (s - i) - 1.0)
+    out[inside] = pref * np.exp(L - (1.0 + 2.0 * gamma) * t_in)
+    if not inside.all():
+        out[~inside] = kernel_sinh2(gamma, np.exp(flat[~inside]))
+    return out.reshape(t.shape)
 
 
 # up to this rho, where the near maps send most nodes as gamma -> 1 and kernel_sinh2

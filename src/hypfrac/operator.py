@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, UnsupportedRangeError
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
-from .kernel import kernel_sinh2
-from .quadrature import ROUNDING, QuadratureConfig, antiderivative, integrate
+from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log, kernel_sinh2
+from .quadrature import ROUNDING, QuadratureConfig, _sorted_unique, antiderivative, integrate
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -313,7 +313,7 @@ NONLOCAL_TOLERANCES = {
     "angular_rel": _ANGULAR.rel_tol, "angular_abs": _ANGULAR.abs_tol,
     "table_rel": _TABLE.rel_tol, "table_abs": _TABLE.abs_tol,
     "panel_limit": _PANEL_LIMIT, "table_panel_limit": _TABLE.max_subdiv,
-    "tail_eps": _TAIL_EPS,
+    "tail_eps": _TAIL_EPS, "kernel_table_rel": KERNEL_TABLE_REL,
 }
 
 
@@ -402,8 +402,9 @@ def _table(u, R0, w_max):
     a bounded support, are at most _TABLE_WIDTH wide, and halve toward R0
     down to _TABLE_FINEST: F(R0 + r) and F(R0 - r), ~r^2 |u'|, carry the
     rounding of the panels they lie on, against a difference ~r^3."""
-    ends = np.union1d(_graded_cuts(0.0, w_max, {R0}, _TABLE_FINEST),
-                      [p for p in (*u.kink_radii, u.support_radius) if 0.0 < p < w_max])
+    ends = _sorted_unique(np.append(
+        _graded_cuts(0.0, w_max, {R0}, _TABLE_FINEST),
+        [p for p in (*u.kink_radii, u.support_radius) if 0.0 < p < w_max]))
     # each gap in m equal pieces
     gaps = np.diff(ends)
     m = np.ceil(gaps / _TABLE_WIDTH).astype(int)
@@ -465,6 +466,14 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     * the far tail beyond A, where delta tends to (limit of u) - u(R0)
       uniformly, by its analytic kernel mass iinf_closed(A)/A^2.
 
+    The radial density 2 pi K sinh^2(r) r of the log-r integral comes from
+    the jump-kernel table (``kernel._kernel_sinh2_log``), built once per
+    process on first use for every order and contracted to gamma once per
+    order: a Clenshaw sum per node in place of a Bessel K rule, within
+    ``KERNEL_TABLE_REL`` (5e-14) of ``kernel_sinh2``.  The frozen node, and
+    any radius outside the table's span (below ~7.8e-4 or beyond ~442),
+    take ``kernel_sinh2`` itself.
+
     Outer panels are graded geometrically toward both kink images
     |R0 - r_k| and R0 + r_k, where the integrand of a steep barrier climbs
     by tens of orders of magnitude within a ramp whose width scales with the
@@ -514,7 +523,7 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
 
     def radial(t, own):
         r = np.exp(t)
-        dens = 2.0 * math.pi * kernel_sinh2(gamma, r) * r
+        dens = 2.0 * math.pi * _kernel_sinh2_log(gamma, t) * r
         return dens * angular(r.ravel()).reshape(r.shape)
 
     smooth = (2.0 * math.pi * kernel_sinh2(gamma, r_frozen)

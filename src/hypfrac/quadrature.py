@@ -12,10 +12,12 @@ bounded integrand, for integrands that are numpy functions:
 * ``alg_tail`` -- the integral of x^(-1-q) h(x) over [a, oo), q > 0, through
   x = a t^(-1/q).
 
-``antiderivative`` is the one table of the package: F(w), the integral of
+``antiderivative`` is the table of an integral: F(w), the integral of
 (v - v(anchor)) k from an anchor to w, as piecewise Chebyshev interpolants
 (the representation of Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004),
 for a caller that needs the integral of one integrand over many intervals.
+Its Chebyshev matrices (``_chebyshev_matrices``, of any degree) and Clenshaw
+sum (``_clenshaw``) also serve the jump-kernel table of ``kernel``.
 """
 
 import math
@@ -280,15 +282,24 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
 _CHEB_DEG = 32
 
 
+def _sorted_unique(x):
+    """The distinct entries of the array x, in increasing order: np.unique
+    without its import of numpy.ma, which would grow the memory of the first
+    call by more than a megabyte."""
+    x = np.sort(np.ravel(x))
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x
+
+
 # built on first use, not at import: numpy work at import would grow the
 # memory of every process that imports hypfrac, those that never build a table
 @lru_cache(maxsize=None)
-def _chebyshev_matrices():
-    """The points, and from the values at them: the Chebyshev coefficients
-    (the inverse Vandermonde matrix, a DCT-I), the Clenshaw-Curtis weights on
-    [-1, 1], and the n + 2 coefficients of the antiderivative that vanishes at
-    x = -1 (the T_k integration recurrence)."""
-    n = _CHEB_DEG
+def _chebyshev_matrices(n: int):
+    """The Chebyshev points of the second kind x_j = cos(pi j / n), j = 0..n,
+    and from the values at them: the Chebyshev coefficients of the degree-n
+    interpolant (the inverse Vandermonde matrix, a DCT-I), the
+    Clenshaw-Curtis weights on [-1, 1], and the n + 2 coefficients of the
+    antiderivative that vanishes at x = -1 (the T_k integration recurrence).
+    Read-only: every caller of one degree shares them."""
     k = np.arange(n + 1)
     ends = np.where((k == 0) | (k == n), 0.5, 1.0)
     to_coef = (2.0 / n) * np.cos(np.pi * np.outer(k, k) / n) * ends[:, None] * ends
@@ -301,13 +312,17 @@ def _chebyshev_matrices():
     integ[k[1:] + 1, k[1:]] = 1.0 / (2.0 * (k[1:] + 1))
     integ[k[2:] - 1, k[2:]] -= 1.0 / (2.0 * (k[2:] - 1))
     integ[0] = -((-1.0) ** np.arange(n + 2)) @ integ
-    return np.cos(np.pi * k / n), to_coef, moments @ to_coef, integ @ to_coef
+    out = np.cos(np.pi * k / n), to_coef, moments @ to_coef, integ @ to_coef
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _clenshaw(coef, i, x):
     """sum_k coef[k, i] T_k(x): the Chebyshev series of column i of coef at
     each entry of x, gathering one coefficient at a time, so that the
-    temporaries are the size of x."""
+    temporaries are the size of x.  With a scalar x and i = slice(None), the
+    series at x of every column of coef (of any shape past its first axis)."""
     b1 = b2 = np.zeros_like(x)
     for c in coef[:0:-1]:
         b1, b2 = c[i] + 2.0 * x * b1 - b2, b1
@@ -335,9 +350,9 @@ def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
     and none of the integral beyond.  Returns F as a numpy function of an
     array of w.
     """
-    nodes, to_coef, cc_weights, to_anti = _chebyshev_matrices()
+    nodes, to_coef, cc_weights, to_anti = _chebyshev_matrices(_CHEB_DEG)
     v0 = v(np.array([float(anchor)]))[0]
-    cuts = np.unique(np.append(np.asarray(cuts, dtype=float), anchor))
+    cuts = _sorted_unique(np.append(np.asarray(cuts, dtype=float), anchor))
     lo, hi = cuts[:-1], cuts[1:]
     kept = []
     n_kept = 0

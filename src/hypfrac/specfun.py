@@ -8,9 +8,12 @@ The evaluators are self-contained:
   which carries the scale and the sign (in log space, by ``math.lgamma``,
   where it is not a float).  For
   I at nu >= -1 the terms are nonnegative: no cancellation on x in (0, ~700];
+  below, where they may alternate, a sum under 1e-3 of the largest term is
+  refused;
   ``bessel_i_scaled`` goes on beyond 700 with Hankel's expansion where
   nu^2 <= x.  L sums its terms, of either sign at negative orders, by fsum.
-* ``bessel_k`` integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is
+* ``bessel_k`` sums Hankel's expansion for x >= 20 where nu^2 <= x, and
+  elsewhere integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is
   exp(x) K_nu(x), with the trapezoid rule.  The rule converges geometrically
   for this analytic, double-exponentially decaying integrand (Trefethen and
   Weideman, SIAM Review 56, 2014).  Its step is the power of two
@@ -35,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericError, UnsupportedRangeError
-from .quadrature import NODE_BUDGET
+from .quadrature import NODE_BUDGET, _sorted_unique
 
 __all__ = [
     "bessel_i",
@@ -67,6 +70,14 @@ _K_EXP_FLOOR = -700.0
 # exponent exceeds nu times the last node, so only a large order at small x
 # looks at them
 _K_EXP_MAX = 698.0
+# Hankel's expansion of K serves x from here on where nu^2 <= x: its terms
+# then fall below _HANKEL_STOP of the sum within 24 terms, long before
+# k ~ 2x, where they would turn to grow
+_K_HANKEL_MIN = 20.0
+_HANKEL_STOP = 0.25 * np.finfo(float).eps
+# sqrt(pi / 2x) as this over sqrt(x): 2x overflows, and pi / 2x is subnormal,
+# near the top of the float range
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
 # the ascending series of I_nu runs up to here; bessel_i_scaled goes on with
@@ -81,6 +92,10 @@ _MAX_ORDER = 1e300
 # no series runs more terms: x = 1e4 takes ~6.2k; only an order far below 0
 # asks for more
 _SERIES_MAX_TERMS = 1 << 16
+# below nu = -1 the terms of I may alternate in sign: a sum below this
+# fraction of the largest |term| has lost more than three digits to
+# cancellation, and is refused
+_I_CANCELLATION = 1e-3
 
 
 def _check_order(nu: float, what: str):
@@ -144,9 +159,9 @@ def _i_series(nu: float, x: float, shift: float = 0.0) -> float:
     """exp(-shift) I_nu(x) from the ascending series."""
     c, terms = _series(x, nu, 1.0, nu + 1.0)
     s = float(terms.sum())
-    if not s > 0.0:
-        raise NumericError(f"bessel_i series lost its sign at nu={nu}, x={x}")
-    if abs(terms[-1]) > math.exp(-37.0) * s:
+    if not abs(s) > _I_CANCELLATION * float(np.abs(terms).max()):
+        raise NumericError(f"bessel_i series cancels at nu={nu}, x={x}")
+    if abs(terms[-1]) > math.exp(-37.0) * abs(s):
         raise NumericError(f"bessel_i series truncated too early at nu={nu}, x={x}")
     try:
         return _finite(s * math.exp(c - shift), f"bessel_i at nu={nu}, x={x}")
@@ -262,9 +277,61 @@ def _k_table(nu: float, level: int, size: int):
     return tables
 
 
-def _k_trapezoid(nu: float, x: float) -> float:
-    """exp(x) K_nu(x) at a float x > 0."""
+def _k_hankel(nu: float, x: float) -> float:
+    """exp(x) K_nu(x) for x >= _K_HANKEL_MIN and 0 <= nu, nu^2 <= x, by
+    Hankel's expansion sqrt(pi / 2x) sum_k a_k / x^k (DLMF 10.40.2),
+    a_k = a_(k-1) (4 nu^2 - (2k - 1)^2) / 8k, up to the first term below
+    _HANKEL_STOP of the sum.  The ratio is taken as
+    ((nu - (k - 1/2)) / x) ((nu + k - 1/2) / 2k), which neither overflows at
+    large orders nor misses the zero that ends the sum at a half-integer nu.
+    The exponentially small part is below exp(-2x) relative."""
+    term = total = 1.0
+    k = 1
+    while True:
+        h = k - 0.5
+        term = term * ((nu - h) / x) * ((nu + h) / (2.0 * k))
+        total += term
+        if abs(term) <= _HANKEL_STOP * abs(total):
+            return total * (_SQRT_HALF_PI / math.sqrt(x))
+        k += 1
+
+
+def _k_hankel_array(nu: float, x):
+    """``_k_hankel`` at every entry of the 1-D array x, the same operations
+    entry by entry: each entry stops adding at its own first small term."""
+    term, total = np.ones_like(x), np.ones_like(x)
+    live = np.ones(x.shape, dtype=bool)
+    k = 1
+    while live.any():
+        h = k - 0.5
+        term = np.where(live, term * ((nu - h) / x) * ((nu + h) / (2.0 * k)), 0.0)
+        total += term
+        live &= np.abs(term) > _HANKEL_STOP * np.abs(total)
+        k += 1
+    return total * (_SQRT_HALF_PI / np.sqrt(x))
+
+
+def _k_scaled(nu: float, x: float) -> float:
+    """exp(x) K_nu(x) at a float x > 0: Hankel's expansion where it
+    serves, else the trapezoid rule."""
     nu = abs(nu)
+    if x >= _K_HANKEL_MIN and nu * nu <= x:
+        return _k_hankel(nu, x)
+    return _k_trapezoid(nu, x)
+
+
+def _k_scaled_array(nu: float, x):
+    """``_k_scaled`` at every entry of the 1-D array x."""
+    nu = abs(nu)
+    hankel = (x >= _K_HANKEL_MIN) & (nu * nu <= x)
+    out = np.empty_like(x)
+    out[hankel] = _k_hankel_array(nu, x[hankel])
+    out[~hankel] = _k_trapezoid_array(nu, x[~hankel])
+    return out
+
+
+def _k_trapezoid(nu: float, x: float) -> float:
+    """exp(x) K_nu(x) at a float x > 0, nu >= 0, by the trapezoid rule."""
     cut = _k_cutoff(nu, x, math.asinh, bool) + min(0.25, 8.0 / math.sqrt(x))
     if not cut <= _K_U_MAX:
         raise _k_unsupported(nu)
@@ -284,9 +351,8 @@ def _k_trapezoid(nu: float, x: float) -> float:
 
 
 def _k_trapezoid_array(nu: float, x):
-    """exp(x) K_nu(x) at every entry of the 1-D array x: the rule of
+    """exp(x) K_nu(x) at every entry of the 1-D array x, nu >= 0: the rule of
     ``_k_trapezoid``, run on the rows that share a node table at once."""
-    nu = abs(nu)
     # x < ~1e-307: an infinite cut (inf - inf in the steps after), refused below
     with np.errstate(over="ignore", invalid="ignore"):
         cut = _k_cutoff(nu, x, np.arcsinh, np.any) + np.minimum(0.25, 8.0 / np.sqrt(x))
@@ -302,7 +368,7 @@ def _k_trapezoid_array(nu: float, x):
     # rows of one (level, size) share a table, size = 2^bits >= n
     key = 64 * level + np.frexp(n - 1)[1]
     out = np.empty_like(x)
-    for k in np.unique(key).tolist():
+    for k in _sorted_unique(key).tolist():
         lv, bits = divmod(k, 64)
         rows = np.flatnonzero(key == k)
         top = int(n[rows].max()) + 1
@@ -327,35 +393,38 @@ def bessel_k(nu: float, x: float) -> float:
 
     nu must be finite and x finite and positive (``DomainError`` otherwise);
     x below ~1e-291, whose rule would run past u = 709, and a large order at
-    large x, whose rule would need more than 2^16 nodes, raise
+    large x (nu^2 > x), whose rule would need more than 2^16 nodes, raise
     ``UnsupportedRangeError``.  K_nu underflows to 0 beyond x ~ 745.
     """
     _check_order(nu, "bessel_k")
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_k requires finite x > 0")
-    return _k_trapezoid(nu, x) * math.exp(-x)
+    return _k_scaled(nu, x) * math.exp(-x)
 
 
 def bessel_k_scaled(nu: float, x):
     """exp(x) * K_nu(x), stable for arbitrarily large x.
 
-    The trapezoid rule on the nodes j 2^-level (see the module docstring),
-    with the step 2^-level <= min(1/16, 1/(2 sqrt x)) and at least 80 steps
-    up to the cut where the integrand has decayed by exp(-45).  x may be a
-    numpy array; its entries then run through the same node tables in
-    batches, and agree with the scalar path to a few ulp.  Every entry must be
-    finite and positive (``DomainError``); an empty array gives an empty
-    array.  The ranges of ``bessel_k`` apply.
+    For x >= 20 where nu^2 <= x, Hankel's expansion sqrt(pi / 2x)
+    sum_k a_k(nu) / x^k, summed until a term falls below eps/4 of the sum
+    (at most 24 terms).  Elsewhere the trapezoid rule on the nodes j 2^-level
+    (see the module docstring), with the step 2^-level <= min(1/16,
+    1/(2 sqrt x)) and at least 80 steps up to the cut where the integrand
+    has decayed by exp(-45).  x may be a numpy array; its entries then take
+    the same two routes, the expansion entry by entry and the rule through
+    the same node tables in batches, and agree with the scalar path to a few
+    ulp.  Every entry must be finite and positive (``DomainError``); an
+    empty array gives an empty array.  The ranges of ``bessel_k`` apply.
     """
     _check_order(nu, "bessel_k_scaled")
     if isinstance(x, np.ndarray):
         x = x.astype(float, copy=False)
         if not np.all((x > 0.0) & (x < np.inf)):
             raise DomainError("bessel_k_scaled requires finite x > 0")
-        return _k_trapezoid_array(nu, x.ravel()).reshape(x.shape)
+        return _k_scaled_array(nu, x.ravel()).reshape(x.shape)
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_k_scaled requires finite x > 0")
-    return _k_trapezoid(nu, x)
+    return _k_scaled(nu, x)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypfrac.cli import build_parser, main
+from hypfrac.kernel import KERNEL_TABLE_REL
 from hypfrac.quadrature import DEFAULT_QUAD
 
 
@@ -274,6 +275,25 @@ class TestJsonFormat:
         assert doc["tolerances"]["table_rel"] == 1e-13
         assert "rel_tol" not in doc["tolerances"]
         assert "quadrature" not in doc
+
+    def test_kernel_table_bound_in_json_only(self, capsys):
+        # the table's verified bound is reported with the tolerances; the CSV
+        # holds the records alone, byte for byte as the JSON records format
+        args = ("--command", "barrier-check", "--alpha-start", "8", "--alpha-cap", "8",
+                "--n-samples", "2", "--gamma", "0.99")
+        code, text, _ = run(capsys, *args)
+        code_json, out, _ = run(capsys, *args, "--format", "json")
+        assert code == code_json == 0
+        doc = json.loads(out)
+        assert doc["tolerances"]["kernel_table_rel"] == KERNEL_TABLE_REL
+        cols = ["alpha", "R0", "margin", "nonpositive"]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(cols)
+        for rec in doc["records"]:
+            writer.writerow([f"{rec[c]:.17g}" if isinstance(rec[c], float) else str(rec[c])
+                             for c in cols])
+        assert text == want.getvalue()
 
     def test_no_tolerances_without_quadrature(self, capsys):
         code, out, _ = run(

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from hypfrac.errors import DomainError, HypfracError
 from hypfrac.kernel import (
+    KERNEL_TABLE_REL,
     KernelSpec,
+    _KT_END,
+    _KT_PANELS,
+    _KT_T0,
+    _KT_WIDTH,
+    _kernel_sinh2_log,
     euclidean_limit_ratio,
     gamma_abs_neg,
     invariance_integral,
@@ -144,6 +150,42 @@ class TestReentrancy:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda r: kernel_sinh2(0.6, r), rhos))
         assert threaded == serial
+
+
+class TestKernelTable:
+    """The jump-kernel table of the radial integrals, one for every order,
+    against kernel_sinh2."""
+
+    GAMMAS = (1e-6, 0.01, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-6, 1.0 - 1e-9)
+
+    def test_span(self):
+        # from a panel below the radial integrals' start at r = 1e-3 to r = 400
+        assert math.exp(_KT_T0) < 1e-3 and math.exp(_KT_END) >= 400.0
+
+    def test_within_its_bound(self):
+        assert KERNEL_TABLE_REL <= 5e-14
+        edges = _KT_T0 + _KT_WIDTH * np.arange(_KT_PANELS + 1)
+        t = np.concatenate([np.linspace(_KT_T0, _KT_END, 6001), edges,
+                            np.nextafter(edges, -np.inf)[1:], np.nextafter(edges, np.inf)[:-1]])
+        for g in self.GAMMAS:
+            got = _kernel_sinh2_log(g, t)
+            assert np.max(np.abs(got / kernel_sinh2(g, np.exp(t)) - 1.0)) <= KERNEL_TABLE_REL
+
+    def test_outside_its_span_is_kernel_sinh2(self):
+        out = np.array([np.nextafter(_KT_T0, -np.inf), math.log(1e-6), -40.0,
+                        np.nextafter(_KT_END, np.inf), math.log(1e3), math.log(1e6)])
+        t = np.concatenate([out, [0.0, 1.0]])
+        for g in (0.3, 0.99):
+            want = kernel_sinh2(g, np.exp(out))
+            np.testing.assert_array_equal(_kernel_sinh2_log(g, out), want)
+            np.testing.assert_array_equal(_kernel_sinh2_log(g, t)[:out.size], want)
+
+    def test_shape_and_order(self):
+        t = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert _kernel_sinh2_log(0.5, t).shape == (3, 4)
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError):
+                _kernel_sinh2_log(bad, t)
 
 
 class TestInvarianceIntegral:

@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypfrac
 from hypfrac.errors import CalibrationError, DomainError, NumericError, UnsupportedRangeError
 from hypfrac.geometry import _MAX_SPAN, aux_H
 from hypfrac.operator import (
@@ -448,6 +454,44 @@ class TestAntiderivativeTable:
         for R0 in (0.0, 1e-9):
             got = apply_fraclap(gaussian_bump(width), R0, gamma)
             assert got == pytest.approx(st.multiplier_value(R0, gamma), rel=1.5 * gap)
+
+
+# one fresh process: the operator values it computes first (after other
+# orders if argv[1] is "after"), whether the jump-kernel table was built by
+# the import, and whether numpy.ma was ever loaded
+_FRESH_PROCESS = """
+import json, sys
+from hypfrac import kernel, operator as op
+built = kernel._kernel_table.cache_info().currsize
+unit = op.EllipticityBounds(1.0, 1.0)
+spec = op.BarrierSpec(0.5, 4.0, 1.0, 0.99)
+if sys.argv[1] == "after":
+    for g in (0.3, 0.5, 0.75):
+        op.apply_fraclap(op.gaussian_bump(1.0), 0.4, g)
+    op.pucci_plus(op.barrier_profile(op.BarrierSpec(0.5, 8.0, 1.0, 0.6)), 0.9, 0.6, unit)
+values = [op.pucci_plus(op.barrier_profile(spec), 0.7, 0.99, unit),
+          op.apply_fraclap(op.gaussian_bump(0.8), 0.5, 0.6),
+          op.barrier_check(spec, [0.9], unit).mplus[0]]
+print(json.dumps({"built_at_import": built, "values": [float(v).hex() for v in values],
+                  "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def _fresh_process(mode):
+    env = dict(os.environ, PYTHONPATH=str(Path(hypfrac.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, mode], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestFreshProcess:
+    def test_values_do_not_depend_on_call_history(self):
+        first, after = _fresh_process("first"), _fresh_process("after")
+        assert first["values"] == after["values"]
+        # the table is built on first use, never at import
+        assert first["built_at_import"] == after["built_at_import"] == 0
+        # np.unique and np.union1d would load numpy.ma (+1.2 MB) in the first task
+        assert not first["numpy_ma"] and not after["numpy_ma"]
 
 
 class TestRejectedQuadrature:

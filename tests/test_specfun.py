@@ -258,6 +258,97 @@ class TestBesselKEdges:
             0.5 * math.gamma(0.3) * 2e280 ** 0.3, rel=1e-12)
 
 
+class TestHankelK:
+    """Hankel's expansion of exp(x) K_nu(x) serves x >= 20 where nu^2 <= x;
+    the trapezoid rule serves the rest."""
+
+    ORDERS = (0.0, 1.6, 2.0, 2.49, 2.4999, 2.5, 4.4)
+    X = (20.0, 23.7, 50.0, 333.3, 1e4, 1e6)
+
+    def test_against_mpmath(self):
+        worst = 0.0
+        for nu in self.ORDERS:
+            for x in self.X + (nu * nu,):
+                if not (x >= 20.0 and nu * nu <= x):
+                    continue
+                with mpmath.workdps(40):
+                    want = float(mpmath.besselk(nu, x) * mpmath.exp(x))
+                worst = max(worst, abs(bessel_k_scaled(nu, x) / want - 1.0))
+        assert worst <= 2e-15
+
+    def test_scalar_and_array_agree(self):
+        x = np.concatenate([np.geomspace(20.0, 1e6, 400), np.geomspace(1.0, 19.9, 50)])
+        for nu in self.ORDERS:
+            scalar = np.array([bessel_k_scaled(nu, float(v)) for v in x])
+            assert np.max(np.abs(bessel_k_scaled(nu, x) / scalar - 1.0)) <= 4 * np.finfo(float).eps
+
+    def test_half_integer_order_ends_the_sum(self):
+        for x in (20.0, 77.0, 1e5):
+            want = math.sqrt(math.pi / (2.0 * x)) * (1.0 + 3.0 / x + 3.0 / x ** 2)
+            assert bessel_k_scaled(2.5, x) == pytest.approx(want, rel=1e-15)
+
+    def test_routes(self, monkeypatch):
+        def refused(nu, x):
+            if np.size(x):
+                raise AssertionError("trapezoid rule")
+            return np.empty(0)
+
+        monkeypatch.setattr(specfun, "_k_trapezoid", refused)
+        monkeypatch.setattr(specfun, "_k_trapezoid_array", refused)
+        bessel_k(2.0, 20.0)
+        bessel_k_scaled(-2.0, np.array([20.0, 1e300]))
+        # an order above sqrt(x) takes the rule
+        for nu, x in ((4.5, 20.0), (2.0, 19.99)):
+            with pytest.raises(AssertionError):
+                bessel_k(nu, x)
+            with pytest.raises(AssertionError):
+                bessel_k_scaled(nu, np.array([x, 1e3]))
+
+    def test_orders_past_the_guard_and_the_switch(self):
+        for nu, x in ((10.0, 50.0), (7.0, 48.9), (4.48, 20.0)):
+            with mpmath.workdps(40):
+                want = float(mpmath.besselk(nu, x) * mpmath.exp(x))
+            assert bessel_k_scaled(nu, x) == pytest.approx(want, rel=1e-14)
+        for nu in (0.0, 2.49, 4.4):
+            below = bessel_k_scaled(nu, math.nextafter(20.0, 0.0))
+            assert bessel_k_scaled(nu, 20.0) == pytest.approx(below, rel=1e-14)
+
+    def test_top_of_the_float_range(self):
+        # sqrt(pi / 2x) where 2x overflows
+        x = 1.7e308
+        assert bessel_k_scaled(1e150, x) == pytest.approx(math.sqrt(math.pi / 2.0 / x), rel=1e-15)
+
+
+class TestNegativeBesselI:
+    """Below nu = -1 the series terms may alternate, and I_nu may be negative;
+    a sum cancelled below 1e-3 of its largest term is refused."""
+
+    # I_-1.5(x) = 0 here (40-digit mpmath)
+    ROOT = 1.1996786402577338
+
+    def test_pinned(self):
+        # 40-digit mpmath: -4.632320010854258
+        assert bessel_i(-1.5, 0.3) == pytest.approx(-4.632320010854258, rel=1e-14)
+
+    @pytest.mark.parametrize("nu, x", [(-1.5, 0.3), (-1.5, 1.0), (-1.5, 1e-3), (-1.3, 0.5),
+                                       (-3.5, 0.5), (-3.5, 2.0)])
+    def test_negative_values(self, nu, x):
+        with mpmath.workdps(40):
+            want = float(mpmath.besseli(nu, x))
+        assert want < 0.0
+        assert bessel_i(nu, x) == pytest.approx(want, rel=1e-14)
+        assert bessel_i_scaled(nu, x) == pytest.approx(want * math.exp(-x), rel=1e-14)
+
+    def test_cancelled_sum_is_refused(self):
+        for x in (self.ROOT, self.ROOT + 1e-9):
+            with pytest.raises(NumericError):
+                bessel_i(-1.5, x)
+        x = self.ROOT + 1e-2
+        with mpmath.workdps(40):
+            want = float(mpmath.besseli(-1.5, x))
+        assert bessel_i(-1.5, x) == pytest.approx(want, rel=1e-12)
+
+
 class TestNonFiniteArguments:
     def test_bessel_i_and_struve(self):
         for f in (bessel_i, bessel_i_scaled, struve_l):
@@ -404,11 +495,15 @@ class TestSeriesCore:
         assert bessel_i(nu, x) == pytest.approx(want, rel=1e-14)
 
     def test_underflowing_ratio(self):
-        # (x/2)^2 underflows: below a pole the terms vanish, elsewhere they
-        # leave the float range, never as a nan
+        # (x/2)^2 underflows: below a pole the terms vanish, and the one left
+        # is the value (negative: I_-1.5 < 0 near 0), or it leaves the float
+        # range, never as a nan
         assert bessel_i(-1.0, 1e-300) == pytest.approx(5e-301, rel=1e-14)
+        with mpmath.workdps(40):
+            want = float(mpmath.besseli(-1.5, mpmath.mpf("1e-200")))
+        assert bessel_i(-1.5, 1e-200) == pytest.approx(want, rel=1e-14)
         with pytest.raises(HypfracError):
-            bessel_i(-1.5, 1e-200)
+            bessel_i(-1.5, 1e-210)
 
 
 class TestStruve:

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import CalibrationError, DomainError, UnsupportedRangeError
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log, kernel_sinh2
-from .quadrature import ROUNDING, QuadratureConfig, _sorted_unique, antiderivative, integrate
+from .quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, _sorted_unique, antiderivative,
+                         integrate)
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -289,16 +290,15 @@ def second_difference(u: RadialProfile, R0: float, r: float, omega1: float) -> f
 # frozen at its value here, a relative modeling error of O(_R_FLOOR^2).
 _R_FLOOR = 1e-3
 # the panel limit of every integral of this module, the tolerances of the
-# nonlocal core's radial and angular integrals and of the spherical
+# nonlocal core's radial integral and of the spherical
 # transform's r- and lambda-integrals, and the tail bound that places the
 # nonlocal core's far-tail cut
 _PANEL_LIMIT = 200
 _RADIAL = QuadratureConfig(1e-8, 1e-12, _PANEL_LIMIT)
-_ANGULAR = QuadratureConfig(1e-9, 1e-15, _PANEL_LIMIT)
 _FORWARD = QuadratureConfig(1e-11, 1e-13, _PANEL_LIMIT)
 _SPECTRAL = QuadratureConfig(1e-9, 1e-11, _PANEL_LIMIT)
 _TAIL_EPS = 1e-12
-# the antiderivative table of a linear combine: the tolerances of its panels
+# the antiderivative table of the nonlocal core: the tolerances of its panels
 # (the absolute floor serves where u0 = 0 and u decays to 0 within a panel,
 # through subnormals or a derivative of limited smoothness), and its panel
 # limit, which leaves room for the first panels of the widest table (w up to
@@ -310,7 +310,6 @@ _TABLE_FINEST = 2.0 ** -6
 # what apply_fraclap and the Pucci operators run on, for reports
 NONLOCAL_TOLERANCES = {
     "radial_rel": _RADIAL.rel_tol, "radial_abs": _RADIAL.abs_tol,
-    "angular_rel": _ANGULAR.rel_tol, "angular_abs": _ANGULAR.abs_tol,
     "table_rel": _TABLE.rel_tol, "table_abs": _TABLE.abs_tol,
     "panel_limit": _PANEL_LIMIT, "table_panel_limit": _TABLE.max_subdiv,
     "tail_eps": _TAIL_EPS, "kernel_table_rel": KERNEL_TABLE_REL,
@@ -340,62 +339,6 @@ def _combine(d, pos, neg):
     return np.where(d >= 0.0, pos * d, neg * d)
 
 
-def _angular(u, R0, u0, r, pos, neg):
-    """Integral over omega1 in [-1, 1] of the combine of delta, slopes (pos,
-    neg), at each radius of the 1-D array r, in the distance variable w (see
-    ``_nonlocal_integral``): the antipodal average of the second difference
-    over the half w in [|r - R0|, w_hi] of the sphere, doubled.  Each radius
-    is one owner of the batch, its pieces the initial panels."""
-    # distances through x = cosh(d) - 1, free of the cancellation of acosh
-    # near 1: cosh(w_hi) - 1 = cosh r cosh R0 - 1 = 2 sinh^2((r - R0)/2) + b
-    b = np.sinh(r) * math.sinh(R0)
-    x_hi = 2.0 * np.sinh(0.5 * (r - R0)) ** 2 + b
-    w_lo, w_hi = np.abs(r - R0), acosh1p(x_hi)
-    out = 2.0 * _combine(u.f(r) - u0, pos, neg)
-    live = _live(w_lo, w_hi)
-    r, b, x_hi, w_lo, w_hi = r[live], b[live], x_hi[live], w_lo[live], w_hi[live]
-    cols = [w_lo, w_hi]
-    for rk in u.kink_radii:
-        # the kink and its mirror image
-        cols.append(np.full_like(r, rk))
-        cols.append(acosh1p(np.maximum(2.0 * x_hi - 2.0 * math.sinh(0.5 * rk) ** 2, 0.0)))
-    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_hi[:, None]), axis=1)
-    lo, hi = cuts[:, :-1], cuts[:, 1:]
-    node = np.broadcast_to(np.arange(r.size)[:, None], lo.shape)
-    keep = hi > lo
-    lo, hi, node = lo[keep], hi[keep], node[keep]
-    # the power-law ramps start at a kink: pieces above one run in log w
-    log_w = np.zeros(lo.shape, dtype=bool)
-    if u.kink_radii:
-        log_w = lo >= max(min(u.kink_radii), np.finfo(float).tiny)
-    lo = np.where(log_w, np.log(np.where(log_w, lo, 1.0)), lo)
-    hi = np.where(log_w, np.log(hi), hi)
-    two_x, scale = 2.0 * x_hi[node], 1.0 / b[node]
-
-    def g(x, own):
-        lw = log_w[own][:, None]
-        if lw.any():
-            w = np.where(lw, np.exp(x), x)
-            jac = np.sinh(w) * np.where(lw, w, 1.0) * scale[own][:, None]
-        else:
-            w, jac = x, np.sinh(x) * scale[own][:, None]
-        # the mirror distance: cosh(w_hat) = 2 cosh r cosh R0 - cosh w
-        w_hat = acosh1p(np.maximum(two_x[own][:, None] - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
-        return _combine(0.5 * (u.f(w) + u.f(w_hat)) - u0, pos, neg) * jac
-
-    val, _ = integrate(g, lo, hi, node, r.size, _ANGULAR, "angular integral", r)
-    out[live] = 2.0 * val
-    return out
-
-
-def _live(w_lo, w_hi):
-    """Where the sphere of distances [w_lo, w_hi] is resolved.  For R0 << r
-    the w-range shrinks to width ~R0, where rounding of w would distort the
-    omega1-measure; there the sphere average of delta is u(r) - u0 up to
-    O(R0^2) (relative < 1e-11 below the cut)."""
-    return w_hi - w_lo > 1e-6 * w_hi
-
-
 def _table(u, R0, w_max):
     """F(w) = integral of (u(s) - u0) sinh(s) over [R0, w], for w in
     [0, w_max].  Its first panels break at R0, the kink radii and the edge of
@@ -413,19 +356,89 @@ def _table(u, R0, w_max):
     return antiderivative(u.f, np.sinh, cuts, R0, _TABLE, "antiderivative table")
 
 
-def _angular_table(F, u, R0, u0, r, pos):
-    """``_angular`` for the linear combine of slope ``pos``, from the table F
-    of ``_table``.  On the sphere of radius r about the evaluation point, the
-    distance w from the center of u runs over [|r - R0|, r + R0] with the
-    measure sinh(w) dw / (sinh r sinh R0) in omega1, so the integral of
-    pos (u(w) - u0) is pos (F(r + R0) - F(|r - R0|)) / (sinh r sinh R0)."""
-    out = 2.0 * pos * (u.f(r) - u0)
+def _mirror(two_x, w):
+    """w_hat, cosh(w_hat) = 2 cosh r cosh R0 - cosh w, for two_x = 2 (cosh r cosh R0 - 1)."""
+    return acosh1p(np.maximum(two_x - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
+
+
+def _paired_delta(u, u0, two_x, w):
+    """delta(w) = (u(w) + u(w_hat)) / 2 - u0 at the 1-D array w, NODE_BUDGET nodes at a time."""
+    out = np.empty_like(w)
+    for s in range(0, w.size, NODE_BUDGET):
+        sl = slice(s, s + NODE_BUDGET)
+        out[sl] = 0.5 * (u.f(w[sl]) + u.f(_mirror(two_x[sl], w[sl]))) - u0
+    return out
+
+
+def _positive_part(F, u, R0, u0, r):
+    """The integral of delta^+ over omega1 in [-1, 1], times sinh r sinh R0,
+    at each radius of the 1-D array r.  w -> w_hat preserves sinh(w) dw and
+    swaps the halves [|r - R0|, w_mid] and [w_mid, r + R0] of the sphere, so
+    on a piece [a, b] of the first where delta(w) keeps its sign the integral
+    is G(b) - G(a), G(w) = F(w) - F(w_hat(w)).  Cut at the kinks and their
+    mirror images, each piece samples delta at 17 Chebyshev-Lobatto points
+    (in log w above a kink, where a barrier's ramps start), and 10 regula
+    falsi (Illinois) steps place each strict sign change between neighbours.
+    A sub-interval is positive where the sum of its end values is, a root
+    counting as 0: two roots within one spacing are missed, at a cost of the
+    |delta| mass between them."""
+    t = 0.5 - 0.5 * np.cos(np.pi * np.arange(17) / 16)
+    two_x = 2.0 * (2.0 * np.sinh(0.5 * (r - R0)) ** 2 + np.sinh(r) * math.sinh(R0))
+    w_lo, w_mid = np.abs(r - R0), acosh1p(0.5 * two_x)
+    cols = [w_lo, w_mid]
+    for rk in u.kink_radii:
+        cols += [np.full_like(r, rk), _mirror(two_x, rk)]
+    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_mid[:, None]), axis=1)
+    keep = cuts[:, 1:] > cuts[:, :-1]
+    lo, hi, sphere = cuts[:, :-1][keep], cuts[:, 1:][keep], np.nonzero(keep)[0]
+    w = lo[:, None] + (hi - lo)[:, None] * t
+    if u.kink_radii:
+        log_w = lo >= max(min(u.kink_radii), np.finfo(float).tiny)
+        w[log_w] = lo[log_w, None] * (hi[log_w] / lo[log_w])[:, None] ** t
+    w[:, 0], w[:, -1] = lo, hi
+    two_x = np.broadcast_to(two_x[sphere][:, None], w.shape)
+    d = _paired_delta(u, u0, two_x.ravel(), w.ravel()).reshape(w.shape)
+    a, b, da, db = w[:, :-1], w[:, 1:], d[:, :-1], d[:, 1:]
+    split = ((da > 0.0) & (db < 0.0)) | ((da < 0.0) & (db > 0.0))
+    # Illinois: the end kept for a second step has its value halved
+    x0, x1, f0, f1, tx = a[split], b[split], da[split], db[split], two_x[:, 1:][split]
+    for _ in range(10):
+        c = x1 - f1 / (f1 - f0) * (x1 - x0)
+        fc = _paired_delta(u, u0, tx, c)
+        flip = (fc > 0.0) != (f1 > 0.0)
+        x0, f0 = np.where(flip, x1, x0), np.where(flip, f1, 0.5 * f0)
+        x1, f1 = c, fc
+    # sub-interval [a, b] with root c (c = a without one): [a, c] is positive
+    # where da is, [c, b] where db is; the G(end) - G(start) of a piece's
+    # positive parts weigh each point by the flag before it less the one after
+    left = np.where(split, da > 0.0, da + db > 0.0)
+    flags = np.stack([left, left ^ split], axis=2)
+    weight = -np.diff(np.pad(flags.reshape(len(lo), -1), ((0, 0), (1, 1))).astype(float), axis=1)
+    pts = np.insert(w, np.arange(1, w.shape[1]), a, axis=1)
+    pts[:, 1::2][split] = x1
+    at = weight != 0.0
+    tx, own, pts = np.broadcast_to(two_x[:, :1], at.shape)[at], np.nonzero(at)[0], pts[at]
+    return np.bincount(sphere[own], weight[at] * (F(pts) - F(_mirror(tx, pts))), r.size)
+
+
+def _sphere_integrals(F, u, R0, u0, r, pos, neg):
+    """Integral over omega1 in [-1, 1] of the combine of delta, slopes (pos,
+    neg), at each radius of the 1-D array r, from the table F of ``_table``:
+    w runs over [|r - R0|, r + R0] with the measure sinh(w) dw /
+    (sinh r sinh R0) in omega1, so the term neg delta of the combine
+    neg delta + (pos - neg) delta^+ takes two values of F."""
+    out = 2.0 * _combine(u.f(r) - u0, pos, neg)
     w_lo, w_hi = np.abs(r - R0), r + R0
-    live = _live(w_lo, w_hi)
+    # for R0 << r the w-range shrinks to width ~R0, where rounding of w would
+    # distort the omega1-measure; there the sphere average of delta is
+    # u(r) - u0 up to O(R0^2) (relative < 1e-11 below the cut)
+    live = w_hi - w_lo > 1e-6 * w_hi
     if live.any():
-        ends = F(np.concatenate([w_hi[live], w_lo[live]]))
-        n = ends.size // 2
-        out[live] = pos * (ends[:n] - ends[n:]) / (np.sinh(r[live]) * math.sinh(R0))
+        F_hi, F_lo = np.split(F(np.concatenate([w_hi[live], w_lo[live]])), 2)
+        out[live] = neg * (F_hi - F_lo) / (np.sinh(r[live]) * math.sinh(R0))
+        if pos != neg:
+            out[live] += (pos - neg) * (_positive_part(F, u, R0, u0, r[live])
+                                        / (np.sinh(r[live]) * math.sinh(R0)))
     return out
 
 
@@ -436,25 +449,17 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     """Common quadrature core: integral of the combine of delta against the
     kernel, slope ``pos`` on delta >= 0 and ``neg`` below.
 
-    The angular integral is taken in the distance variable w from the center
-    of u, which is monotone in omega1: on the sphere of radius r about the
-    evaluation point, sinh(w) dw = sinh r sinh R0 d(omega1).  A linear
-    combine (pos == neg, as in ``apply_fraclap`` and Pucci under equal
-    bounds) therefore needs no angular quadrature: its angular integral is
-    pos (F(r + R0) - F(|r - R0|)) / (sinh r sinh R0), for the antiderivative
-    F(w) = integral of (u(s) - u0) sinh(s) over [R0, w], a piecewise
-    Chebyshev table (``quadrature.antiderivative``) built once per call and
-    summed outward from F(R0) = 0.  A nonlinear combine needs the antipodal
-    pair, the second difference, integrated over the half w = d_minus in
-    [|r - R0|, w_hi] and doubled: the map from w to its mirror distance
-    preserves the measure and swaps the two halves of the sphere.  The
-    frozen node below is paired whatever the slopes, so that the near-field
-    model does not depend on them.  In the paired form the profile's kinks
-    and their mirror images split the w-range into pieces, and a piece above
-    a kink, where the power-law ramps of a barrier start, is integrated in
-    log w.  Where R0 << r (at R0 = 0, everywhere) the sphere is not resolved
-    in w, and both forms take its average of delta as u(r) - u0.  The outer
-    r-integral has three parts:
+    Every angular integral, the frozen node's too, is read from one table of
+    the antiderivative F(w) = integral of (u(s) - u0) sinh(s) over [R0, w]
+    in the distance w from the center of u (``_sphere_integrals``): a
+    piecewise Chebyshev table (``quadrature.antiderivative``) built once per
+    call and summed outward from F(R0) = 0.  The combine is neg delta +
+    (pos - neg) delta^+; the first term takes two values of F per sphere,
+    the positive part (only where pos != neg) G(b) - G(a) on the positive
+    runs of the paired second difference (``_positive_part``).  Where
+    R0 << r (at R0 = 0, everywhere) the sphere is not resolved in w, and its
+    average of delta is taken as u(r) - u0.  The outer r-integral has three
+    parts:
 
     * below r = 1e-3 (or A/2 if smaller) the smooth factor of the
       r^(1-2 gamma) singularity is frozen and integrated analytically;
@@ -481,21 +486,18 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     toward each image until the one next to it is no wider than the smallest
     kink radius: ceil(log2(gap / r_k)) levels per side for the gap to the
     neighbouring break point, so a large kink gets few panels and a small
-    one as many as its ramp needs.  The radial integral and the paired
-    angular integrals are adaptive Gauss-Kronrod (``quadrature.integrate``):
-    every outer node's angular pieces are integrated together in one batch,
-    and a panel is accepted only once its two halves confirm it, never on a
-    single estimate.  Every batched integrand, and the table's profile
-    evaluations, see at most ``NODE_BUDGET`` nodes per numpy call, which
-    bounds the memory whatever the panel count.  Angular integrals run at the
-    config ``_ANGULAR``, to its ``rel_tol`` of their |f| mass (absolute floor
-    ``abs_tol``; of 1e3 times their value under stronger cancellation), the
-    radial integral at ``_RADIAL`` in the same sense; ``integrate`` rejects
-    them beyond ten times those tolerances.  Each integral stops refining at
-    ``_PANEL_LIMIT`` panels.  The table's panels are resolved to ``_TABLE``
-    (``rel_tol`` of their |f| mass), and more than its ``max_subdiv`` panels
-    raise ``NumericError``.  The far-tail cut sits where the profile's tail
-    bound reaches ``_TAIL_EPS``.
+    one as many as its ramp needs.  The radial integral is adaptive
+    Gauss-Kronrod (``quadrature.integrate``): a panel is accepted only once
+    its two halves confirm it, never on a single estimate.  Its integrand,
+    and the profile evaluations of the table and of the positive part, see
+    at most ``NODE_BUDGET`` nodes per numpy call, which bounds the memory
+    whatever the panel count.  It runs at ``_RADIAL``, to its ``rel_tol`` of
+    its |f| mass (absolute floor ``abs_tol``; of 1e3 times its value under
+    stronger cancellation), is rejected beyond ten times that, and stops
+    refining at ``_PANEL_LIMIT`` panels.  The table's panels are resolved to
+    ``_TABLE`` (``rel_tol`` of their |f| mass), and more than its
+    ``max_subdiv`` panels raise ``NumericError``.  The far-tail cut sits
+    where the profile's tail bound reaches ``_TAIL_EPS``.
     """
     if not 0.0 <= R0 < math.inf:
         raise DomainError("R0 must be finite and nonnegative")
@@ -511,15 +513,11 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     u0 = u(R0)
     r_frozen = min(_R_FLOOR, 0.5 * A)
 
-    if pos != neg:
-        def angular(r):
-            return _angular(u, R0, u0, r, pos, neg)
-    else:
-        # no sphere is resolved at R0 = 0 (see _live): no table
-        F = _table(u, R0, A + R0) if R0 > 0.0 else None
+    # no sphere is resolved at R0 = 0 (see _sphere_integrals): no table
+    F = _table(u, R0, A + R0) if R0 > 0.0 else None
 
-        def angular(r):
-            return _angular_table(F, u, R0, u0, r, pos)
+    def angular(r):
+        return _sphere_integrals(F, u, R0, u0, r, pos, neg)
 
     def radial(t, own):
         r = np.exp(t)
@@ -528,7 +526,7 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
 
     smooth = (2.0 * math.pi * kernel_sinh2(gamma, r_frozen)
               * r_frozen ** (2.0 * gamma - 1.0)
-              * _angular(u, R0, u0, np.array([r_frozen]), pos, neg)[0])
+              * angular(np.array([r_frozen]))[0])
     total = smooth * r_frozen ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
 
     images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
@@ -570,9 +568,10 @@ def pucci_plus(u: RadialProfile, R0: float, gamma: float,
                bounds: EllipticityBounds) -> float:
     """Maximal operator: integral of Lambda delta^+ - lambda delta^-.
 
-    The combine has slopes (lambda_hi, lambda_lo).  Under equal bounds it is
-    linear and the angular integrals come from the antiderivative table, as
-    in ``apply_fraclap``; otherwise they pair each distance with its antipode.
+    The combine has slopes (lambda_hi, lambda_lo).  Each sphere is read from
+    the antiderivative table of ``apply_fraclap``: its linear part at slope
+    lambda_lo, and, under unequal bounds, (lambda_hi - lambda_lo) times the
+    integral of delta^+ over the sign pieces of the paired second difference.
     """
     _require_c2_bounded(u, "pucci_plus")
     return _nonlocal_integral(u, R0, gamma, bounds.lambda_hi, bounds.lambda_lo)
@@ -582,8 +581,9 @@ def pucci_minus(u: RadialProfile, R0: float, gamma: float,
                 bounds: EllipticityBounds) -> float:
     """Minimal operator: integral of lambda delta^+ - Lambda delta^-.
 
-    The combine has slopes (lambda_lo, lambda_hi); the table under equal
-    bounds, paired otherwise, as in ``pucci_plus``.
+    The combine has slopes (lambda_lo, lambda_hi): the linear part at slope
+    lambda_hi, and (lambda_lo - lambda_hi) times the positive part, as in
+    ``pucci_plus``.
     """
     _require_c2_bounded(u, "pucci_minus")
     return _nonlocal_integral(u, R0, gamma, bounds.lambda_lo, bounds.lambda_hi)

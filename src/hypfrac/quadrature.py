@@ -65,18 +65,17 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
-def integrate(f, lo, hi, owner, n_owners, cfg: QuadratureConfig, what, at=None):
+def integrate(f, lo, hi, owner, n_owners, cfg: QuadratureConfig, what):
     """Values and |f| masses of ``gk21_batch`` integrals run at ``cfg``.  One
     whose error exceeds ten times the tolerance the batch granted it, max(abs_tol,
     rel_tol min(mass, 1e3 |value|), ROUNDING mass) for its |f| mass, as when it ran
-    out of panels, is rejected (``NumericError``), named by ``at`` if given."""
+    out of panels, is rejected (``NumericError``)."""
     val, err, mass, _ = gk21_batch(f, lo, hi, owner, n_owners, cfg.rel_tol, cfg.abs_tol,
                                    cfg.max_subdiv)
     bad = err / 10.0 > _granted(mass, val, cfg.rel_tol, cfg.abs_tol)
     if bad.any():
         k = int(np.argmax(bad))
-        where = "" if at is None else f" at r={at[k]:.6g}"
-        raise NumericError(f"{what}{where}: error {err[k]:.2e} too large for value {val[k]:.4e}")
+        raise NumericError(f"{what}: error {err[k]:.2e} too large for value {val[k]:.4e}")
     return val, mass
 
 
@@ -400,7 +399,8 @@ def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
 
     def F(w):
         w = np.asarray(w, dtype=float)
-        i = np.clip(np.searchsorted(lo, w.ravel(), side="right") - 1, 0, lo.size - 1)
+        # the panel of each w, the first or last one beyond the ends
+        i = np.searchsorted(lo[1:], w.ravel(), side="right")
         x = (w.ravel() - mid[i]) / half[i]
         return (offset[i] + half[i] * _clenshaw(anti, i, x)).reshape(w.shape)
 

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypfrac
 from hypfrac.errors import CalibrationError, DomainError, NumericError, UnsupportedRangeError
-from hypfrac.geometry import _MAX_SPAN, aux_H
+from hypfrac.geometry import _MAX_SPAN, acosh1p, aux_H
 from hypfrac.operator import (
     ArccosReport,
     BarrierSpec,
@@ -39,9 +40,8 @@ from hypfrac.operator import (
     second_difference,
     tabulated,
 )
-from hypfrac.operator import (_PANEL_LIMIT, _TAIL_EPS, _angular, _angular_table,
-                              _graded_cuts, _table)
-from hypfrac.quadrature import integrate
+from hypfrac.operator import _PANEL_LIMIT, _TAIL_EPS, _graded_cuts, _sphere_integrals, _table
+from hypfrac.quadrature import QuadratureConfig, integrate
 from hypfrac.scale import i0_closed, iinf_closed
 
 UNIT = EllipticityBounds(1.0, 1.0)
@@ -364,48 +364,163 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
             c * m, rel=1e-9, abs=1e-8 * c * spread)
 
 
+def _paired(u, R0, u0, r, pos, neg, cfg):
+    """The paired form, a reference for ``_sphere_integrals``: the integral
+    over omega1 in [-1, 1] of the combine of delta, slopes (pos, neg), at each
+    radius of the 1-D array r (every sphere resolved), as adaptive
+    Gauss-Kronrod integrals at cfg in the distance w from the center of u.
+    The antipodal average of the second difference is integrated over the
+    half w in [|r - R0|, w_mid] of the sphere and doubled, in pieces cut at
+    the kinks and their mirror images, in log w above a kink.  Returns the
+    values and their |f| masses."""
+    b = np.sinh(r) * math.sinh(R0)
+    x_mid = 2.0 * np.sinh(0.5 * (r - R0)) ** 2 + b  # cosh(w_mid) - 1
+    w_lo, w_mid = np.abs(r - R0), acosh1p(x_mid)
+    assert np.all(w_mid - w_lo > 1e-6 * w_mid)
+
+    def mirror(two_x, w):
+        return acosh1p(np.maximum(two_x - 2.0 * np.sinh(0.5 * w) ** 2, 0.0))
+
+    cols = [w_lo, w_mid]
+    for rk in u.kink_radii:
+        cols += [np.full_like(r, rk), mirror(2.0 * x_mid, rk)]
+    cuts = np.sort(np.clip(np.column_stack(cols), w_lo[:, None], w_mid[:, None]), axis=1)
+    keep = cuts[:, 1:] > cuts[:, :-1]
+    lo, hi, node = cuts[:, :-1][keep], cuts[:, 1:][keep], np.nonzero(keep)[0]
+    log_w = lo >= min(u.kink_radii, default=math.inf)
+    lo[log_w], hi[log_w] = np.log(lo[log_w]), np.log(hi[log_w])
+
+    def g(x, own):
+        lw = log_w[own][:, None]
+        w = np.where(lw, np.exp(x), x)
+        jac = np.sinh(w) * np.where(lw, w, 1.0) / b[node[own]][:, None]
+        d = 0.5 * (u.f(w) + u.f(mirror(2.0 * x_mid[node[own]][:, None], w))) - u0
+        return np.where(d >= 0.0, pos * d, neg * d) * jac
+
+    val, mass = integrate(g, lo, hi, node, r.size, cfg, "paired")
+    return 2.0 * val, 2.0 * mass
+
+
+def _mp_sphere(uf, R0, r, pos, neg, extra=()):
+    """40-digit mpmath value and |f| mass of the integral over omega1 in
+    [-1, 1] of the combine of delta, slopes (pos, neg), on the sphere of
+    radius r; uf is the profile on mpf radii.  Taken on the half w in
+    [|r - R0|, w_mid] and doubled, split at each sign change of delta
+    between neighbours among 65 equispaced points of the half and the extra
+    points.  Also returns the doubled integral of delta on each part."""
+    with mpmath.workdps(40):
+        r, R0 = mpmath.mpf(r), mpmath.mpf(R0)
+        ch, b = mpmath.cosh(r) * mpmath.cosh(R0), mpmath.sinh(r) * mpmath.sinh(R0)
+        u0 = uf(R0)
+
+        def delta(w):
+            return (uf(w) + uf(mpmath.acosh(2 * ch - mpmath.cosh(w)))) / 2 - u0
+
+        lo, hi = abs(r - R0), mpmath.acosh(ch)
+        grid = sorted([lo + (hi - lo) * k / 64 for k in range(65)] + list(extra))
+        pts = [lo]
+        for p, q in zip(grid, grid[1:]):
+            dp = delta(p)
+            if dp * delta(q) < 0:
+                for _ in range(140):
+                    m = (p + q) / 2
+                    p, q = (m, q) if delta(m) * dp > 0 else (p, m)
+                pts.append(p)
+        pts.append(hi)
+        parts = [2 * mpmath.quad(lambda w: delta(w) * mpmath.sinh(w), [p, q]) / b
+                 for p, q in zip(pts, pts[1:])]
+        comb = [pos * x if x > 0 else neg * x for x in parts]
+        return float(sum(comb)), float(sum(abs(x) for x in comb)), [float(x) for x in parts]
+
+
 class TestAngularForms:
-    """A linear combine integrates u(w) - u0 one-sided over the whole sphere,
-    and reads it from one antiderivative table, F(r + R0) - F(|r - R0|) over
-    sinh r sinh R0; the antipodal pair (what a nonlinear combine needs) gives
-    the same value.
+    """``_sphere_integrals`` reads every sphere from one antiderivative
+    table F: the combine is neg delta + (pos - neg) delta^+, the first term
+    (F(r + R0) - F(|r - R0|)) / (sinh r sinh R0), the positive part the sum
+    of G(b) - G(a), G(w) = F(w) - F(w_hat(w)), over the pieces where the
+    paired second difference is positive.  The references: the paired form,
+    adaptive Gauss-Kronrod at rel 1e-12, and 40-digit mpmath.
 
     The table's first panels halve toward R0, so even at r = 1e-2, where
     F(R0 +- r) ~ r^2 |u'| stand against a difference ~ r^3, the two forms
-    agree to 1e-9 (worst 9.1e-11 here; against a 40-digit mpmath quadrature
-    the table is off by <= 1.0e-11 there, the paired form by <= 8.9e-11)."""
+    agree to 1e-9 (worst 1.0e-10 here, 7.6e-12 of the |f| mass)."""
 
     RADII = np.array([1e-2, 0.1, 1.0, 3.0])
     CASES = ([(barrier_profile(BarrierSpec(delta=0.5, alpha=a, R=1.0, gamma=0.99)), R0)
               for a in (2.0, 16.0, 64.0) for R0 in (0.3, 1.0, 2.7)]
              + [(gaussian_bump(0.8), R0) for R0 in (0.5, 1.5)])
+    PAIRED = QuadratureConfig(1e-12, 1e-18, 2000)
 
     @pytest.mark.parametrize("u,R0", CASES)
     def test_one_sided_matches_paired(self, u, R0):
         u0 = u(R0)
         table = _table(u, R0, 2.0 * R0 + self.RADII[-1])
-        from_table = _angular_table(table, u, R0, u0, self.RADII, 1.0)
-        paired = _angular(u, R0, u0, self.RADII, 1.0, 1.0)
+        from_table = _sphere_integrals(table, u, R0, u0, self.RADII, 1.0, 1.0)
+        paired, _ = _paired(u, R0, u0, self.RADII, 1.0, 1.0, self.PAIRED)
         np.testing.assert_allclose(from_table, paired, rtol=1e-9, atol=0.0)
 
-    def test_linear_operators_integrate_only_the_frozen_node(self, monkeypatch):
-        # a linear combine reads every radial node's sphere from the table;
-        # only the frozen node (one radius) and a nonlinear combine integrate
-        # over omega1
-        radii = []
+    @pytest.mark.parametrize("pos,neg", [(2.0, 0.5), (0.5, 2.0)])
+    @pytest.mark.parametrize("u,R0", CASES)
+    def test_split_matches_paired(self, u, R0, pos, neg):
+        # worst 9.5e-12 of the |f| mass
+        u0 = u(R0)
+        table = _table(u, R0, 2.0 * R0 + self.RADII[-1])
+        split = _sphere_integrals(table, u, R0, u0, self.RADII, pos, neg)
+        paired, mass = _paired(u, R0, u0, self.RADII, pos, neg, self.PAIRED)
+        assert np.all(np.abs(split - paired) <= 1e-10 * mass)
 
-        def counting(f, lo, hi, owner, n_owners, cfg, what, at=None):
-            if what == "angular integral":
-                radii.append(n_owners)
-            return integrate(f, lo, hi, owner, n_owners, cfg, what, at)
+    @pytest.mark.parametrize("pos,neg", [(2.0, 0.5), (0.5, 2.0)])
+    def test_close_root_pair(self, pos, neg):
+        # a notch of width 5e-3 at s = 0.17 pulls delta below zero between two
+        # roots ~1e-2 apart, inside one sample spacing (0.126 to 0.220) where
+        # delta is positive at both samples: the positive part takes the
+        # notch as positive, an error of (pos - neg) times its |delta| mass
+        notch = RadialProfile(
+            f=lambda s: np.exp(-s * s) - 0.5 * np.exp(-(((s - 0.17) / 5e-3) ** 2)),
+            name="notch")
+        R0, r = 1.0, np.array([1.0])
+        got = _sphere_integrals(_table(notch, R0, 2.0 * R0 + 1.0), notch, R0, notch(R0), r,
+                                pos, neg)[0]
+        uf = lambda s: mpmath.exp(-s * s) - mpmath.exp(-(((s - 0.17) / 5e-3) ** 2)) / 2
+        want, _, parts = _mp_sphere(uf, R0, 1.0, pos, neg, extra=[0.17])
+        # the parts, from w = 0: positive, the notch, positive, negative
+        assert len(parts) == 4 and parts[1] < 0.0 < min(parts[0], parts[2])
+        assert abs(got - want) <= abs(pos - neg) * abs(parts[1]) * (1.0 + 1e-6)
 
-        monkeypatch.setattr("hypfrac.operator.integrate", counting)
+    @pytest.mark.parametrize("pos,neg", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+    def test_frozen_node_against_mpmath(self, pos, neg):
+        # the frozen node r = 1e-3 on the table the operator builds: worst
+        # 7.8e-10 of the |f| mass (the paired form at its production
+        # tolerance was off by up to 3.6e-8)
+        cases = [(barrier_profile(BarrierSpec(0.5, a, 1.0, 0.99)),
+                  lambda s, a=a: -((s / 5) ** (-2 * a)), R0)
+                 for a in (2.0, 4.0) for R0 in (0.4, 1.0, 3.0)]
+        cases += [(gaussian_bump(w), lambda s, w=w: mpmath.exp(-((s / w) ** 2)), R0)
+                  for w in (0.8, 2.0) for R0 in (0.5, 1.5)]
+        for u, uf, R0 in cases:
+            top = 2.0 * R0 + min(u.tail_radius(_TAIL_EPS), 80.0)
+            got = _sphere_integrals(_table(u, R0, top), u, R0, u(R0), np.array([1e-3]),
+                                    pos, neg)[0]
+            want, mass, _ = _mp_sphere(uf, R0, 1e-3, pos, neg)
+            assert abs(got - want) <= 1e-8 * mass
+
+    def test_no_angular_quadrature(self, monkeypatch):
+        # every sphere, the frozen node's too, is read from the table, under
+        # either bounds: the only adaptive integral is the radial one
+        names = []
+
+        def recording(f, lo, hi, owner, n_owners, cfg, what):
+            names.append(what)
+            return integrate(f, lo, hi, owner, n_owners, cfg, what)
+
+        monkeypatch.setattr("hypfrac.operator.integrate", recording)
         u = barrier_profile(BarrierSpec(delta=0.5, alpha=4.0, R=1.0, gamma=0.99))
-        for value in (pucci_plus(u, 1.0, 0.99, UNIT), apply_fraclap(gaussian_bump(), 0.5, 0.6)):
-            assert math.isfinite(value)
-        assert radii == [1, 1]
-        pucci_plus(gaussian_bump(), 0.5, 0.6, WIDE)
-        assert len(radii) > 3
+        for bounds in (UNIT, WIDE):
+            for value in (pucci_plus(u, 1.0, 0.99, bounds), pucci_minus(u, 1.0, 0.99, bounds),
+                          pucci_plus(gaussian_bump(), 0.5, 0.6, bounds)):
+                assert math.isfinite(value)
+        assert math.isfinite(apply_fraclap(gaussian_bump(), 0.5, 0.6))
+        assert set(names) == {"radial integral"} and len(names) == 7
 
 
 class TestAntiderivativeTable:

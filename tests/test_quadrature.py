@@ -72,8 +72,8 @@ def test_integrate_returns_values_and_masses():
 def test_integrate_names_the_owner_out_of_panels():
     cfg = QuadratureConfig(1e-10, 1e-14, 20)
     f = lambda x, panel: np.where((panel == 1)[:, None], np.sin(1e5 * x), x)
-    with pytest.raises(NumericError, match=r"^noise at r=0\.75: error"):
-        integrate(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2, cfg, "noise", at=[0.25, 0.75])
+    with pytest.raises(NumericError, match=r"^noise: error"):
+        integrate(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2, cfg, "noise")
 
 
 def test_integrate_accepts_the_rounding_floor():

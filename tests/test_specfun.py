@@ -209,15 +209,22 @@ class TestBesselKEdges:
 
     def test_huge_x_keeps_tables_small(self, monkeypatch):
         # the node count stays bounded however large x grows: at x = 1e16 a
-        # pad of fixed width would ask for a table of ~7e7 nodes
+        # pad of fixed width would ask for a table of ~7e7 nodes.  An order
+        # above sqrt(x) keeps the trapezoid rule (a small order takes
+        # Hankel's expansion and asks for no table at all)
+        sizes = []
+
         def bounded_table(nu, level, size):
+            sizes.append(size)
             assert size <= 4096
             return _k_table(nu, level, size)
 
         monkeypatch.setattr(specfun, "_k_table", bounded_table)
-        want = math.sqrt(math.pi / 2e16)
-        assert bessel_k_scaled(2.5, 1e16) == pytest.approx(want, rel=1e-12)
-        assert bessel_k_scaled(2.5, np.array([1e16]))[0] == pytest.approx(want, rel=1e-12)
+        with mpmath.workdps(40):
+            want = float(mpmath.besselk(2e8, 1e16) * mpmath.exp(1e16))
+        assert bessel_k_scaled(2e8, 1e16) == pytest.approx(want, rel=1e-14)
+        assert bessel_k_scaled(2e8, np.array([1e16]))[0] == pytest.approx(want, rel=1e-14)
+        assert len(sizes) == 2
 
     def test_nonpositive_array(self):
         for bad in (0.0, -1.0):

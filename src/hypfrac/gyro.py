@@ -18,8 +18,17 @@ has the closed form (1 + <z,y>/t^2)^2 + (|z|^2 |y|^2 - <z,y>^2)/t^4.
 
 Complex powers always have a strictly positive real base for interior points;
 this is asserted at runtime.
+
+The plane-wave functions (``eigenfunction``, ``transport_prefactor``,
+``e_factor``) take one point, a BallPoint or a 3-vector, or a batch of shape
+(..., 3).  Their formulas are written once, component by component: a point
+runs them on three Python floats, a batch on the three component arrays, and
+only the unpacking, the all-checks and the final exp differ.  Both forms take
+numpy's log: ``math.log`` rounds differently at some arguments, and the phase
+(lam t / 2) log(base) would magnify that one ulp without bound.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,13 +71,14 @@ def _radius(t) -> float:
     return t
 
 
-def _direction(xi) -> np.ndarray:
+def _direction(xi) -> list:
     arr = np.asarray(xi, dtype=float)
     if arr.shape != (3,):
         raise DomainError("xi must be a 3-vector direction")
-    if not abs(math.hypot(*arr.tolist()) - 1.0) <= 1e-14:
+    xi = arr.tolist()
+    if not abs(math.hypot(*xi) - 1.0) <= 1e-14:
         raise DomainError("xi must be a unit vector (within 1e-14)")
-    return arr
+    return xi
 
 
 def _exponent(half_phase: float) -> complex:
@@ -78,16 +88,40 @@ def _exponent(half_phase: float) -> complex:
     return complex(1.0, half_phase)
 
 
-def _unit_ball(y, t: float, what: str) -> np.ndarray:
-    """y / t for points y of shape (..., 3); the caller checks |y / t| < 1.
+def _all(cond) -> bool:
+    """A check on one point (a bool) or on a batch (an array of bools)."""
+    return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
+def _unit_ball(y, t: float, what: str) -> tuple:
+    """The components of y / t: three floats for one point (a BallPoint or a
+    3-vector), three arrays for a batch of shape (..., 3).  The caller
+    checks |y / t| < 1.
 
     Each |y_i| < t is checked first, so that neither y / t nor a square of it
     can overflow.
     """
-    arr = np.asarray(y, dtype=float)
-    if not (abs(arr) < t).all():
+    if isinstance(y, BallPoint):
+        y0, y1, y2 = y.y
+    else:
+        arr = np.asarray(y, dtype=float)
+        if arr.ndim == 0 or arr.shape[-1] != 3:
+            raise DomainError(f"{what} needs points of shape (..., 3)")
+        y0, y1, y2 = arr.tolist() if arr.ndim == 1 else (arr[..., 0], arr[..., 1], arr[..., 2])
+    if not _all((abs(y0) < t) & (abs(y1) < t) & (abs(y2) < t)):
         raise DomainError(f"{what} requires interior points")
-    return arr / t
+    return y0 / t, y1 / t, y2 / t
+
+
+def _power(base, expo: complex, what: str):
+    """base ** expo for a positive finite base: a complex for one point, a
+    complex array for a batch."""
+    if not _all((base > 0.0) & (base < math.inf)):
+        raise NumericError(f"{what} base left the positive axis")
+    log = np.log(base)
+    if isinstance(base, np.ndarray):
+        return np.exp(expo * log)
+    return cmath.exp(expo * log)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +169,10 @@ class EigenParams:
         lam = float(lam)
         if not math.isfinite(lam):
             raise DomainError("spectral parameter lam must be finite")
-        xi = tuple(_direction(xi).tolist())
+        xi = tuple(_direction(xi))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "t", _radius(t))
-        object.__setattr__(self, "_xi", np.array(xi))  # broadcast by eigenfunction
 
 
 def _same_t(a: GyroElement, b: GyroElement):
@@ -261,8 +294,11 @@ def cancellation_check(a: GyroElement, b: GyroElement, tol: float = 1e-12) -> Ca
 
 
 def _clifford_unit(dot, nz, ny):
-    """|1 + conj(z) y|^2 from <z,y>, |z|^2 and |y|^2 of unit-ball coordinates."""
-    return (1.0 + dot) ** 2 + np.maximum(nz * ny - dot * dot, 0.0)
+    """|1 + conj(z) y|^2 from <z,y>, |z|^2 and |y|^2 of unit-ball coordinates,
+    floats or arrays."""
+    s = 1.0 + dot
+    rest = nz * ny - dot * dot
+    return s * s + (np.maximum(rest, 0.0) if isinstance(rest, np.ndarray) else max(rest, 0.0))
 
 
 def clifford_norm_sq(z, y, t: float):
@@ -276,11 +312,12 @@ def clifford_norm_sq(z, y, t: float):
 def _unit_pair(z: GyroElement, y: GyroElement):
     """1 - |z|^2 |y|^2 / t^4, 1 - |y|^2 / t^2 and clifford_norm_sq(z, y, t)."""
     _same_t(z, y)
-    zu, yu = _unit(z), _unit(y)
-    dot = sum(p * q for p, q in zip(zu, yu))
-    nz = sum(c * c for c in zu)
-    ny = sum(c * c for c in yu)
-    return _positive(1.0 - nz * ny, "z [-] y"), 1.0 - ny, float(_clifford_unit(dot, nz, ny))
+    z0, z1, z2 = _unit(z)
+    y0, y1, y2 = _unit(y)
+    nz = z0 * z0 + z1 * z1 + z2 * z2
+    ny = y0 * y0 + y1 * y1 + y2 * y2
+    cl = _clifford_unit(z0 * y0 + z1 * y1 + z2 * y2, nz, ny)
+    return _positive(1.0 - nz * ny, "z [-] y"), 1.0 - ny, cl
 
 
 def boxminus_jacobian(z: GyroElement, y: GyroElement) -> float:
@@ -295,63 +332,68 @@ def measure_factor(z: GyroElement, y: GyroElement) -> float:
     return (a / cl) ** 2
 
 
-def eigenfunction(ep: EigenParams, y) -> complex:
+def eigenfunction(ep: EigenParams, y):
     """Plane-wave eigenfunction ((t^2-|y|^2)/|t xi - y|^2)^((2 + i lam t)/2).
 
-    Accepts a BallPoint or an array of shape (..., 3); broadcasts in the
-    latter case.
+    One point (a BallPoint or a 3-vector) gives a complex; a batch of shape
+    (..., 3) gives a complex array of shape (...).
     """
     t = ep.t
-    w = _unit_ball(y.vec if isinstance(y, BallPoint) else y, t, "eigenfunction")
-    nw = np.vecdot(w, w)
-    diff = ep._xi - w
-    den = np.vecdot(diff, diff)
-    interior = nw < 1.0
-    if not (interior & (den > 0.0)).all():
-        if not interior.all():
-            raise DomainError("eigenfunction requires |y| < t")
+    w0, w1, w2 = _unit_ball(y, t, "eigenfunction")
+    x0, x1, x2 = ep.xi
+    nw = w0 * w0 + w1 * w1 + w2 * w2
+    d0, d1, d2 = x0 - w0, x1 - w1, x2 - w2
+    den = d0 * d0 + d1 * d1 + d2 * d2
+    if not _all(nw < 1.0):
+        raise DomainError("eigenfunction requires |y| < t")
+    if not _all(den > 0.0):
         raise NumericError("eigenfunction base left the positive axis")
-    out = np.exp(_exponent(0.5 * ep.lam * t) * np.log((1.0 - nw) / den))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _power((1.0 - nw) / den, _exponent(0.5 * ep.lam * t), "eigenfunction")
 
 
 def _e_parts(lam: float, xi, y, z, t: float):
+    """The base of the transport power, 1 - |z|^2 |y|^2 / t^4, the Clifford
+    norm and the exponent; one point or a batch (broadcasting y against z)."""
     t = _radius(t)
-    xi = _direction(xi)
-    y = _unit_ball(y, t, "e_factor")
-    z = _unit_ball(z, t, "e_factor")
-    ny = np.vecdot(y, y)
-    nz = np.vecdot(z, z)
-    if not ((ny < 1.0) & (nz < 1.0)).all():
+    x0, x1, x2 = _direction(xi)
+    y0, y1, y2 = _unit_ball(y, t, "e_factor")
+    z0, z1, z2 = _unit_ball(z, t, "e_factor")
+    ny = y0 * y0 + y1 * y1 + y2 * y2
+    nz = z0 * z0 + z1 * z1 + z2 * z2
+    if not _all((ny < 1.0) & (nz < 1.0)):
         raise DomainError("e_factor requires interior points")
     a = 1.0 - nz * ny
     b = 1.0 - ny
     c = 1.0 - nz
-    cl = _clifford_unit(np.vecdot(z, y), nz, ny)
-    diff = xi - z
-    vec = a[..., None] * xi - b[..., None] * z + c[..., None] * y
-    num = np.vecdot(diff, diff) * b * cl
-    den = np.vecdot(vec, vec)
-    if not ((num > 0.0) & (den > 0.0)).all():
+    cl = _clifford_unit(z0 * y0 + z1 * y1 + z2 * y2, nz, ny)
+    d0, d1, d2 = x0 - z0, x1 - z1, x2 - z2
+    v0, v1, v2 = a * x0 - b * z0 + c * y0, a * x1 - b * z1 + c * y1, a * x2 - b * z2 + c * y2
+    num = (d0 * d0 + d1 * d1 + d2 * d2) * b * cl
+    den = v0 * v0 + v1 * v1 + v2 * v2
+    if not _all((num > 0.0) & (den > 0.0)):
         raise NumericError("e_factor base left the positive axis")
     return num / den, a, cl, _exponent(-0.5 * float(lam) * t)
 
 
 def transport_prefactor(lam: float, xi, y, z, t: float):
-    """The factor carrying e_{-lam,xi;t}(z) to e_{-lam,xi;t}(z [-] y)."""
+    """The factor carrying e_{-lam,xi;t}(z) to e_{-lam,xi;t}(z [-] y).
+
+    One point each for y and z (a BallPoint or a 3-vector) gives a complex; a
+    batch of shape (...,3) for either gives a complex array.
+    """
     base, _, _, expo = _e_parts(lam, xi, y, z, t)
-    return np.exp(expo * np.log(base))
+    return _power(base, expo, "e_factor")
 
 
 def e_factor(lam: float, xi, y, z, t: float):
-    """Transport prefactor times the pulled-back measure density (n = 3)."""
+    """Transport prefactor times the pulled-back measure density (n = 3).
+
+    One point each for y and z (a BallPoint or a 3-vector) gives a complex; a
+    batch of shape (...,3) for either gives a complex array.
+    """
     base, a, cl, expo = _e_parts(lam, xi, y, z, t)
-    out = np.exp(expo * np.log(base)) * (a / cl) ** 2
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    q = a / cl
+    return _power(base, expo, "e_factor") * (q * q)
 
 
 def sphere_integral_E(
@@ -379,7 +421,6 @@ def sphere_integral_E(
     if not 0.0 < norm < math.inf:
         raise DomainError("xi must be a nonzero finite 3-vector")
     xi = xi / norm
-    zv = z.vec
 
     def polar(c, own):
         # one initial panel per owner: panel 0 is the real part, panel 1 the imaginary
@@ -391,7 +432,7 @@ def sphere_integral_E(
         def azimuth(theta, node):
             y = np.stack([np.broadcast_to(r * c[node, None], theta.shape),
                           s[node, None] * np.cos(theta), s[node, None] * np.sin(theta)], -1)
-            e = e_factor(lam, xi, y, zv, t)
+            e = e_factor(lam, xi, y, z, t)
             return np.where(imag[node, None], e.imag, e.real)
 
         n = c.size

@@ -5,8 +5,9 @@ The evaluators are self-contained:
 
 * ``bessel_i`` and ``struve_l`` share one ascending-series core: each term is
   its neighbour times a rational ratio, from the largest term in magnitude,
-  which carries the scale and the sign (in log space, by ``math.lgamma``,
-  where it is not a float).  For
+  which carries the scale and the sign (in log space, where it is not a
+  float: ``math.lgamma`` at the first term off the poles, and the ratios up
+  to the largest as one product in binary exponents and mantissas).  For
   I at nu >= -1 the terms are nonnegative: no cancellation on x in (0, ~700];
   below, where they may alternate, a sum under 1e-3 of the largest term is
   refused;
@@ -125,8 +126,11 @@ def _series(x: float, p: float, q: float, s: float):
     at a non-integer s < 0, where none vanishes and |t_j| may peak on either
     side of -s, k is the largest by the cumulative sum of log|ratio|.
     c = 0 where pow and gamma give t_k and every term is a float; else c is
-    log|t_k| by lgamma (log|Gamma|), the sign of Gamma(z) at z < 0 being
-    (-1)^(floor(-z)+1), off by ~eps (2k+p) log(x/2).
+    log|t_k| = log|t_k0| - log|t_k0 / t_k|: the first by lgamma (log|Gamma|)
+    at the first index k0 off the poles, the second from the product of the
+    ratios between, in binary exponents and mantissas (``_log_abs_prod``),
+    so that no large logarithm is rounded on the way; the sign of Gamma(z) at
+    z < 0 is (-1)^(floor(-z)+1).
     """
     half = 0.5 * x
     n = max(0, math.ceil(-s)) + int(half + 12.0 * math.sqrt(half + 1.0) + 30.0) + 1
@@ -139,7 +143,8 @@ def _series(x: float, p: float, q: float, s: float):
     else:
         k = max(0, int(math.hypot(half, 0.5 * (q - s)) - 0.5 * (q + s)), math.floor(-s) + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        below = ((j[:k] + s) / half * (j[:k] + q) / half)[::-1].cumprod()[::-1]
+        down = (j[:k] + s) / half * (j[:k] + q) / half  # t_j / t_(j+1)
+        below = down[::-1].cumprod()[::-1]
         top = np.abs(below).max(initial=1.0)
     if not top < 1e300:
         raise NumericError(f"series terms at x={x} leave the float range")
@@ -152,7 +157,22 @@ def _series(x: float, p: float, q: float, s: float):
         return 0.0, tk * terms
     if k + s < 0.0 and math.floor(-(k + s)) % 2 == 0:
         terms = -terms
-    return (2 * k + p) * (math.log(x) - _LOG2) - math.lgamma(k + q) - math.lgamma(k + s), terms
+    k0 = max(0, math.floor(-s) + 1) if s == math.floor(s) else 0
+    c0 = (2 * k0 + p) * (math.log(x) - _LOG2) - math.lgamma(k0 + q) - math.lgamma(k0 + s)
+    return c0 - _log_abs_prod(down[k0:]), terms
+
+
+def _log_abs_prod(f) -> float:
+    """log|prod f| of nonzero finite floats, exact in the binary exponents:
+    the mantissas, in [1/2, 1), are multiplied in runs too short to
+    underflow, so the only roundings are one per factor and the last log."""
+    mant, expo = np.frexp(f)
+    e = int(expo.sum())
+    m = 1.0
+    for i in range(0, mant.size, 1000):
+        m, b = math.frexp(m * float(np.prod(mant[i:i + 1000])))
+        e += b
+    return e * _LOG2 + math.log(abs(m))
 
 
 def _i_series(nu: float, x: float, shift: float = 0.0) -> float:

@@ -462,6 +462,27 @@ def _attempt(fn, *args):
     return out
 
 
+def _point_and_batch(fn, *args):
+    """fn on single points (the 3-vectors among args) and on their (1, 3)
+    batches: both raise the same typed error, or both return finite values,
+    a complex and a complex array, that agree within 4 ulp."""
+    batch = [np.array([a]) if isinstance(a, np.ndarray) else a for a in args]
+    outs = []
+    for call in (args, batch):
+        try:
+            outs.append(fn(*call))
+        except HypfracError as err:
+            outs.append(type(err))
+    one, many = outs
+    if isinstance(one, type) or isinstance(many, type):
+        assert one is many, (one, many)
+        return
+    assert type(one) is complex and cmath.isfinite(one)
+    assert many.shape == (1,) and np.isfinite(many).all()
+    assert abs(many[0].real - one.real) <= 4 * math.ulp(one.real)
+    assert abs(many[0].imag - one.imag) <= 4 * math.ulp(one.imag)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data(), t=st.one_of(st.floats(), st.sampled_from([1e-160, 2.0, 1e300])),
        lam=st.floats(), xi=_directions())
@@ -478,5 +499,6 @@ def test_gyro_entry_points_return_in_ball_or_finite_or_raise_typed(data, t, lam,
             _attempt(gyration, a, b, z)
     ep = _attempt(EigenParams, lam, xi, t)
     if ep is not None:
-        _attempt(eigenfunction, ep, np.array(ya))
-    _attempt(transport_prefactor, lam, xi, np.array(yb), np.array(yz), t)
+        _point_and_batch(eigenfunction, ep, np.array(ya))
+    for fn in (transport_prefactor, e_factor):
+        _point_and_batch(fn, lam, xi, np.array(yb), np.array(yz), t)

@@ -501,6 +501,21 @@ class TestSeriesCore:
             want = float(mpmath.besseli(nu, x))
         assert bessel_i(nu, x) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("nu, x, want", [
+        # 40-digit mpmath, where the largest term leaves the float range and
+        # the series carries its log
+        (0.3, 695.0, 1.0342668690524803e+300),
+        (5.0, 700.0, 1.5025025321928688e+302),
+        (0.5, 700.0, 1.5293200350315745e+302),
+        (10.0, 699.0, 5.2420952770671441e+301),
+        (-0.5, 698.0, 2.0726726799745553e+301),
+        (0.3, 680.0, 3.1985595062206948e+293),
+        (-1.0, 699.9, 1.3831430400144021e+302),
+        (2.49, 350.0, 2.129354015014768e+150),
+    ])
+    def test_log_scale_near_700(self, nu, x, want):
+        assert bessel_i(nu, x) == pytest.approx(want, rel=3e-13)
+
     def test_underflowing_ratio(self):
         # (x/2)^2 underflows: below a pole the terms vanish, and the one left
         # is the value (negative: I_-1.5 < 0 near 0), or it leaves the float

@@ -1,9 +1,10 @@
 """Mobius gyrogroup algebra on the conformal ball, plane-wave eigenfunctions,
 and the sphere-averaged identities they satisfy.
 
-Elements hold their coordinates as a tuple of Python floats, and the group
-operations compute on those floats in unit-ball coordinates x/t, so that no
-ball radius t, however tiny or huge, under- or overflows t^2 or t^4.
+A GyroElement is a slotted immutable value: a tuple of three Python floats
+and its ball radius.  Each group operation is one straight-line float formula
+in unit-ball coordinates x/t, so that no ball radius t, however tiny or huge,
+under- or overflows t^2 or t^4.
 Gyration has Ungar's closed form for Mobius gyrovector spaces: with
 u = a/t, v = b/t, w = z/t,
 
@@ -62,6 +63,7 @@ __all__ = [
 # |log(base)| of a finite positive double is below 745, so the plane-wave
 # phase (lam t / 2) log(base) stays finite while |lam t / 2| <= 1e300
 _MAX_HALF_PHASE = 1e300
+_FLOAT = np.dtype(float)
 
 
 def _radius(t) -> float:
@@ -101,7 +103,9 @@ def _unit_ball(y, t: float, what: str) -> tuple:
     Each |y_i| < t is checked first, so that neither y / t nor a square of it
     can overflow.
     """
-    if isinstance(y, BallPoint):
+    if type(y) is np.ndarray and y.shape == (3,) and y.dtype == _FLOAT:
+        y0, y1, y2 = y.tolist()
+    elif isinstance(y, BallPoint):
         y0, y1, y2 = y.y
     else:
         arr = np.asarray(y, dtype=float)
@@ -124,25 +128,31 @@ def _power(base, expo: complex, what: str):
     return cmath.exp(expo * log)
 
 
-@dataclass(frozen=True, eq=False)
 class GyroElement:
-    """Vector y strictly inside the ball of radius t."""
+    """Vector y strictly inside the ball of radius t: an immutable value whose
+    equality and hash are its identity."""
 
-    y: tuple
-    t: float
+    __slots__ = ("y", "t")
 
     def __init__(self, y, t):
-        arr = np.asarray(y, dtype=float)
-        if arr.shape != (3,):
-            raise DomainError("GyroElement needs a 3-vector")
-        self._set(tuple(arr.tolist()), _radius(t))
+        if not (type(y) is np.ndarray and y.shape == (3,) and y.dtype == _FLOAT):
+            y = np.asarray(y, dtype=float)
+            if y.shape != (3,):
+                raise DomainError("GyroElement needs a 3-vector")
+        _fill(self, tuple(y.tolist()), _radius(t))
 
-    def _set(self, y: tuple, t: float) -> "GyroElement":
-        if not math.hypot(*y) < t:
-            raise DomainError("GyroElement must lie strictly inside the ball")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "t", t)
-        return self
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GyroElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GyroElement is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since setattr is refused
+        return GyroElement, (self.y, self.t)
+
+    def __repr__(self):
+        return f"GyroElement(y={self.y!r}, t={self.t!r})"
 
     @property
     def vec(self) -> np.ndarray:
@@ -152,9 +162,19 @@ class GyroElement:
         return math.hypot(*self.y)
 
 
-def _element(y: tuple, t: float) -> GyroElement:
-    """A GyroElement from a tuple of three floats and an already checked t."""
-    return object.__new__(GyroElement)._set(y, t)
+_new = object.__new__
+_set_y = GyroElement.y.__set__
+_set_t = GyroElement.t.__set__
+
+
+def _fill(e: GyroElement, y: tuple, t: float) -> GyroElement:
+    """Set e's slots to a tuple of three floats and an already checked t;
+    the one constructor path of GyroElement."""
+    if not math.hypot(*y) < t:
+        raise DomainError("GyroElement must lie strictly inside the ball")
+    _set_y(e, y)
+    _set_t(e, t)
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,43 +195,33 @@ class EigenParams:
         object.__setattr__(self, "t", _radius(t))
 
 
-def _same_t(a: GyroElement, b: GyroElement):
-    if a.t != b.t:
-        raise DomainError("gyro operands must share the same ball radius t")
-
-
-def _positive(den: float, what: str) -> float:
-    if not den > 0.0:
-        raise DomainError(f"{what} reaches the boundary of the ball in floating point")
-    return den
-
-
-def _unit(a: GyroElement) -> tuple:
-    """The unit-ball coordinates a / t."""
-    t = a.t
-    y0, y1, y2 = a.y
-    return y0 / t, y1 / t, y2 / t
+_SAME_T = "gyro operands must share the same ball radius t"
 
 
 def mobius_add(a: GyroElement, b: GyroElement) -> GyroElement:
     """Mobius addition a (+) b on the ball."""
-    _same_t(a, b)
     t = a.t
-    u0, u1, u2 = _unit(a)
-    v0, v1, v2 = _unit(b)
+    if b.t != t:
+        raise DomainError(_SAME_T)
+    y0, y1, y2 = a.y
+    u0, u1, u2 = y0 / t, y1 / t, y2 / t
+    y0, y1, y2 = b.y
+    v0, v1, v2 = y0 / t, y1 / t, y2 / t
     uv = u0 * v0 + u1 * v1 + u2 * v2
     uu = u0 * u0 + u1 * u1 + u2 * u2
     vv = v0 * v0 + v1 * v1 + v2 * v2
-    den = _positive(1.0 + 2.0 * uv + uu * vv, "mobius_add")
+    den = 1.0 + 2.0 * uv + uu * vv
+    if not den > 0.0:
+        raise DomainError("mobius_add reaches the boundary of the ball in floating point")
     p = 1.0 + 2.0 * uv + vv
     q = 1.0 - uu
-    return _element((t * (p * u0 + q * v0) / den, t * (p * u1 + q * v1) / den,
-                     t * (p * u2 + q * v2) / den), t)
+    return _fill(_new(GyroElement), (t * (p * u0 + q * v0) / den, t * (p * u1 + q * v1) / den,
+                                     t * (p * u2 + q * v2) / den), t)
 
 
 def neg(a: GyroElement) -> GyroElement:
     y0, y1, y2 = a.y
-    return _element((-y0, -y1, -y2), a.t)
+    return _fill(_new(GyroElement), (-y0, -y1, -y2), a.t)
 
 
 def mobius_sub(a: GyroElement, b: GyroElement) -> GyroElement:
@@ -220,48 +230,61 @@ def mobius_sub(a: GyroElement, b: GyroElement) -> GyroElement:
 
 def gyration(a: GyroElement, b: GyroElement, z: GyroElement) -> GyroElement:
     """gyr[a,b]z, a rotation fixing 0, in Ungar's closed form (module docstring)."""
-    _same_t(a, b)
-    _same_t(a, z)
     t = a.t
-    u0, u1, u2 = _unit(a)
-    v0, v1, v2 = _unit(b)
-    w0, w1, w2 = _unit(z)
+    if b.t != t or z.t != t:
+        raise DomainError(_SAME_T)
+    y0, y1, y2 = a.y
+    u0, u1, u2 = y0 / t, y1 / t, y2 / t
+    y0, y1, y2 = b.y
+    v0, v1, v2 = y0 / t, y1 / t, y2 / t
+    y0, y1, y2 = z.y
+    w0, w1, w2 = y0 / t, y1 / t, y2 / t
     uv = u0 * v0 + u1 * v1 + u2 * v2
     uw = u0 * w0 + u1 * w1 + u2 * w2
     vw = v0 * w0 + v1 * w1 + v2 * w2
     uu = u0 * u0 + u1 * u1 + u2 * u2
     vv = v0 * v0 + v1 * v1 + v2 * v2
-    k = 2.0 / _positive(1.0 + 2.0 * uv + uu * vv, "gyration")
+    den = 1.0 + 2.0 * uv + uu * vv
+    if not den > 0.0:
+        raise DomainError("gyration reaches the boundary of the ball in floating point")
+    k = 2.0 / den
     A = k * (vw - uw * vv + 2.0 * uv * vw)
     B = -k * (uw + vw * uu)
-    return _element((t * (w0 + A * u0 + B * v0), t * (w1 + A * u1 + B * v1),
-                     t * (w2 + A * u2 + B * v2)), t)
+    return _fill(_new(GyroElement), (t * (w0 + A * u0 + B * v0), t * (w1 + A * u1 + B * v1),
+                                     t * (w2 + A * u2 + B * v2)), t)
 
 
 def coadd(a: GyroElement, b: GyroElement) -> GyroElement:
     """Coaddition a [+] b = a (+) gyr[a, -b] b."""
-    _same_t(a, b)
+    if a.t != b.t:
+        raise DomainError(_SAME_T)
     return mobius_add(a, gyration(a, neg(b), b))
 
 
 def cosub(a: GyroElement, b: GyroElement) -> GyroElement:
     """Cosubtraction a [-] b, rational closed form."""
-    _same_t(a, b)
     t = a.t
-    u0, u1, u2 = _unit(a)
-    v0, v1, v2 = _unit(b)
+    if b.t != t:
+        raise DomainError(_SAME_T)
+    y0, y1, y2 = a.y
+    u0, u1, u2 = y0 / t, y1 / t, y2 / t
+    y0, y1, y2 = b.y
+    v0, v1, v2 = y0 / t, y1 / t, y2 / t
     uu = u0 * u0 + u1 * u1 + u2 * u2
     vv = v0 * v0 + v1 * v1 + v2 * v2
-    den = _positive(1.0 - uu * vv, "cosub")
+    den = 1.0 - uu * vv
+    if not den > 0.0:
+        raise DomainError("cosub reaches the boundary of the ball in floating point")
     p = 1.0 - vv
     q = 1.0 - uu
-    return _element((t * (p * u0 - q * v0) / den, t * (p * u1 - q * v1) / den,
-                     t * (p * u2 - q * v2) / den), t)
+    return _fill(_new(GyroElement), (t * (p * u0 - q * v0) / den, t * (p * u1 - q * v1) / den,
+                                     t * (p * u2 - q * v2) / den), t)
 
 
 def cosub_compositional(a: GyroElement, b: GyroElement) -> GyroElement:
     """a [-] b through the defining composition a (-) gyr[a,b]b."""
-    _same_t(a, b)
+    if a.t != b.t:
+        raise DomainError(_SAME_T)
     return mobius_sub(a, gyration(a, b, b))
 
 
@@ -285,7 +308,8 @@ class CancellationResult:
 
 def cancellation_check(a: GyroElement, b: GyroElement, tol: float = 1e-12) -> CancellationResult:
     """Check a (+) ((-a) (+) b) = b and (b [-] a) (+) a = b."""
-    _same_t(a, b)
+    if a.t != b.t:
+        raise DomainError(_SAME_T)
     left = mobius_add(a, mobius_add(neg(a), b))
     right = mobius_add(cosub(b, a), a)
     r1 = math.dist(left.y, b.y)
@@ -311,13 +335,19 @@ def clifford_norm_sq(z, y, t: float):
 
 def _unit_pair(z: GyroElement, y: GyroElement):
     """1 - |z|^2 |y|^2 / t^4, 1 - |y|^2 / t^2 and clifford_norm_sq(z, y, t)."""
-    _same_t(z, y)
-    z0, z1, z2 = _unit(z)
-    y0, y1, y2 = _unit(y)
+    t = z.t
+    if y.t != t:
+        raise DomainError(_SAME_T)
+    z0, z1, z2 = z.y
+    z0, z1, z2 = z0 / t, z1 / t, z2 / t
+    y0, y1, y2 = y.y
+    y0, y1, y2 = y0 / t, y1 / t, y2 / t
     nz = z0 * z0 + z1 * z1 + z2 * z2
     ny = y0 * y0 + y1 * y1 + y2 * y2
-    cl = _clifford_unit(z0 * y0 + z1 * y1 + z2 * y2, nz, ny)
-    return _positive(1.0 - nz * ny, "z [-] y"), 1.0 - ny, cl
+    a = 1.0 - nz * ny
+    if not a > 0.0:
+        raise DomainError("z [-] y reaches the boundary of the ball in floating point")
+    return a, 1.0 - ny, _clifford_unit(z0 * y0 + z1 * y1 + z2 * y2, nz, ny)
 
 
 def boxminus_jacobian(z: GyroElement, y: GyroElement) -> float:

@@ -10,6 +10,7 @@ points enter only through the law of cosines.
 import inspect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -776,6 +777,14 @@ class BarrierReport:
         return max(self.margins)
 
 
+@lru_cache(maxsize=16)
+def _barrier_front(R: float, gamma: float):
+    """(7R)^2 / I0(7R) and H(7R): the factors of the barrier margins that
+    depend on (R, gamma) alone, shared by every alpha of a sweep."""
+    seven = 7.0 * R
+    return seven ** 2 / i0_closed(seven, gamma), aux_H(seven)
+
+
 def barrier_check(spec: BarrierSpec, sample_radii, bounds: EllipticityBounds) -> BarrierReport:
     """Evaluate (7R)^2/I0(7R) * M+ v + Lambda H(7R) at each sample radius.
 
@@ -788,9 +797,8 @@ def barrier_check(spec: BarrierSpec, sample_radii, bounds: EllipticityBounds) ->
     if any(not lo_r < r < hi_r for r in radii):
         raise DomainError("sample radii must lie in (delta R/4, 5R)")
     v = barrier_profile(spec)
-    seven = 7.0 * spec.R
-    front = seven ** 2 / i0_closed(seven, spec.gamma)
-    shift = bounds.lambda_hi * aux_H(seven)
+    front, h = _barrier_front(spec.R, spec.gamma)
+    shift = bounds.lambda_hi * h
     mplus = [pucci_plus(v, r, spec.gamma, bounds) for r in radii]
     margins = [front * m + shift for m in mplus]
     return BarrierReport(spec, tuple(radii), tuple(mplus), tuple(margins))

@@ -323,8 +323,9 @@ def _clenshaw(coef, i, x):
     temporaries are the size of x.  With a scalar x and i = slice(None), the
     series at x of every column of coef (of any shape past its first axis)."""
     b1 = b2 = np.zeros_like(x)
+    x2 = 2.0 * x
     for c in coef[:0:-1]:
-        b1, b2 = c[i] + 2.0 * x * b1 - b2, b1
+        b1, b2 = c[i] + x2 * b1 - b2, b1
     return coef[0][i] + x * b1 - b2
 
 

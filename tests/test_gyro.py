@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -72,6 +74,30 @@ class TestGyroElement:
         b = GyroElement((0.1, 0.0, 0.0), 3.0)
         with pytest.raises(DomainError):
             mobius_add(a, b)
+
+    def test_immutable_slotted_value(self):
+        a = GyroElement((0.5, -0.25, 1.0), T)
+        for name in ("y", "t", "z"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1.0)
+        for name in ("y", "t"):
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a.y == (0.5, -0.25, 1.0) and a.t == T
+        assert not hasattr(a, "__dict__")
+        assert repr(a) == "GyroElement(y=(0.5, -0.25, 1.0), t=2.0)"
+
+    def test_equality_and_hash_are_identity(self):
+        a, b = GyroElement((0.5, -0.25, 1.0), T), GyroElement((0.5, -0.25, 1.0), T)
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a) and len({a, b}) == 2
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda a: pickle.loads(pickle.dumps(a))])
+    def test_copies_rebuild_the_value(self, clone):
+        a = GyroElement((0.5, -0.25, 1.0), T)
+        b = clone(a)
+        assert b is not a and b.y == a.y and b.t == a.t
 
 
 class TestGroupAxioms:
@@ -177,6 +203,59 @@ class TestCancellation:
             res = cancellation_check(
                 boundary_sample(rng), boundary_sample(rng), tol=1e-9)
             assert res, res
+
+
+# (t, a, b, z) and the outputs of mobius_add(a, b), gyration(a, b, z),
+# cosub(a, b), neg(a) and cosub_compositional(a, b), to the last bit: any
+# reordering of a formula's arithmetic moves one of them
+_S = 0.99 / math.sqrt(3.0)
+PINNED = [
+    (1.7, (0.7123456789012345, -0.3141592653589793, 0.2718281828459045),
+     (0.7773, -0.461, -0.6353), (0.2505, 0.5772156649015329, -0.6180339887498949), [
+        (1.27575498966465, -0.6244027323460541, -0.00019390424711691214),
+        (0.45746214908037097, 0.4806137042536687, -0.5810619885177134),
+        (-0.20301837032279446, 0.18988940895524425, 0.7137790600553124),
+        (-0.7123456789012345, 0.3141592653589793, -0.2718281828459045),
+        (-0.20301837032279485, 0.18988940895524428, 0.7137790600553127),
+    ]),
+    # every point at 0.99 t
+    (3.0, (3 * _S, 3 * _S, -3 * _S), (-3 * _S, 3 * _S, 3 * _S), (0.0, 2.97, 0.0), [
+        (1.7142108285487336, 1.766418963669823, -1.7142108285487336),
+        (1.9990951982786425, -0.9100202066100243, -1.9990951982786425),
+        (1.7319633346731869, 0.0, -1.7319633346731869),
+        (-1.7147302994931883, -1.7147302994931883, 1.7147302994931883),
+        (1.7319633346731882, 8.324639295399467e-14, -1.7319633346731882),
+    ]),
+    (1.3, (1.287, 0.0, 0.0), (1.27, 0.13, 0.0), (-0.5, 0.5, 0.7), [
+        (1.299881055105476, 0.000666839325822267, 0.0),
+        (-0.4472742670492402, 0.5476730137915915, 0.7),
+        (0.3753092579730143, -0.047197316896286326, 0.0),
+        (-1.287, -0.0, -0.0),
+        (0.37530925797282805, -0.04719731689629815, 0.0),
+    ]),
+    (1e-160, (3e-161, -2e-161, 5e-161), (-4e-161, 1e-161, 6e-161), (2e-161, 7e-161, -1e-161), [
+        (2.0178782700144602e-161, -2.0244511634021297e-161, 8.52504272380702e-161),
+        (1.0838701196266593e-161, 7.267648218745892e-161, 8.071513080057865e-163),
+        (4.8710242925118956e-161, -1.953418482344102e-161, -1.7155021287252694e-161),
+        (-3e-161, 2e-161, -5e-161),
+        (4.871024292511896e-161, -1.9534184823441024e-161, -1.7155021287252715e-161),
+    ]),
+    (1e300, (6e299, -2e299, 5e299), (-9.9e299, 0.0, 0.0), (1e299, -7e299, 3e299), [
+        (2.867290926703262e299, -3.527774375647178e299, 8.819435939117945e299),
+        (4.925476267355503e299, -4.110235711979336e299, -4.2244107200516605e299),
+        (9.876148621654015e299, -1.0966150963671198e298, 2.7415377409177996e298),
+        (-6e299, 2e299, -5e299),
+        (9.876148621654019e299, -1.0966150963671022e298, 2.74153774091776e298),
+    ]),
+]
+
+
+@pytest.mark.parametrize("t, ya, yb, yz, want", PINNED)
+def test_group_operations_are_bit_identical(t, ya, yb, yz, want):
+    a, b, z = GyroElement(ya, t), GyroElement(yb, t), GyroElement(yz, t)
+    got = [mobius_add(a, b), gyration(a, b, z), cosub(a, b), neg(a), cosub_compositional(a, b)]
+    assert [repr(g.y) for g in got] == [repr(w) for w in want]
+    assert all(g.t == t for g in got)
 
 
 class TestExtremeRadius:
@@ -462,6 +541,35 @@ def _attempt(fn, *args):
     return out
 
 
+def _forms(y):
+    """The point y as a tuple, a list and a float64 array, and as a float32
+    and an int array where those hold its three floats exactly."""
+    forms = [tuple(y), list(y), np.array(y)]
+    with np.errstate(over="ignore"):
+        narrow = [np.array(y, dtype=np.float32)]
+    if all(math.isfinite(c) and c == int(c) and abs(c) < 2.0 ** 63 for c in y):
+        narrow.append(np.array([int(c) for c in y]))
+    exact = [repr(c) for c in y]
+    return forms + [f for f in narrow if [repr(float(c)) for c in f] == exact]
+
+
+def _element(y, t):
+    """GyroElement(y, t) from every form of y: all give the same floats, or all
+    raise the same typed error; the element (checked as by _attempt) or None."""
+    outs = []
+    for form in _forms(y):
+        try:
+            outs.append(GyroElement(form, t))
+        except HypfracError as err:
+            outs.append(type(err))
+    first = outs[0]
+    if isinstance(first, type):
+        assert all(out is first for out in outs), outs
+        return None
+    assert all(isinstance(out, GyroElement) and repr(out) == repr(first) for out in outs), outs
+    return _attempt(lambda: first)
+
+
 def _point_and_batch(fn, *args):
     """fn on single points (the 3-vectors among args) and on their (1, 3)
     batches: both raise the same typed error, or both return finite values,
@@ -489,7 +597,7 @@ def _point_and_batch(fn, *args):
 def test_gyro_entry_points_return_in_ball_or_finite_or_raise_typed(data, t, lam, xi):
     vectors = _vectors(t) if math.isfinite(t) else st.tuples(st.floats(), st.floats(), st.floats())
     ya, yb, yz = (data.draw(vectors) for _ in range(3))
-    a, b, z = (_attempt(GyroElement, y, t) for y in (ya, yb, yz))
+    a, b, z = (_element(y, t) for y in (ya, yb, yz))
     if a is not None:
         _attempt(neg, a)
     if a is not None and b is not None:

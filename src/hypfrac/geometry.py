@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UnsupportedRangeError
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, _regula_falsi, alg_left
 
 __all__ = [
     "ModelParams",
@@ -309,8 +309,8 @@ class DyadicLadder:
 def dyadic_ladder(r0: float, K: int) -> DyadicLadder:
     """Solve |B_{r_k}| = |B_{r_{k-1}}| / 8 recursively, K levels below r0.
 
-    Bisection on the guaranteed bracket [r_{k-1}/2, r_{k-1}]: the lower end
-    satisfies |B_{r/2}| <= |B_r|/8 by the volume-doubling lower bound.
+    Regula falsi to a width of 1e-15 r_{k-1} on the guaranteed bracket [r_{k-1}/2,
+    r_{k-1}]: its lower end has |B_{r/2}| <= |B_r|/8 by the volume-doubling lower bound.
     """
     if r0 <= 0.0:
         raise DomainError("dyadic_ladder requires r0 > 0")
@@ -320,27 +320,11 @@ def dyadic_ladder(r0: float, K: int) -> DyadicLadder:
     for _ in range(K):
         prev = radii[-1]
         target = ball_volume(prev) / 8.0
-        lo, hi = 0.5 * prev, prev
-        flo = ball_volume(lo) - target
-        if flo > 0.0:
-            raise NumericError(
-                f"dyadic_ladder: bracket failed at r={prev} (f(lo)={flo})"
-            )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = ball_volume(mid) - target
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if fm < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        else:
-            raise NumericError(f"dyadic_ladder: bisection stalled at r={prev}")
-        nxt = 0.5 * (lo + hi)
+        f_lo = ball_volume(0.5 * prev) - target
+        if f_lo > 0.0:
+            raise NumericError(f"dyadic_ladder: bracket failed at r={prev} (f(lo)={f_lo})")
+        nxt = _regula_falsi(lambda r: ball_volume(r) - target, 0.5 * prev, prev, f_lo,
+                            7.0 * target, width=1e-15 * prev, what=f"dyadic_ladder at r={prev}")
         if nxt < 0.5 * prev:
             raise NumericError("dyadic_ladder: solution escaped its bracket")
         radii.append(nxt)

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import CalibrationError, DomainError, UnsupportedRangeError
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log, kernel_sinh2
-from .quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, _sorted_unique, antiderivative,
-                         integrate)
+from .quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, _regula_falsi, _sorted_unique,
+                         antiderivative, integrate)
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -401,14 +401,9 @@ def _positive_part(F, u, R0, u0, r):
     d = _paired_delta(u, u0, two_x.ravel(), w.ravel()).reshape(w.shape)
     a, b, da, db = w[:, :-1], w[:, 1:], d[:, :-1], d[:, 1:]
     split = ((da > 0.0) & (db < 0.0)) | ((da < 0.0) & (db > 0.0))
-    # Illinois: the end kept for a second step has its value halved
-    x0, x1, f0, f1, tx = a[split], b[split], da[split], db[split], two_x[:, 1:][split]
-    for _ in range(10):
-        c = x1 - f1 / (f1 - f0) * (x1 - x0)
-        fc = _paired_delta(u, u0, tx, c)
-        flip = (fc > 0.0) != (f1 > 0.0)
-        x0, f0 = np.where(flip, x1, x0), np.where(flip, f1, 0.5 * f0)
-        x1, f1 = c, fc
+    tx = two_x[:, 1:][split]
+    x1 = _regula_falsi(lambda c: _paired_delta(u, u0, tx, c),
+                       a[split], b[split], da[split], db[split], steps=10)
     # sub-interval [a, b] with root c (c = a without one): [a, c] is positive
     # where da is, [c, b] where db is; the G(end) - G(start) of a piece's
     # positive parts weigh each point by the flag before it less the one after
@@ -594,7 +589,7 @@ def pucci_minus(u: RadialProfile, R0: float, gamma: float,
 # spectral multiplier oracle
 
 
-# radii at which the calibrated round trip must reproduce u
+# radii at which the round trip must reproduce u
 _CHECK_RADII = (0.0, 0.4, 0.9)
 # beyond r_max the forward integrand |u(r)| r sinh(r) is below this, so the
 # cut-off tail of a forward value stays under the spectral integrals'
@@ -630,16 +625,18 @@ def _integrals(f, top, n, cfg, what):
 
 
 class SphericalTransform:
-    """Radial spherical transform with self-calibrated inversion constant.
+    """Radial spherical transform and its inverse.
 
     The forward transform integrates u against phi_lambda sinh^2; the inverse
-    integrates against phi_lambda lambda^2 with a constant kappa fixed by the
-    round-trip identity (analytically 1/(2 pi^2)), verified to 1e-6 before
-    use.  Each spectral integral is one batch of ``quadrature.integrate``
-    reading u_hat on its node array; nodes not yet memoised are transformed
-    in one batch.  Every integral goes through its reject rule
-    (``NumericError``).
+    integrates against phi_lambda lambda^2 with the inversion constant kappa
+    = 1/(2 pi^2), and the round trip at ``_CHECK_RADII`` must reproduce u to
+    1e-6 before use (``CalibrationError``).  Each spectral integral is one
+    batch of ``quadrature.integrate`` reading u_hat on its node array; nodes
+    not yet memoised are transformed in one batch.  Every integral goes
+    through its reject rule (``NumericError``).
     """
+
+    kappa = 1.0 / (2.0 * math.pi ** 2)
 
     def __init__(self, u: RadialProfile):
         _require_c2_bounded(u, "SphericalTransform")
@@ -647,7 +644,7 @@ class SphericalTransform:
         self.r_max = _forward_cut(u)
         self._fwd_cache = {}
         self.lam_max = self._find_lambda_cut()
-        self._calibrate()
+        self._check_round_trip()
 
     def forward(self, lam: float) -> float:
         """u_hat(lam) = 4 pi * integral over [0, r_max] of u phi_lam sinh^2,
@@ -690,8 +687,11 @@ class SphericalTransform:
         """integral of weight(lam) u_hat(lam) phi_lam(R0) lam^2 over
         [0, lam_max] at every R0 in radii, in one batch."""
         radii = np.array(radii, dtype=float)
-        # phi_lam(R0) = sinc(lam R0) R0 / sinh(R0)
-        scale = np.array([r / math.sinh(r) if r else 1.0 for r in radii.tolist()])
+        if not np.all((radii >= 0.0) & (radii < math.inf)):
+            raise DomainError("R0 must be finite and nonnegative")
+        # phi_lam(R0) = sinc(lam R0) R0 / sinh(R0), R0 / sinh(R0) = 2 R0 e^-R0 / (1 - e^-2R0)
+        scale = np.array([2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r) if r else 1.0
+                          for r in radii.tolist()])
 
         def f(lam, own):
             phi = np.sinc(lam * radii[own, None] / math.pi) * scale[own, None]
@@ -702,16 +702,12 @@ class SphericalTransform:
     def roundtrip(self, R0: float) -> float:
         return self.kappa * float(self._spectral_integrals([R0], np.ones_like)[0])
 
-    def _calibrate(self):
-        got = self._spectral_integrals(_CHECK_RADII, np.ones_like).tolist()
-        want = [self.u(r) for r in _CHECK_RADII]
-        if got[0] == 0.0 or want[0] == 0.0:
-            raise CalibrationError("degenerate calibration point")
-        self.kappa = want[0] / got[0]
-        for r, g, w in zip(_CHECK_RADII, got, want):
-            if abs(self.kappa * g - w) > 1e-6 * max(1.0, abs(w)):
-                raise CalibrationError(
-                    f"round trip missed at r={r}: got {self.kappa * g}, expected {w}")
+    def _check_round_trip(self):
+        got = self.kappa * self._spectral_integrals(_CHECK_RADII, np.ones_like)
+        for r, g in zip(_CHECK_RADII, got.tolist()):
+            w = self.u(r)
+            if abs(g - w) > 1e-6 * max(1.0, abs(w)):
+                raise CalibrationError(f"round trip missed at r={r}: got {g}, expected {w}")
 
     def multiplier_value(self, R0: float, gamma: float) -> float:
         """-(-Delta)^gamma u(R0) through the multiplier -(lam^2+1)^gamma."""

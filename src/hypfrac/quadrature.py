@@ -18,6 +18,7 @@ bounded integrand, for integrands that are numpy functions:
 for a caller that needs the integral of one integrand over many intervals.
 Its Chebyshev matrices (``_chebyshev_matrices``, of any degree) and Clenshaw
 sum (``_clenshaw``) also serve the jump-kernel table of ``kernel``.
+``_regula_falsi`` finds every bracketed root of the package.
 """
 
 import math
@@ -406,3 +407,31 @@ def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
         return (offset[i] + half[i] * _clenshaw(anti, i, x)).reshape(w.shape)
 
     return F
+
+
+# ----------------------------------------------------------------------
+# bracketed roots
+
+
+def _regula_falsi(f, x0, x1, f0, f1, steps=100, width=0.0, what="regula falsi"):
+    """The root of f in each bracket [x0, x1], f0 = f(x0) and f1 = f(x1) of opposite
+    signs or zero, by Illinois steps (Dowell and Jarratt, BIT 11, 1971): the secant
+    point c replaces x1, and x1 becomes x0 where f(c) changes sign against f1, else f0
+    is halved.  Floats are one bracket; arrays, of any shape, a batch (f on arrays).
+    At most ``steps`` steps, fewer once every bracket is on a root (f1 = 0) or within
+    ``width``; a positive width not reached raises ``NumericError``.  Returns x1."""
+    for step in range(steps + 1):
+        done = (f1 == 0.0) | (abs(x1 - x0) <= width)
+        if np.all(done) or step == steps:
+            break
+        c = x1 - f1 / (f1 - f0) * (x1 - x0)
+        fc = f(c)
+        flip = (fc > 0.0) != (f1 > 0.0)
+        if isinstance(flip, np.ndarray):
+            x0, f0 = np.where(flip, x1, x0), np.where(flip, f1, 0.5 * f0)
+        else:
+            x0, f0 = (x1, f1) if flip else (x0, 0.5 * f0)
+        x1, f1 = c, fc
+    if width > 0.0 and not np.all(done):
+        raise NumericError(f"{what}: no root within {width:.3g} after {steps} steps")
+    return x1

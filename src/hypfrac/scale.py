@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .geometry import aux_H
 from .kernel import _kernel_sinh2_regular, gamma_abs_neg, kernel_sinh2
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, alg_left, alg_tail
+from .quadrature import QuadratureConfig, DEFAULT_QUAD, _regula_falsi, alg_left, alg_tail
 from .specfun import bessel_i, bessel_k
 
 __all__ = [
@@ -158,39 +158,30 @@ def _i0_normal(R: float, gamma: float) -> float:
     return value
 
 
-def _log_i0(log_x: float, gamma: float, anchor_log: float) -> float:
-    if log_x >= math.log(_I0_SMALL_R):
-        return math.log(_i0_normal(math.exp(log_x), gamma))
-    # continuous continuation with the Euclidean slope 2 - 2 gamma
-    return anchor_log + (2.0 - 2.0 * gamma) * (log_x - math.log(_I0_SMALL_R))
-
-
 def r0_solve(R: float, gamma: float, rho0: float = 0.25) -> float:
-    """r0 = rho0 * x where I0(x) = I0(R)/2, by log-space bisection.
+    """r0 = rho0 * x where I0(x) = I0(R)/2, by regula falsi on log x.
 
     I0 is strictly increasing, so the root is unique.  For gamma near 1 the
-    root collapses by hundreds of orders of magnitude; the bisection runs on
-    log x with the closed form continued below 1e-3 by its flat-space slope.
+    root collapses by hundreds of orders of magnitude; the Illinois steps of
+    ``quadrature._regula_falsi`` run on log x down to a bracket 1e-11 wide,
+    with the closed form continued below 1e-3 by its flat-space slope.
     """
     _validate(R, gamma)
     if not 0.0 < rho0 < 1.0:
         raise DomainError("rho0 must lie in (0, 1)")
     target = math.log(_i0_normal(R, gamma) / 2.0)
-    anchor_log = math.log(_i0_normal(_I0_SMALL_R, gamma))
+    anchor_log, small_log = math.log(_i0_normal(_I0_SMALL_R, gamma)), math.log(_I0_SMALL_R)
+
+    def f(log_x):
+        if log_x >= small_log:
+            return math.log(_i0_normal(math.exp(log_x), gamma)) - target
+        # continuous continuation with the Euclidean slope 2 - 2 gamma
+        return anchor_log + (2.0 - 2.0 * gamma) * (log_x - small_log) - target
+
     lo, hi = math.log(1e-300), math.log(R)
-    if _log_i0(lo, gamma, anchor_log) > target:
+    if f(lo) > 0.0:
         raise NumericError("r0_solve: no root above the representable floor")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if _log_i0(mid, gamma, anchor_log) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-11:
-            break
-    else:
-        raise NumericError("r0_solve: bisection stalled")
-    x = math.exp(0.5 * (lo + hi))
+    x = math.exp(_regula_falsi(f, lo, hi, f(lo), f(hi), width=1e-11, what="r0_solve"))
     if not x < R:
         raise NumericError("r0_solve: root escaped (0, R)")
     return rho0 * x

@@ -261,8 +261,9 @@ class TestSpectralOracle:
 
     def test_lambda_cut_by_width(self):
         # a forward value within the rounding floor of its integral counts
-        # as decayed, which lets width 2 calibrate: its values from lambda 10
-        # on are noise of 3e-13 to 2e-15, and the first on the floor is at 80
+        # as decayed, which lets width 2 pass its round trip: its values from
+        # lambda 10 on are noise of 3e-13 to 2e-15, and the first on the floor
+        # is at 80
         cuts = {w: SphericalTransform(gaussian_bump(w)).lam_max
                 for w in (0.5, 0.6, 1.0, 1.6, 1.8, 2.0)}
         assert cuts == {0.5: 40.0, 0.6: 20.0, 1.0: 20.0, 1.6: 10.0, 1.8: 10.0, 2.0: 80.0}
@@ -302,6 +303,32 @@ class TestSpectralOracle:
         for R0 in (0.0, 0.7):
             assert st.multiplier_value(R0, 1.0) == pytest.approx(
                 laplace_beltrami_radial(gaussian_bump(), R0), rel=1e-3)
+
+    def test_profile_vanishing_at_the_center(self):
+        # r^2 exp(-r^2) is 0 at r = 0, where a kappa fitted from the round
+        # trip there had nothing to fit; the exact constant closes it to rounding
+        u = RadialProfile(f=lambda r: r * r * np.exp(-r * r),
+                          tail_width=lambda eps: math.sqrt(math.log(1.0 / eps)) + 2.0)
+        st = SphericalTransform(u)
+        for r in (0.0, 0.3, 0.8, 1.4):
+            assert st.roundtrip(r) == pytest.approx(r * r * math.exp(-r * r), abs=1e-14)
+        for R0 in (0.0, 0.5):
+            assert st.multiplier_value(R0, 0.6) == pytest.approx(apply_fraclap(u, R0, 0.6),
+                                                                 rel=1e-7)
+
+    @pytest.mark.parametrize("R0", [-0.5, math.nan, math.inf, -math.inf])
+    def test_evaluation_point_range(self, R0):
+        st = SphericalTransform(gaussian_bump())
+        with pytest.raises(DomainError):
+            st.multiplier_value(R0, 0.5)
+        with pytest.raises(DomainError):
+            st.roundtrip(R0)
+
+    def test_far_evaluation_point(self):
+        # R0 / sinh(R0) underflows to 0 rather than overflowing sinh
+        st = SphericalTransform(gaussian_bump())
+        assert st.multiplier_value(800.0, 0.5) == 0.0
+        assert st.roundtrip(800.0) == 0.0
 
 
 class TestPucci:
@@ -362,6 +389,30 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
     for op, m in want.items():
         assert op(scaled, R0, gamma, WIDE) == pytest.approx(
             c * m, rel=1e-9, abs=1e-8 * c * spread)
+
+
+# pucci_plus and pucci_minus under bounds (.5, 2), to the last bit: their
+# positive parts place each sign change by ten batched Illinois steps of
+# ``quadrature._regula_falsi``, whose arithmetic these values fix
+PINNED_PUCCI = [
+    (None, 0.0, 0.3, -0.9292062753114535, -3.716825101245814),
+    (None, 0.5, 0.9, -2.0227397731092465, -8.090959092436986),
+    (None, 1.0, 0.9, 0.5939190954497938, -1.4911930610258046),
+    (None, 2.2, 0.3, 0.01100681778713475, 0.0013636804321103283),
+    (2.0, 0.13, 0.99, -152838273.93881744, -3627676560.485012),
+    (2.0, 1.0, 0.99, 387.3909831492895, -20452.714399997047),
+    (4.0, 0.5, 0.99, -12060144071864.352, -48256946903623.055),
+    (16.0, 2.2, 0.99, -1.157365204020607e+62, -4.629460816082428e+62),
+]
+
+
+@pytest.mark.parametrize("alpha, R0, gamma, plus, minus", PINNED_PUCCI)
+def test_nonlinear_pucci_is_bit_identical(alpha, R0, gamma, plus, minus):
+    # alpha None: gaussian_bump(.8); else the barrier (delta, R, gamma) = (.5, 1, .99)
+    u = (gaussian_bump(0.8) if alpha is None
+         else barrier_profile(BarrierSpec(delta=0.5, alpha=alpha, R=1.0, gamma=0.99)))
+    got = [pucci_plus(u, R0, gamma, WIDE), pucci_minus(u, R0, gamma, WIDE)]
+    assert [repr(v) for v in got] == [repr(plus), repr(minus)]
 
 
 def _paired(u, R0, u0, r, pos, neg, cfg):

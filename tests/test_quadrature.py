@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hypfrac.errors import DomainError, NumericError
-from hypfrac.quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, alg_left, alg_tail,
-                                antiderivative, gk21_batch, integrate)
+from hypfrac.quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, _regula_falsi, alg_left,
+                                alg_tail, antiderivative, gk21_batch, integrate)
 
 
 def test_many_integrals_at_once():
@@ -186,3 +186,63 @@ def test_antiderivative_of_a_non_finite_integrand():
     with pytest.raises(NumericError, match="not finite"):
         antiderivative(lambda s: np.where(s > 0.5, np.inf, s), np.ones_like, [0.0, 1.0], 0.0,
                        TABLE, "test")
+
+
+class _Counted:
+    """f, counting its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+class TestRegulaFalsi:
+    def test_root_at_a_bracket_end(self):
+        f = _Counted(lambda x: x - 1.0)
+        assert _regula_falsi(f, 0.0, 1.0, -1.0, 0.0, width=1e-12) == 1.0
+        assert f.calls == 0
+        assert _regula_falsi(f, 1.0, 2.0, 0.0, 1.0, width=1e-12) == 1.0
+
+    def test_linear_converges_in_one_step(self):
+        f = _Counted(lambda x: 2.0 * x - 1.0)
+        assert _regula_falsi(f, 0.0, 1.0, -1.0, 1.0, width=1e-300) == 0.5
+        assert f.calls == 1
+
+    def test_exact_hit_mid_run(self):
+        # zero on [0.29, 0.31]: the cubic's Illinois steps land there after
+        # several steps, and the run stops on the root long before the width
+        f = _Counted(lambda x: 0.0 if abs(x - 0.3) <= 0.01 else x ** 3 - 0.027)
+        x = _regula_falsi(f, 0.0, 1.0, f(0.0), f(1.0), width=1e-300)
+        assert abs(x - 0.3) <= 0.01 and f(x) == 0.0
+        assert 2 < f.calls < 20
+
+    def test_batch_matches_one_bracket_at_a_time(self):
+        # roots at 0.3 and in a flat zero on [1.9, 2.1]: the second and third
+        # brackets hit the flat zero exactly at steps 2 and 3 and stay there,
+        # while the first and last run on toward 0.3
+        def f(x):
+            return np.where(np.abs(x - 2.0) <= 0.1, 0.0, (x - 0.3) * (x - 2.0))
+        x0, x1 = np.array([0.0, 1.5, 1.0, 0.1]), np.array([1.0, 3.0, 2.6, 0.9])
+        got = _regula_falsi(f, x0, x1, f(x0), f(x1), steps=6)
+        want = [_regula_falsi(lambda c: float(f(c)), a, b, float(f(a)), float(f(b)), steps=6)
+                for a, b in zip(x0.tolist(), x1.tolist())]
+        assert got.tolist() == want
+        assert got[1:3].tolist() == _regula_falsi(f, x0, x1, f(x0), f(x1), steps=3)[1:3].tolist()
+        assert f(got).tolist()[1:3] == [0.0, 0.0]
+        assert np.all(np.abs(got[[0, 3]] - 0.3) < 1e-7) and np.all(f(got[[0, 3]]) != 0.0)
+
+    def test_empty_batch(self):
+        f = _Counted(lambda x: x)
+        got = _regula_falsi(f, np.empty(0), np.empty(0), np.empty(0), np.empty(0), steps=10)
+        assert got.shape == (0,) and f.calls == 0
+
+    def test_no_convergence_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="cube root: no root within"):
+            _regula_falsi(lambda x: x ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0, steps=3, width=1e-12,
+                          what="cube root")
+        # without a width the steps run out quietly
+        x = _regula_falsi(lambda x: x ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0, steps=3)
+        assert 0.0 < x < 2.0

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +109,27 @@ class TestR0:
     def test_domain(self):
         with pytest.raises(DomainError):
             r0_solve(1.0, 0.5, 1.5)
+
+    @staticmethod
+    def _mp_i0(R, g):
+        """I0(R) by its two-line closed form in mpmath, at the working precision."""
+        R, g = mpmath.mpf(R), mpmath.mpf(g)
+        c1 = 2 ** g * g / ((1 - g) * mpmath.gamma(1 - g))
+        c2 = c1 / (2 - g)
+        i12, i32, i52 = (mpmath.besseli(n, R) for n in (0.5, 1.5, 2.5))
+        k_hi, k_mid, k_lo = (mpmath.besselk(n + g, R) for n in (1.5, 0.5, -0.5))
+        return R ** (3 - g) * (c1 * (i12 * k_hi + i32 * k_mid) - c2 * (i32 * k_mid + i52 * k_lo))
+
+    @pytest.mark.parametrize("R, g", [(0.5, 0.2), (1.0, 0.4), (3.0, 0.7), (20.0, 0.9)])
+    def test_against_mpmath(self, R, g):
+        # roots above 1e-3, where r0_solve uses the closed form itself; the
+        # 30-digit root of I0(x) = I0(R) / 2 in log x, by a bracketing solver
+        with mpmath.workdps(30):
+            half = self._mp_i0(R, g) / 2
+            log_x = mpmath.findroot(lambda s: self._mp_i0(mpmath.exp(s), g) - half,
+                                    (mpmath.log(1e-3), mpmath.log(R)), solver="anderson")
+            want = float(0.25 * mpmath.exp(log_x))
+        assert r0_solve(R, g, 0.25) == pytest.approx(want, rel=1e-10)
 
 
 class TestMonotonicityReport:

@@ -103,8 +103,8 @@ def kernel_sinh2(gamma: float, rho):
     an algebraic rho^(-1-gamma) tail.  K_{3/2+gamma} comes from
     ``bessel_k_scaled``: Hankel's expansion from rho = 20 on, and below, the
     trapezoid rule, whose node tables of one gamma serve every call.  rho
-    may be a numpy array (an empty array gives an empty array); a scalar rho
-    takes the scalar path.  rho must be finite and positive
+    may be a numpy array (an empty array gives an empty array), and a scalar
+    rho gives a float, by one formula.  rho must be finite and positive
     (``DomainError``).  This is the exact reference of the density: the
     radial integrals of ``operator`` read it from the jump-kernel table
     (``_kernel_sinh2_log``), within ``KERNEL_TABLE_REL`` of it, and the
@@ -112,22 +112,18 @@ def kernel_sinh2(gamma: float, rho):
     """
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie in (0, 1)")
-    if isinstance(rho, np.ndarray):
-        rho = rho.astype(float, copy=False)
-        if not np.all((rho > 0.0) & (rho < np.inf)):
-            raise DomainError("kernel_sinh2 requires finite rho > 0")
-        with np.errstate(over="ignore"):
-            # 2 rho may overflow, where 1 - exp(-2 rho) is 1 all the same
-            ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-np.expm1(-2.0 * rho)) / 2.0
-            out = _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
-        if not np.all(np.isfinite(out)):
-            raise NumericError("kernel_sinh2 overflows a float")
-        return out
-    if not 0.0 < rho < math.inf:
+    batch = isinstance(rho, np.ndarray)
+    rho = rho.astype(float, copy=False) if batch else float(rho)
+    valid = (rho > 0.0) & (rho < math.inf)
+    if not (valid.all() if batch else valid):
         raise DomainError("kernel_sinh2 requires finite rho > 0")
-    # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow
-    ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-math.expm1(-2.0 * rho)) / 2.0
-    return _finite(_sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh, "kernel_sinh2")
+    # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow;
+    # 2 rho may overflow, where 1 - exp(-2 rho) is 1 all the same
+    expm1 = np.expm1 if batch else math.expm1
+    with np.errstate(over="ignore"):
+        ksinh = bessel_k_scaled(1.5 + gamma, rho) * (-expm1(-2.0 * rho)) / 2.0
+        out = _sinh2_prefactor(gamma) * rho ** (-0.5 - gamma) * ksinh
+    return _finite(out, "kernel_sinh2")
 
 
 # the jump-kernel table: Chebyshev points of degree _KT_GAMMA_DEG in gamma on

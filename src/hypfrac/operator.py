@@ -423,12 +423,13 @@ def _sphere_integrals(F, u, R0, u0, r, pos, neg):
     w runs over [|r - R0|, r + R0] with the measure sinh(w) dw /
     (sinh r sinh R0) in omega1, so the term neg delta of the combine
     neg delta + (pos - neg) delta^+ takes two values of F."""
-    out = 2.0 * _combine(u.f(r) - u0, pos, neg)
     w_lo, w_hi = np.abs(r - R0), r + R0
     # for R0 << r the w-range shrinks to width ~R0, where rounding of w would
     # distort the omega1-measure; there the sphere average of delta is
     # u(r) - u0 up to O(R0^2) (relative < 1e-11 below the cut)
     live = w_hi - w_lo > 1e-6 * w_hi
+    out = np.empty(r.shape)
+    out[~live] = 2.0 * _combine(u.f(r[~live]) - u0, pos, neg)
     if live.any():
         F_hi, F_lo = np.split(F(np.concatenate([w_hi[live], w_lo[live]])), 2)
         out[live] = neg * (F_hi - F_lo) / (np.sinh(r[live]) * math.sinh(R0))

@@ -13,24 +13,28 @@ The evaluators are self-contained:
   refused;
   ``bessel_i_scaled`` goes on beyond 700 with Hankel's expansion where
   nu^2 <= x.  L sums its terms, of either sign at negative orders, by fsum.
-* ``bessel_k`` sums Hankel's expansion for x >= 20 where nu^2 <= x, and
-  elsewhere integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is
-  exp(x) K_nu(x), with the trapezoid rule.  The rule converges geometrically
-  for this analytic, double-exponentially decaying integrand (Trefethen and
-  Weideman, SIAM Review 56, 2014).  Its step is the power of two
-  2^-level <= min(1/16, 1/(2 sqrt x)), shrinking like 1/sqrt(x) so that the
-  Laplace peak stays resolved at large x, and its nodes u_j = j 2^-level are
-  therefore shared by every x of one level.  The x-free factors
-  1 - cosh u_j and log cosh(nu u_j) sit in a bounded cache of tables, one
-  per (|nu|, level, power-of-two length), built on first use; an evaluation
-  costs one multiply-add, one ``exp`` and one sum per node.  Arrays of x run
-  through the same tables, rows of one table together.  A rule longer than
+* ``bessel_k`` sums Hankel's expansion for x >= 20 where nu^2 <= x: one sum,
+  ``_hankel``, serves I and K, which share its coefficients, and a float x
+  and an array of x alike.  Elsewhere it integrates exp(-x (cosh u - 1))
+  cosh(nu u) du, which is exp(x) K_nu(x), with the trapezoid rule.  The rule
+  converges geometrically for this analytic, double-exponentially decaying
+  integrand (Trefethen and Weideman, SIAM Review 56, 2014).  Its step is the
+  power of two 2^-level <= min(1/16, 1/(2 sqrt x)), shrinking like 1/sqrt(x)
+  so that the Laplace peak stays resolved at large x, and its nodes
+  u_j = j 2^-level are therefore shared by every x of one level.  The x-free
+  factors 1 - cosh u_j and log cosh(nu u_j) sit in a bounded cache of
+  tables, one per (|nu|, level, power-of-two length), built on first use; an
+  evaluation costs one multiply-add, one ``exp`` and one sum per node.  Arrays of x run
+  through the same tables, rows of one table together, in a batch form of
+  the rule that stays apart from the float form: it costs ~10 times as much
+  for a single x, and the barrier operators call both.  A rule longer than
   2^16 nodes (a large order at large x) is refused.
 
 ``s_integral``/``c_integral``/``l_integral`` evaluate the finite Bessel(-
 Struve) sums for the antiderivatives of rho^(k-nu) K_nu(rho) {sinh, cosh, 1}.
 
-Every public function returns a finite float or raises a ``HypfracError``.
+Every public function returns a finite float or raises a ``HypfracError``;
+it takes a numpy scalar as the float it holds.
 """
 
 import math
@@ -75,7 +79,8 @@ _K_EXP_MAX = 698.0
 # then fall below _HANKEL_STOP of the sum within 24 terms, long before
 # k ~ 2x, where they would turn to grow
 _K_HANKEL_MIN = 20.0
-_HANKEL_STOP = 0.25 * np.finfo(float).eps
+# eps / 4, a float: numpy's would turn a float's sum into numpy scalars
+_HANKEL_STOP = 2.0 ** -54
 # sqrt(pi / 2x) as this over sqrt(x): 2x overflows, and pi / 2x is subnormal,
 # near the top of the float range
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -99,15 +104,20 @@ _SERIES_MAX_TERMS = 1 << 16
 _I_CANCELLATION = 1e-3
 
 
-def _check_order(nu: float, what: str):
+def _check_order(nu: float, what: str) -> float:
+    """nu as a float (a numpy scalar would take numpy's arithmetic, which
+    warns where a float's raises), once checked."""
+    nu = float(nu)
     if not math.isfinite(nu):
         raise DomainError(f"{what} requires a finite order")
     if abs(nu) > _MAX_ORDER:
         raise UnsupportedRangeError(f"{what} supports orders |nu| <= {_MAX_ORDER:g}")
+    return nu
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
+def _finite(value, what: str):
+    """value, a float or an array, once every entry is finite."""
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)):
         raise NumericError(f"{what} overflows a float")
     return value
 
@@ -194,7 +204,7 @@ def bessel_i(nu: float, x: float) -> float:
 
     Accurate to ~1e-12 relative for nu in [-1, 10] and x in (0, 700).
     """
-    _check_order(nu, "bessel_i")
+    nu, x = _check_order(nu, "bessel_i"), float(x)
     if not 0.0 <= x < math.inf:
         raise DomainError("bessel_i requires finite x >= 0")
     if x == 0.0:
@@ -208,20 +218,31 @@ def bessel_i(nu: float, x: float) -> float:
     return _i_series(nu, x)
 
 
-def _i_scaled_asymptotic(nu: float, x: float) -> float:
-    """exp(-x) I_nu(x) for x > _I_SERIES_MAX and nu^2 <= x by Hankel's
-    expansion 1/sqrt(2 pi x) sum_k (-1)^k a_k(nu) / x^k,
-    a_k = prod_{i<=k} (4 nu^2 - (2i - 1)^2) / (k! 8^k); the exponentially
-    small part is below exp(-2x) relative.  Under these bounds the terms
-    fall below 1e-17 of the sum long before the series turns to diverge."""
-    mu = 4.0 * nu * nu
-    term, total = 1.0, 1.0
-    for k in range(1, 200):
-        term *= -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))
+def _hankel(nu: float, x, sign: float):
+    """Hankel's expansion, summed up to the first term below _HANKEL_STOP of
+    the sum: exp(x) K_nu(x) = sqrt(pi / 2x) sum_k a_k(nu) / x^k at sign +1
+    (DLMF 10.40.2), exp(-x) I_nu(x) = sum_k (-1)^k a_k(nu) / x^k / sqrt(2 pi x)
+    at sign -1 (10.40.1), a_k = a_(k-1) (4 nu^2 - (2k - 1)^2) / 8k, for
+    x >= _K_HANKEL_MIN and nu^2 <= x.  The exponentially small part is below
+    exp(-2x) relative.  The ratio is taken as (sign (nu - (k - 1/2)) / x)
+    ((nu + k - 1/2) / 2k), which neither overflows at large orders nor misses
+    the zero that ends the sum at a half-integer nu.  x is a float, or a 1-D
+    array whose entries take the same operations, ``live`` then an array:
+    each entry stops adding at its own first small term."""
+    batch = isinstance(x, np.ndarray)
+    term = total = 0.0 * x + 1.0  # 1.0, or ones like x
+    live = x > 0.0  # True, or all True
+    k = 1
+    while live.any() if batch else live:
+        h = k - 0.5
+        term = term * (sign * (nu - h) / x) * ((nu + h) / (2.0 * k)) * live
+        total = total + term
+        live = live & (abs(term) > _HANKEL_STOP * abs(total))
+        k += 1
+    root = np.sqrt(x) if batch else math.sqrt(x)
+    if sign > 0.0:
+        return total * (_SQRT_HALF_PI / root)
+    return total / (math.sqrt(2.0 * math.pi) * root)
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:
@@ -231,11 +252,11 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     expansion where nu^2 <= x, and elsewhere the series, whose length grows
     like x, up to x = 1e4 (``UnsupportedRangeError`` beyond).
     """
-    _check_order(nu, "bessel_i_scaled")
+    nu, x = _check_order(nu, "bessel_i_scaled"), float(x)
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_i_scaled requires finite x > 0")
     if x > _I_SERIES_MAX and nu * nu <= x:
-        return _i_scaled_asymptotic(nu, x)
+        return _hankel(abs(nu), x, -1.0)
     if x > _I_SERIES_LIMIT:
         raise UnsupportedRangeError(
             f"bessel_i_scaled beyond x = {_I_SERIES_LIMIT:g} needs nu^2 <= x")
@@ -251,23 +272,26 @@ def _log_cosh(t):
     return t + np.log1p(np.exp(-2.0 * t)) - _LOG2
 
 
-def _k_cutoff(nu: float, x, asinh, any_):
+def _k_cutoff(nu: float, x):
     """Smallest u with x (cosh u - 1) - nu u >= _K_DECAY, padded by 5%.
 
     Its half v = u/2 is the fixed point of v = asinh(sqrt((_K_DECAY / 2 + nu v) / x)),
     free of the cancellation of acosh(1 + y) once 1 + y rounds to 1.  From
     v = 0 the steps rise to it, each closer by the factor nu / (x sinh u),
     which is below tanh(u/2) / u < 1/2 at the fixed point, and stop once a
-    step moves v by at most 1e-6 of it.  x is a float, with (asinh, any_) =
-    (math.asinh, bool), or an array, with (np.arcsinh, np.any), which differ
+    step moves v by at most 1e-6 of it.  x is a float, which takes
+    ``math.asinh``, or an array, which takes ``np.arcsinh``: the two differ
     in the last bit, so each path keeps its own.  The callers add 0.25, or
     beyond x = 1024 a few widths 8/sqrt(x) of the integrand's peak.
     """
+    batch = isinstance(x, np.ndarray)
+    asinh = np.arcsinh if batch else math.asinh
     a, c = 0.5 * _K_DECAY / x, nu / x
     v = 0.0
     while True:
         step = asinh((a + c * v) ** 0.5)
-        if not any_(step - v > 1e-6 * step):
+        moved = step - v > 1e-6 * step
+        if not (moved.any() if batch else moved):
             return 2.1 * step
         v = step
 
@@ -297,62 +321,22 @@ def _k_table(nu: float, level: int, size: int):
     return tables
 
 
-def _k_hankel(nu: float, x: float) -> float:
-    """exp(x) K_nu(x) for x >= _K_HANKEL_MIN and 0 <= nu, nu^2 <= x, by
-    Hankel's expansion sqrt(pi / 2x) sum_k a_k / x^k (DLMF 10.40.2),
-    a_k = a_(k-1) (4 nu^2 - (2k - 1)^2) / 8k, up to the first term below
-    _HANKEL_STOP of the sum.  The ratio is taken as
-    ((nu - (k - 1/2)) / x) ((nu + k - 1/2) / 2k), which neither overflows at
-    large orders nor misses the zero that ends the sum at a half-integer nu.
-    The exponentially small part is below exp(-2x) relative."""
-    term = total = 1.0
-    k = 1
-    while True:
-        h = k - 0.5
-        term = term * ((nu - h) / x) * ((nu + h) / (2.0 * k))
-        total += term
-        if abs(term) <= _HANKEL_STOP * abs(total):
-            return total * (_SQRT_HALF_PI / math.sqrt(x))
-        k += 1
-
-
-def _k_hankel_array(nu: float, x):
-    """``_k_hankel`` at every entry of the 1-D array x, the same operations
-    entry by entry: each entry stops adding at its own first small term."""
-    term, total = np.ones_like(x), np.ones_like(x)
-    live = np.ones(x.shape, dtype=bool)
-    k = 1
-    while live.any():
-        h = k - 0.5
-        term = np.where(live, term * ((nu - h) / x) * ((nu + h) / (2.0 * k)), 0.0)
-        total += term
-        live &= np.abs(term) > _HANKEL_STOP * np.abs(total)
-        k += 1
-    return total * (_SQRT_HALF_PI / np.sqrt(x))
-
-
-def _k_scaled(nu: float, x: float) -> float:
-    """exp(x) K_nu(x) at a float x > 0: Hankel's expansion where it
-    serves, else the trapezoid rule."""
-    nu = abs(nu)
-    if x >= _K_HANKEL_MIN and nu * nu <= x:
-        return _k_hankel(nu, x)
-    return _k_trapezoid(nu, x)
-
-
-def _k_scaled_array(nu: float, x):
-    """``_k_scaled`` at every entry of the 1-D array x."""
+def _k_scaled(nu: float, x):
+    """exp(x) K_nu(x) at a float x > 0, or at every entry of a 1-D array x:
+    Hankel's expansion where it serves, else the trapezoid rule."""
     nu = abs(nu)
     hankel = (x >= _K_HANKEL_MIN) & (nu * nu <= x)
+    if not isinstance(x, np.ndarray):
+        return _hankel(nu, x, 1.0) if hankel else _k_trapezoid(nu, x)
     out = np.empty_like(x)
-    out[hankel] = _k_hankel_array(nu, x[hankel])
+    out[hankel] = _hankel(nu, x[hankel], 1.0)
     out[~hankel] = _k_trapezoid_array(nu, x[~hankel])
     return out
 
 
 def _k_trapezoid(nu: float, x: float) -> float:
     """exp(x) K_nu(x) at a float x > 0, nu >= 0, by the trapezoid rule."""
-    cut = _k_cutoff(nu, x, math.asinh, bool) + min(0.25, 8.0 / math.sqrt(x))
+    cut = _k_cutoff(nu, x) + min(0.25, 8.0 / math.sqrt(x))
     if not cut <= _K_U_MAX:
         raise _k_unsupported(nu)
     # the step 2^-level is the largest power of two <= min(1/16, 1/(2 sqrt x)),
@@ -372,10 +356,13 @@ def _k_trapezoid(nu: float, x: float) -> float:
 
 def _k_trapezoid_array(nu: float, x):
     """exp(x) K_nu(x) at every entry of the 1-D array x, nu >= 0: the rule of
-    ``_k_trapezoid``, run on the rows that share a node table at once."""
+    ``_k_trapezoid``, run on the rows that share a node table at once.  The
+    float rule stays a separate form: one x through this one costs 73-83 us,
+    against 7-12 us there, and both serve the barrier operators, with ~4
+    float calls and ~2 batches of ~190 entries per barrier-sweep task."""
     # x < ~1e-307: an infinite cut (inf - inf in the steps after), refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        cut = _k_cutoff(nu, x, np.arcsinh, np.any) + np.minimum(0.25, 8.0 / np.sqrt(x))
+        cut = _k_cutoff(nu, x) + np.minimum(0.25, 8.0 / np.sqrt(x))
     if not np.all(cut <= _K_U_MAX):
         raise _k_unsupported(nu)
     m, e = np.frexp(x)
@@ -416,7 +403,7 @@ def bessel_k(nu: float, x: float) -> float:
     large x (nu^2 > x), whose rule would need more than 2^16 nodes, raise
     ``UnsupportedRangeError``.  K_nu underflows to 0 beyond x ~ 745.
     """
-    _check_order(nu, "bessel_k")
+    nu, x = _check_order(nu, "bessel_k"), float(x)
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_k requires finite x > 0")
     return _k_scaled(nu, x) * math.exp(-x)
@@ -431,17 +418,18 @@ def bessel_k_scaled(nu: float, x):
     (see the module docstring), with the step 2^-level <= min(1/16,
     1/(2 sqrt x)) and at least 80 steps up to the cut where the integrand
     has decayed by exp(-45).  x may be a numpy array; its entries then take
-    the same two routes, the expansion entry by entry and the rule through
-    the same node tables in batches, and agree with the scalar path to a few
-    ulp.  Every entry must be finite and positive (``DomainError``); an
+    the same two routes, the expansion entry by entry, bit for bit as at a
+    float, and the rule through the same node tables in batches, within a
+    few ulp of the float rule.  Every entry must be finite and positive (``DomainError``); an
     empty array gives an empty array.  The ranges of ``bessel_k`` apply.
     """
-    _check_order(nu, "bessel_k_scaled")
+    nu = _check_order(nu, "bessel_k_scaled")
     if isinstance(x, np.ndarray):
         x = x.astype(float, copy=False)
         if not np.all((x > 0.0) & (x < np.inf)):
             raise DomainError("bessel_k_scaled requires finite x > 0")
-        return _k_scaled_array(nu, x.ravel()).reshape(x.shape)
+        return _k_scaled(nu, x.ravel()).reshape(x.shape)
+    x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError("bessel_k_scaled requires finite x > 0")
     return _k_scaled(nu, x)
@@ -456,7 +444,7 @@ def struve_l(nu: float, x: float) -> float:
 
     Supported for x in (0, 30]; larger arguments raise UnsupportedRangeError.
     """
-    _check_order(nu, "struve_l")
+    nu, x = _check_order(nu, "struve_l"), float(x)
     if not 0.0 <= x < math.inf:
         raise DomainError("struve_l requires finite x >= 0")
     if x > 30.0:
@@ -489,6 +477,7 @@ def _check_sc_order(k: int, nu: float):
 
 
 def _sc_sum(k: int, nu: float, rho: float, cosh_variant: bool) -> float:
+    nu, rho = float(nu), float(rho)
     _check_sc_order(k, nu)
     if rho <= 0.0:
         raise DomainError("rho must be positive")
@@ -534,7 +523,7 @@ def l_integral(two_k: int, nu: float, rho: float) -> float:
     """
     if two_k < 0 or two_k % 2 != 0:
         raise DomainError("l_integral requires an even nonnegative power 2k")
-    _check_order(nu, "l_integral")
+    nu, rho = _check_order(nu, "l_integral"), float(rho)
     if not 0.0 < rho < math.inf:
         raise DomainError("rho must be positive and finite")
     if rho > 30.0:

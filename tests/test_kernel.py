@@ -97,6 +97,15 @@ class TestKernelValue:
     def test_sinh2_empty_array(self):
         assert kernel_sinh2(0.5, np.array([])).shape == (0,)
 
+    def test_sinh2_float_and_array(self):
+        # one formula serves a float and a batch; a float gives a float
+        rho = np.geomspace(1e-5, 1e4, 200)
+        for g in (0.1, 0.5, 0.99):
+            scalar = [kernel_sinh2(g, float(r)) for r in rho]
+            assert all(type(v) is float for v in scalar)
+            assert kernel_sinh2(g, np.float64(2.0)) == kernel_sinh2(g, 2.0)
+            assert np.max(np.abs(kernel_sinh2(g, rho) / scalar - 1.0)) <= 4 * np.finfo(float).eps
+
 
 class TestEuclideanLimit:
     def test_large_tau_window(self):

@@ -34,6 +34,12 @@ class TestFrozenReferences:
         assert i0_closed(2.0, 0.3) == pytest.approx(I0_2_03, rel=1e-12)
         assert iinf_closed(2.0, 0.3) == pytest.approx(IINF_2_03, rel=1e-10)
 
+    def test_numpy_scalar_radius(self):
+        # numpy's scalar power warned in the Bessel series where a float's raised
+        for R in (336.9, 607.5):
+            for f in (i0_closed, iinf_closed):
+                assert f(np.float64(R), 0.5) == f(R, 0.5)
+
 
 class TestClosedVsQuadrature:
     def test_i0_grid(self):

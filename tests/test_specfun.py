@@ -249,8 +249,7 @@ class TestBesselKEdges:
     def test_cut_clears_the_decay_at_any_x(self, x):
         # x (cosh u - 1) written as 2 x sinh^2(u/2), exact at the tiny cuts of huge x
         for nu in (0.0, 2.49, x):
-            cuts = (specfun._k_cutoff(nu, x, math.asinh, bool),
-                    float(specfun._k_cutoff(nu, np.array([x]), np.arcsinh, np.any)[0]))
+            cuts = (specfun._k_cutoff(nu, x), float(specfun._k_cutoff(nu, np.array([x]))[0]))
             for u in cuts:
                 assert 2.0 * x * math.sinh(0.5 * u) ** 2 - nu * u >= 45.0
 
@@ -324,6 +323,67 @@ class TestHankelK:
         # sqrt(pi / 2x) where 2x overflows
         x = 1.7e308
         assert bessel_k_scaled(1e150, x) == pytest.approx(math.sqrt(math.pi / 2.0 / x), rel=1e-15)
+
+    def test_float_and_array_sums_are_bit_identical(self):
+        # one expansion serves I (sign -1) and K (sign +1), a float and a batch
+        x = np.concatenate([np.geomspace(20.0, 1e6, 300), [20.0, 700.0, 701.0, 1.7e308]])
+        for sign in (1.0, -1.0):
+            for nu in self.ORDERS + (30.0,):
+                xs = x[nu * nu <= x]
+                scalar = [specfun._hankel(nu, float(v), sign) for v in xs]
+                assert specfun._hankel(nu, xs, sign).tolist() == scalar
+
+    # (nu, x, K_nu(x), exp(x) K_nu(x)) to the last bit, from both routes: a
+    # rewrite of the expansion or of the rule that moves a value shows here
+    PINNED = (
+        (0.0, 1e-3, "0x1.c1841e07ec9a0p+2", "0x1.c1f740406b6bcp+2"),
+        (1.49, 25.0, "0x1.fd3b9dcdeba8cp-39", "0x1.0aca1905a28afp-2"),
+        (2.49, 3.0, "0x1.55f532e5ea226p-4", "0x1.ad467fb30d150p+0"),
+        (7.3, 20.0, "0x1.1e21af8c9cd0dp-29", "0x1.02930d6332141p+0"),
+        (2.5, 77.0, "0x1.1e29154f67b35p-114", "0x1.300ea289a1600p-3"),
+        (0.49, 700.0, "0x1.a3d02d5b1cee9p-1015", "0x1.840f1c8f30757p-5"),
+        (30.0, 900.0, "0x0.0p+0", "0x1.19ff53d385609p-4"),
+    )
+    PINNED_ARRAY = ("0x1.1f2af0027e494p+15", "0x1.0aca1905a28afp-2", "0x1.ebe0ea4c3635cp-1",
+                    "0x1.2d1acd7e30a5dp-2", "0x1.284118589e5f5p-3", "0x1.849b9c2f9871cp-5")
+
+    def test_pinned_bits(self):
+        for nu, x, k, k_scaled in self.PINNED:
+            assert bessel_k(nu, x).hex() == k
+            assert bessel_k_scaled(nu, x).hex() == k_scaled
+        x = np.array([p[1] for p in self.PINNED[:-1]])
+        assert [v.hex() for v in bessel_k_scaled(1.49, x).tolist()] == list(self.PINNED_ARRAY)
+
+
+class TestNumpyScalarArguments:
+    """A numpy scalar order or argument gives the float's value, as a float:
+    numpy's scalar arithmetic warned (an error under this suite) where a
+    float's raised and was caught."""
+
+    CASES = ((bessel_i, 0.5, 271.32), (bessel_i_scaled, 1.5, 466.76), (struve_l, 1000.0, 15.17),
+             (bessel_k, 1.49, 25.0), (bessel_k, 2.49, 3.0), (bessel_k_scaled, 1.49, 25.0),
+             (bessel_k_scaled, 2.49, 3.0), (bessel_i_scaled, 1.5, 800.0))
+
+    def test_same_value_as_a_float(self):
+        for f, nu, x in self.CASES:
+            want = f(nu, x)
+            assert type(want) is float
+            n64, x64 = np.float64(nu), np.float64(x)
+            for args in ((nu, x64), (n64, x), (n64, x64)):
+                got = f(*args)
+                assert type(got) is float and got == want, (f.__name__, args)
+
+    def test_typed_error_as_for_a_float(self):
+        for args in ((4.55, np.float64(1e-320)), (np.float64(4.55), 1e-320)):
+            with pytest.raises(UnsupportedRangeError):
+                bessel_k(*args)
+
+    def test_integral_families(self):
+        for f, args in ((s_integral, (1, 2.1, 2.0)), (c_integral, (1, 1.7, 2.0)),
+                        (l_integral, (2, 1.3, 2.0))):
+            want = f(*args)
+            got = f(args[0], np.float64(args[1]), np.float64(args[2]))
+            assert type(got) is float and got == want
 
 
 class TestNegativeBesselI:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UnsupportedRangeError
-from .quadrature import QuadratureConfig, DEFAULT_QUAD, _regula_falsi, alg_left
+from .errors import DomainError, NumericError, UnsupportedRangeError, finite, nonnegative, positive
+from .quadrature import _regula_falsi, alg_left
 
 __all__ = [
     "ModelParams",
@@ -186,8 +186,7 @@ def law_of_cosines(r: float, R0: float, omega1: float):
     A = cosh r cosh R0 and B = sinh r sinh R0 omega1, evaluated through the
     cancellation-free rearrangement cosh(r -+ R0) + (1 -+ omega1) sinh r sinh R0.
     """
-    if not (0.0 <= r < math.inf and 0.0 <= R0 < math.inf):
-        raise DomainError("law_of_cosines requires finite r, R0 >= 0")
+    r, R0 = nonnegative(r, "r"), nonnegative(R0, "R0")
     if not abs(omega1) <= 1.0 + 1e-12:
         raise DomainError("omega1 must lie in [-1, 1]")
     if r + R0 > _MAX_SPAN:
@@ -214,9 +213,7 @@ def law_of_cosines(r: float, R0: float, omega1: float):
 def ball_volume(r: float) -> float:
     """Volume of the geodesic ball of radius r at tau = 1:
     pi * (sinh 2r - 2r)."""
-    if not 0.0 <= r < math.inf:
-        raise DomainError("ball_volume requires finite r >= 0")
-    x = 2.0 * r
+    x = 2.0 * nonnegative(r, "r")
     if x > 709.0:
         raise UnsupportedRangeError("ball_volume overflows beyond r = 354.5")
     if x == 0.0:
@@ -236,35 +233,60 @@ def ball_volume(r: float) -> float:
     return math.pi * (math.sinh(x) - x)
 
 
-def ball_volume_quadrature(r: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """|B_r| = 4 pi * integral of sinh^2 over (0, r); cross-check route."""
-    if r < 0.0:
-        raise DomainError("ball_volume requires r >= 0")
+def _sinh2_integral(c: float, a: float, b: float) -> float:
+    """c times the integral of sinh^2 over [a, b], at ``DEFAULT_QUAD``, taken
+    against e^(2 b), so that no node overflows up to ``ball_volume``'s limit
+    b <= 354.5."""
+
+    def density(r):
+        # c sinh^2(r) e^(-2 b)
+        return c * (0.5 * np.expm1(-2.0 * r)) ** 2 * np.exp(2.0 * (r - b))
+
+    return alg_left(density, a, b, 0.0) * math.exp(2.0 * b)
+
+
+def ball_volume_quadrature(r: float) -> float:
+    """|B_r| = 4 pi * integral of sinh^2 over (0, r); cross-check route, up to
+    ``ball_volume``'s limit r = 354.5 (``UnsupportedRangeError`` beyond)."""
+    r = nonnegative(r, "r")
+    if 2.0 * r > 709.0:
+        raise UnsupportedRangeError("ball_volume_quadrature overflows beyond r = 354.5")
     if r == 0.0:
         return 0.0
-    return alg_left(lambda s: 4.0 * math.pi * np.sinh(s) ** 2, 0.0, r, 0.0, cfg)
+    return _sinh2_integral(4.0 * math.pi, 0.0, r)
 
 
 def doubling_bounds(r: float, R: float):
-    """Volume-doubling sandwich ((R/r)^3, D*(R/r)^log2(D)), D = 8 cosh^2(2R)."""
-    if not 0.0 < r <= R:
-        raise DomainError("doubling_bounds requires 0 < r <= R")
-    d = 8.0 * math.cosh(2.0 * R) ** 2
-    ratio = R / r
-    return ratio ** 3, d * ratio ** math.log2(d)
+    """Volume-doubling sandwich ((R/r)^3, D*(R/r)^log2(D)), D = 8 cosh^2(2R);
+    ``NumericError`` where the upper bound, the larger, overflows a float."""
+    r, R = positive(r, "r"), positive(R, "R")
+    if not r <= R:
+        raise DomainError("doubling_bounds requires r <= R")
+    try:
+        d = 8.0 * math.cosh(2.0 * R) ** 2
+        lower, upper = (R / r) ** 3, d * (R / r) ** math.log2(d)
+    except OverflowError:
+        upper = math.inf
+    if upper == math.inf:
+        raise NumericError(f"doubling_bounds overflows a float at r={r}, R={R}")
+    return lower, upper
 
 
 def aux_S(t: float) -> float:
-    """sinh(t)/t, continuously extended by S(0) = 1."""
-    t = abs(t)
+    """sinh(t)/t, continuously extended by S(0) = 1; ``NumericError`` where
+    sinh(t) overflows a float, beyond |t| ~ 710.5."""
+    t = abs(finite(t, "t"))
     if t < 1e-4:
         return 1.0 + t * t / 6.0 * (1.0 + t * t / 20.0)
-    return math.sinh(t) / t
+    try:
+        return math.sinh(t) / t
+    except OverflowError:
+        raise NumericError(f"aux_S overflows a float at t={t}") from None
 
 
 def aux_H(t: float) -> float:
     """t*coth(t), continuously extended by H(0) = 1."""
-    t = abs(t)
+    t = abs(finite(t, "t"))
     if t < 1e-4:
         return 1.0 + t * t / 3.0 - t ** 4 / 45.0
     return t / math.tanh(t)
@@ -272,7 +294,7 @@ def aux_H(t: float) -> float:
 
 def aux_T(t: float) -> float:
     """t / arctanh(tanh(t)/2), continuously extended by T(0) = 2."""
-    t = abs(t)
+    t = abs(finite(t, "t"))
     if t < 1e-4:
         return 2.0 + t * t / 2.0
     return t / math.atanh(0.5 * math.tanh(t))
@@ -280,9 +302,7 @@ def aux_T(t: float) -> float:
 
 def tilde_radius(r: float) -> float:
     """arctanh(tanh(r)/2); satisfies r = aux_T(r) * tilde_radius(r)."""
-    if r <= 0.0:
-        raise DomainError("tilde_radius requires r > 0")
-    return math.atanh(0.5 * math.tanh(r))
+    return math.atanh(0.5 * math.tanh(positive(r, "r")))
 
 
 @dataclass(frozen=True)
@@ -312,11 +332,10 @@ def dyadic_ladder(r0: float, K: int) -> DyadicLadder:
     Regula falsi to a width of 1e-15 r_{k-1} on the guaranteed bracket [r_{k-1}/2,
     r_{k-1}]: its lower end has |B_{r/2}| <= |B_r|/8 by the volume-doubling lower bound.
     """
-    if r0 <= 0.0:
-        raise DomainError("dyadic_ladder requires r0 > 0")
+    r0 = positive(r0, "r0")
     if K < 1:
         raise DomainError("dyadic_ladder requires K >= 1")
-    radii = [float(r0)]
+    radii = [r0]
     for _ in range(K):
         prev = radii[-1]
         target = ball_volume(prev) / 8.0
@@ -335,14 +354,12 @@ def ring_sector_volume(
     r_in: float,
     r_out: float,
     omega1_min: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
     """Volume of the part of the ring B_{r_out} \\ B_{r_in} whose polar cosine
     against a fixed axis exceeds omega1_min.
 
     The sector spans solid angle 2*pi*(1 - omega1_min); the radial factor is
-    the integral of sinh^2 r over [r_in, r_out], taken against e^(2 r_out),
-    so that no node overflows up to ``ball_volume``'s limit r_out <= 354.5.
+    the integral of sinh^2 r over [r_in, r_out] (``_sinh2_integral``).
     """
     if not 0.0 < r_in < r_out:
         raise DomainError("ring_sector_volume requires 0 < r_in < r_out")
@@ -350,10 +367,4 @@ def ring_sector_volume(
         raise DomainError("omega1_min must lie in [-1, 1]")
     if 2.0 * r_out > 709.0:
         raise UnsupportedRangeError("ring_sector_volume overflows beyond r_out = 354.5")
-    solid = 2.0 * math.pi * (1.0 - omega1_min)
-
-    def density(r):
-        # sinh^2(r) e^(-2 r_out)
-        return solid * (0.5 * np.expm1(-2.0 * r)) ** 2 * np.exp(2.0 * (r - r_out))
-
-    return alg_left(density, r_in, r_out, 0.0, cfg) * math.exp(2.0 * r_out)
+    return _sinh2_integral(2.0 * math.pi * (1.0 - omega1_min), r_in, r_out)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, finite, positive
 from .geometry import BallPoint, ModelParams, DEFAULT_MODEL
 from .quadrature import QuadratureConfig, DEFAULT_QUAD, integrate
 
@@ -64,13 +64,6 @@ __all__ = [
 # phase (lam t / 2) log(base) stays finite while |lam t / 2| <= 1e300
 _MAX_HALF_PHASE = 1e300
 _FLOAT = np.dtype(float)
-
-
-def _radius(t) -> float:
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError("ball radius t must be finite and positive")
-    return t
 
 
 def _direction(xi) -> list:
@@ -139,7 +132,7 @@ class GyroElement:
             y = np.asarray(y, dtype=float)
             if y.shape != (3,):
                 raise DomainError("GyroElement needs a 3-vector")
-        _fill(self, tuple(y.tolist()), _radius(t))
+        _fill(self, tuple(y.tolist()), positive(t, "t"))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GyroElement is immutable; cannot set {name!r}")
@@ -186,13 +179,11 @@ class EigenParams:
     t: float
 
     def __init__(self, lam, xi, t):
-        lam = float(lam)
-        if not math.isfinite(lam):
-            raise DomainError("spectral parameter lam must be finite")
+        lam = finite(lam, "lam")
         xi = tuple(_direction(xi))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "t", _radius(t))
+        object.__setattr__(self, "t", positive(t, "t"))
 
 
 _SAME_T = "gyro operands must share the same ball radius t"
@@ -327,7 +318,7 @@ def _clifford_unit(dot, nz, ny):
 
 def clifford_norm_sq(z, y, t: float):
     """|1 + conj(z) y / t^2|^2 for vectors z, y (broadcasting over leading axes)."""
-    t = _radius(t)
+    t = positive(t, "t")
     z = np.asarray(z, dtype=float) / t
     y = np.asarray(y, dtype=float) / t
     return _clifford_unit(np.vecdot(z, y), np.vecdot(z, z), np.vecdot(y, y))
@@ -384,7 +375,7 @@ def eigenfunction(ep: EigenParams, y):
 def _e_parts(lam: float, xi, y, z, t: float):
     """The base of the transport power, 1 - |z|^2 |y|^2 / t^4, the Clifford
     norm and the exponent; one point or a batch (broadcasting y against z)."""
-    t = _radius(t)
+    t = positive(t, "t")
     x0, x1, x2 = _direction(xi)
     y0, y1, y2 = _unit_ball(y, t, "e_factor")
     z0, z1, z2 = _unit_ball(z, t, "e_factor")

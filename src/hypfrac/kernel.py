@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, finite, order, positive
 from .quadrature import (QuadratureConfig, DEFAULT_QUAD, _chebyshev_matrices, _clenshaw,
                          alg_left, alg_tail)
 from .specfun import _finite, bessel_k, bessel_k_scaled
@@ -40,16 +40,14 @@ class KernelSpec:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError("kernel order gamma must lie in (0, 1)")
-        if not 0.0 < self.tau < math.inf:
-            raise DomainError("tau must be finite and positive")
+        # the checked floats, which kernel_value's arithmetic takes
+        object.__setattr__(self, "gamma", order(self.gamma))
+        object.__setattr__(self, "tau", positive(self.tau, "tau"))
 
 
 def gamma_abs_neg(gamma: float) -> float:
     """|Gamma(-gamma)| = Gamma(1 - gamma) / gamma for gamma in (0, 1)."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
+    gamma = order(gamma)
     return math.gamma(1.0 - gamma) / gamma
 
 
@@ -57,8 +55,7 @@ def normalizing_constant(n: int, gamma: float) -> float:
     """C(n, gamma) = 2^(2 gamma) Gamma(n/2 + gamma) / (pi^(n/2) |Gamma(-gamma)|)."""
     if not (1 <= n < math.inf and n == int(n)):
         raise DomainError("dimension must be a positive integer")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
+    gamma = order(gamma)
     try:
         return (
             2.0 ** (2.0 * gamma)
@@ -71,8 +68,7 @@ def normalizing_constant(n: int, gamma: float) -> float:
 
 def kernel_value(spec: KernelSpec, rho: float) -> float:
     """Jump kernel at geodesic distance rho > 0 (n = 3)."""
-    if not 0.0 < rho < math.inf:
-        raise DomainError("kernel_value requires finite rho > 0")
+    rho = positive(rho, "rho")
     g, tau = spec.gamma, spec.tau
     x = rho / tau
     if x > 700.0:
@@ -110,12 +106,10 @@ def kernel_sinh2(gamma: float, rho):
     (``_kernel_sinh2_log``), within ``KERNEL_TABLE_REL`` of it, and the
     scale quadratures and ``invariance_integral`` call it directly.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
+    gamma = order(gamma)
     batch = isinstance(rho, np.ndarray)
-    rho = rho.astype(float, copy=False) if batch else float(rho)
-    valid = (rho > 0.0) & (rho < math.inf)
-    if not (valid.all() if batch else valid):
+    rho = rho.astype(float, copy=False) if batch else positive(rho, "rho")
+    if batch and not np.all((rho > 0.0) & (rho < math.inf)):
         raise DomainError("kernel_sinh2 requires finite rho > 0")
     # K(rho) sinh(rho) = K_scaled(rho) * (1 - exp(-2 rho)) / 2, no overflow;
     # 2 rho may overflow, where 1 - exp(-2 rho) is 1 all the same
@@ -185,8 +179,7 @@ def _kernel_sinh2_log(gamma: float, t):
     floor((t - _KT_T0) / _KT_WIDTH), Clenshaw's sum there, and
     P exp(L - (1 + 2 gamma) t), within ``KERNEL_TABLE_REL`` of kernel_sinh2.
     Entries outside the span are kernel_sinh2's own values."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
+    gamma = order(gamma)
     coef, pref = _kernel_table_at(gamma)
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
@@ -221,6 +214,7 @@ def _kernel_sinh2_regular(gamma: float, rho):
 def euclidean_limit_ratio(gamma: float, rho: float, tau: float) -> float:
     """kernel / (C(3,gamma) rho^(-3-2 gamma)); tends to 1 as tau -> infinity."""
     spec = KernelSpec(gamma=gamma, tau=tau)
+    rho, gamma = positive(rho, "rho"), spec.gamma
     value = kernel_value(spec, rho)
     try:
         return _finite(value / (normalizing_constant(3, gamma) * rho ** (-3.0 - 2.0 * gamma)),
@@ -234,8 +228,7 @@ def spectral_kernel(lam: float, t: float, rho: float) -> float:
     """Radial spectral kernel -(1/(4 pi^2)) (2/t) lam sin(lam rho)/sinh(2 rho/t),
     computed as -(1/(4 pi^2)) lam^2 sinc(lam rho) s / sinh(s) at s = 2 rho / t,
     free of 1/t, which overflows where t is tiny."""
-    if not (math.isfinite(lam) and 0.0 < t < math.inf and 0.0 < rho < math.inf):
-        raise DomainError("spectral_kernel requires finite lam and finite t, rho > 0")
+    lam, t, rho = finite(lam, "lam"), positive(t, "t"), positive(rho, "rho")
     phase, s = lam * rho, 2.0 * rho / t
     if not math.isfinite(phase):
         raise NumericError(f"spectral_kernel: lam rho out of the float range at rho={rho}")
@@ -286,10 +279,7 @@ def invariance_integral(
     ``alg_tail`` with the rho^(-1-gamma) tail.  The integrand is nonnegative,
     which is asserted by its least value over the quadrature nodes.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
-    if not 0.0 < t < math.inf:
-        raise DomainError("t must be finite and positive")
+    gamma, t = order(gamma), positive(t, "t")
     a = 0.5 * lam * t
     try:
         scale = math.pi * 2.0 ** (2.0 + 2.0 * gamma) * t ** (-2.0 * gamma)

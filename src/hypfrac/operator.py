@@ -14,11 +14,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, UnsupportedRangeError
+from .errors import (CalibrationError, DomainError, NumericError, UnsupportedRangeError,
+                     nonnegative, order, positive)
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log, kernel_sinh2
-from .quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, _regula_falsi, _sorted_unique,
-                         antiderivative, integrate)
+from .quadrature import (_TABLE_ABS, _TABLE_PANELS, _TABLE_REL, NODE_BUDGET, ROUNDING,
+                         QuadratureConfig, _regula_falsi, _sorted_unique, antiderivative,
+                         integrate)
 from .scale import i0_closed, iinf_closed
 
 __all__ = [
@@ -104,8 +106,7 @@ def constant_profile(value: float = 1.0) -> RadialProfile:
 
 def gaussian_bump(width: float = 1.0) -> RadialProfile:
     """exp(-(r/width)^2)."""
-    if width <= 0.0:
-        raise DomainError("width must be positive")
+    width = positive(width, "width")
 
     def f(r):
         with np.errstate(over="ignore"):  # exp(-inf) = 0 where (r/width)^2 overflows
@@ -121,8 +122,7 @@ def gaussian_bump(width: float = 1.0) -> RadialProfile:
 
 def polynomial_bump(radius: float = 1.0) -> RadialProfile:
     """(1 - (r/radius)^2)^3 inside its support; C^2 across the boundary."""
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    radius = positive(radius, "radius")
 
     def f(r):
         u = r / radius
@@ -133,8 +133,7 @@ def polynomial_bump(radius: float = 1.0) -> RadialProfile:
 
 def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> RadialProfile:
     """offset - curvature * r^2 / (2 R^2); unbounded, for envelope tests."""
-    if R <= 0.0:
-        raise DomainError("R must be positive")
+    R = positive(R, "R")
     return RadialProfile(
         support_radius=math.inf,
         bounded=False,
@@ -195,8 +194,12 @@ class EllipticityBounds:
     lambda_hi: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_lo <= self.lambda_hi < math.inf:
+        lo, hi = float(self.lambda_lo), float(self.lambda_hi)
+        if not 0.0 < lo <= hi < math.inf:
             raise DomainError("need 0 < lambda_lo <= lambda_hi < inf")
+        # the checked floats, which the Pucci operators' arithmetic takes
+        object.__setattr__(self, "lambda_lo", lo)
+        object.__setattr__(self, "lambda_hi", hi)
 
 
 @dataclass(frozen=True)
@@ -210,20 +213,29 @@ class BarrierSpec:
     kappa: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
+        delta, kappa, R = float(self.delta), float(self.kappa), float(self.R)
+        if not 0.0 < delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
-        if not 0.0 < self.alpha < math.inf:
-            raise DomainError("alpha must be finite and positive")
-        if not 0.0 < self.kappa <= 0.25:
+        alpha = positive(self.alpha, "alpha")
+        if not 0.0 < kappa <= 0.25:
             raise DomainError("kappa must lie in (0, 1/4]")
-        if not 0.0 < 7.0 * self.R < math.inf:  # the margins are checked on B_7R
+        if not 0.0 < 7.0 * R < math.inf:  # the margins are checked on B_7R
             raise DomainError("R must be positive, with 7R a finite float")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError("gamma must lie in (0, 1)")
+        gamma = order(self.gamma)
+        # the checked floats, which the barrier's arithmetic takes
+        for name, value in zip(("delta", "alpha", "R", "gamma", "kappa"),
+                               (delta, alpha, R, gamma, kappa)):
+            object.__setattr__(self, name, value)
 
     @property
     def floor(self) -> float:
-        return -((self.kappa * self.delta / 20.0) ** (-2.0 * self.alpha))
+        """-(kappa delta / 20)^(-2 alpha); ``NumericError`` where it overflows
+        a float, from alpha ~ 69.9 at kappa = 1/4, delta = 1/2."""
+        try:
+            return -((self.kappa * self.delta / 20.0) ** (-2.0 * self.alpha))
+        except (OverflowError, ZeroDivisionError):  # 0 ** (-2 alpha) where kappa delta underflows
+            raise NumericError(
+                f"the barrier floor overflows a float at alpha={self.alpha:g}") from None
 
     @property
     def kink_radius(self) -> float:
@@ -232,11 +244,15 @@ class BarrierSpec:
 
 
 def barrier_value(spec: BarrierSpec, R0: float) -> float:
-    """v(x) = max{ -(kappa delta/20)^(-2 alpha), -(d/5R)^(-2 alpha) } at d = R0."""
-    if R0 < 0.0:
-        raise DomainError("R0 must be nonnegative")
+    """v(x) = max{ -(kappa delta/20)^(-2 alpha), -(d/5R)^(-2 alpha) } at d = R0.
+
+    The floor is read first: beyond the kink the power is smaller in
+    magnitude, so it overflows only where the floor does (``NumericError``).
+    """
+    R0 = nonnegative(R0, "R0")
+    floor = spec.floor
     if R0 <= spec.kink_radius:
-        return spec.floor
+        return floor
     return -((R0 / (5.0 * spec.R)) ** (-2.0 * spec.alpha))
 
 
@@ -247,7 +263,7 @@ def barrier_shifted_value(spec: BarrierSpec, R0: float) -> float:
     an unspecified smooth extension); nonnegative outside B_5R, nonpositive
     in B_2R.
     """
-    if R0 < spec.kappa * spec.delta * spec.R:
+    if not R0 >= spec.kappa * spec.delta * spec.R:
         raise DomainError("shifted barrier is specified only for d >= kappa*delta*R")
     return (25.0 / 9.0) ** spec.alpha - (5.0 * spec.R / R0) ** (2.0 * spec.alpha)
 
@@ -259,7 +275,7 @@ def barrier_profile(spec: BarrierSpec) -> RadialProfile:
         return 5.0 * spec.R * eps ** (-0.5 / spec.alpha) + 1.0
 
     def f(r):
-        # spec.floor raises OverflowError where the floor overflows a float,
+        # spec.floor raises NumericError where the floor overflows a float,
         # as barrier_value does; every value lies between it and 0
         floor = spec.floor
         with np.errstate(over="ignore", divide="ignore"):
@@ -299,20 +315,15 @@ _RADIAL = QuadratureConfig(1e-8, 1e-12, _PANEL_LIMIT)
 _FORWARD = QuadratureConfig(1e-11, 1e-13, _PANEL_LIMIT)
 _SPECTRAL = QuadratureConfig(1e-9, 1e-11, _PANEL_LIMIT)
 _TAIL_EPS = 1e-12
-# the antiderivative table of the nonlocal core: the tolerances of its panels
-# (the absolute floor serves where u0 = 0 and u decays to 0 within a panel,
-# through subnormals or a derivative of limited smoothness), and its panel
-# limit, which leaves room for the first panels of the widest table (w up to
-# _MAX_SPAN, panels at most _TABLE_WIDTH wide) and their bisections.  The
-# first panels halve toward R0 down to _TABLE_FINEST
-_TABLE = QuadratureConfig(1e-13, 1e-18, 1 << 13)
+# the first panels of the nonlocal core's antiderivative table are at most
+# _TABLE_WIDTH wide and halve toward R0 down to _TABLE_FINEST
 _TABLE_WIDTH = 0.25
 _TABLE_FINEST = 2.0 ** -6
 # what apply_fraclap and the Pucci operators run on, for reports
 NONLOCAL_TOLERANCES = {
     "radial_rel": _RADIAL.rel_tol, "radial_abs": _RADIAL.abs_tol,
-    "table_rel": _TABLE.rel_tol, "table_abs": _TABLE.abs_tol,
-    "panel_limit": _PANEL_LIMIT, "table_panel_limit": _TABLE.max_subdiv,
+    "table_rel": _TABLE_REL, "table_abs": _TABLE_ABS,
+    "panel_limit": _PANEL_LIMIT, "table_panel_limit": _TABLE_PANELS,
     "tail_eps": _TAIL_EPS, "kernel_table_rel": KERNEL_TABLE_REL,
 }
 
@@ -354,7 +365,7 @@ def _table(u, R0, w_max):
     m = np.ceil(gaps / _TABLE_WIDTH).astype(int)
     k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
     cuts = np.append(np.repeat(ends[:-1], m) + np.repeat(gaps / m, m) * k, w_max)
-    return antiderivative(u.f, np.sinh, cuts, R0, _TABLE, "antiderivative table")
+    return antiderivative(u.f, np.sinh, cuts, R0, "antiderivative table")
 
 
 def _mirror(two_x, w):
@@ -492,12 +503,11 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     its |f| mass (absolute floor ``abs_tol``; of 1e3 times its value under
     stronger cancellation), is rejected beyond ten times that, and stops
     refining at ``_PANEL_LIMIT`` panels.  The table's panels are resolved to
-    ``_TABLE`` (``rel_tol`` of their |f| mass), and more than its
-    ``max_subdiv`` panels raise ``NumericError``.  The far-tail cut sits
-    where the profile's tail bound reaches ``_TAIL_EPS``.
+    ``_TABLE_REL`` of their |f| mass, and more than ``_TABLE_PANELS`` panels
+    raise ``NumericError`` (constants of ``quadrature``).  The far-tail cut
+    sits where the profile's tail bound reaches ``_TAIL_EPS``.
     """
-    if not 0.0 <= R0 < math.inf:
-        raise DomainError("R0 must be finite and nonnegative")
+    R0 = nonnegative(R0, "R0")
     # beyond r = 80 the kernel tail mass is itself < 1e-3, so profile values
     # below ~1e-5 there are already negligible against it
     A = R0 + min(u.tail_radius(_TAIL_EPS), 80.0)
@@ -556,9 +566,7 @@ def apply_fraclap(u: RadialProfile, R0: float, gamma: float) -> float:
     explicit cutoff.
     """
     _require_c2_bounded(u, "apply_fraclap")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
-    return _nonlocal_integral(u, R0, gamma, 1.0, 1.0)
+    return _nonlocal_integral(u, R0, order(gamma), 1.0, 1.0)
 
 
 def pucci_plus(u: RadialProfile, R0: float, gamma: float,
@@ -734,8 +742,7 @@ def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:
 def laplace_beltrami_radial(u: RadialProfile, R0: float) -> float:
     """Radial Laplace-Beltrami stencil u'' + 2 coth(r) u' at steps 1e-4 and
     5e-5, Richardson-refined; at the origin this is 3 u''(0)."""
-    if not 0.0 <= R0 < math.inf:
-        raise DomainError("R0 must be finite and nonnegative")
+    R0 = nonnegative(R0, "R0")
 
     def second(rr, hh):
         return (u(rr + hh) - 2.0 * u(rr) + u(abs(rr - hh))) / (hh * hh)
@@ -813,8 +820,9 @@ def barrier_alpha_sweep(
 ):
     """Double alpha until every margin is nonpositive; returns
     (alpha or None, reports).  None means the cap was hit (inconclusive)."""
-    if not (0.0 < alpha_start < math.inf and alpha_start <= alpha_cap):
-        raise DomainError("need finite alpha_start > 0 and alpha_cap >= alpha_start")
+    alpha_start = positive(alpha_start, "alpha_start")
+    if not alpha_start <= alpha_cap:
+        raise DomainError("need alpha_cap >= alpha_start")
     reports = {}
     found = None
     alpha = alpha_start
@@ -853,8 +861,7 @@ class ArccosReport:
 
 def arccos_inequalities(alpha: float, R0: float, t: float) -> ArccosReport:
     """Evaluate the three convexity bounds for the negative-power barrier."""
-    if alpha <= 0.0 or R0 <= 0.0:
-        raise DomainError("alpha and R0 must be positive")
+    alpha, R0 = positive(alpha, "alpha"), positive(R0, "R0")
     if not t * math.cosh(R0) > 1.0:
         raise DomainError("need t > 1/cosh(R0)")
     ch, sh = math.cosh(R0), math.sinh(R0)
@@ -890,8 +897,9 @@ def arccos_inequalities(alpha: float, R0: float, t: float) -> ArccosReport:
 def polar_grid(r_max: float, n_r: int, n_phi: int):
     """Planar geodesic-polar grid on [0, r_max]: rows of (r, phi) pairs,
     flattened."""
-    if r_max <= 0.0 or n_r < 2 or n_phi < 3:
-        raise DomainError("polar_grid needs r_max > 0, n_r >= 2, n_phi >= 3")
+    r_max = positive(r_max, "r_max")
+    if n_r < 2 or n_phi < 3:
+        raise DomainError("polar_grid needs n_r >= 2, n_phi >= 3")
     radii = np.linspace(0.0, r_max, n_r)[1:]
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     rr, pp = np.meshgrid(radii, phis, indexing="ij")
@@ -901,12 +909,14 @@ def polar_grid(r_max: float, n_r: int, n_phi: int):
 
 
 def _pairwise_distance(points_a, points_b):
-    """Hyperbolic distances between planar polar points (r, phi)."""
+    """Hyperbolic distances between planar polar points (r, phi), through the
+    cancellation-free form of the law of cosines (``geometry.law_of_cosines``):
+    cosh d - 1 = 2 sinh^2((ra - rb)/2) + 2 sinh ra sinh rb sin^2(dphi/2)."""
     ra = points_a[:, 0][:, None]
     rb = points_b[:, 0][None, :]
     dphi = points_a[:, 1][:, None] - points_b[:, 1][None, :]
-    arg = np.cosh(ra) * np.cosh(rb) - np.sinh(ra) * np.sinh(rb) * np.cos(dphi)
-    return np.arccosh(np.maximum(arg, 1.0))
+    return acosh1p(2.0 * np.sinh(0.5 * (ra - rb)) ** 2
+                   + 2.0 * np.sinh(ra) * np.sinh(rb) * np.sin(0.5 * dphi) ** 2)
 
 
 @dataclass(frozen=True)
@@ -936,10 +946,12 @@ def envelope(points, values, R: float) -> EnvelopeResult:
     vals = np.asarray(values, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) != len(vals) or len(pts) == 0:
         raise DomainError("envelope needs matching nonempty (r, phi) samples and values")
-    if R <= 0.0:
-        raise DomainError("R must be positive")
+    R = positive(R, "R")
     if not np.all(np.isfinite(vals)):
         raise DomainError("sample values must be finite (u bounded below)")
+    # the distances' cosh d - 1 and its square stay floats, as in the law of cosines
+    if not pts[:, 0].max() + R <= _MAX_SPAN:
+        raise UnsupportedRangeError(f"envelope needs sample radii + R <= {_MAX_SPAN:g}")
     phis = np.unique(pts[:, 1])
     vertices = polar_grid(R, 12, max(8, len(phis)))
 

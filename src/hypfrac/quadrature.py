@@ -46,10 +46,18 @@ __all__ = [
 class QuadratureConfig:
     """Tolerances and panel limit of the integrals of ``integrate``.
 
-    ``rel_tol`` and ``abs_tol`` are the tolerances of ``gk21_batch`` and of
-    the reject rule, and ``max_subdiv`` is the panel limit of each integral.
-    The geometry, kernel, scale and gyro quadratures take one from their
-    caller; the operator module's integrals run on four constants of its own.
+    * ``rel_tol``: an integral's tolerance relative to its |f| mass M, or to
+      1e3 times its |value| where cancellation makes that the smaller;
+    * ``abs_tol``: the least tolerance granted, in the units of the value
+      (the rounding floor ``ROUNDING`` M is the other lower bound);
+    * ``max_subdiv``: the panel count of one integral at which it stops
+      bisecting and keeps the error it has.
+
+    ``integrate`` rejects an integral whose error exceeds ten times its
+    tolerance (``NumericError``).  The kernel, scale and gyro quadratures take
+    a config from their caller (``i_total_quadrature`` and the geometry
+    volumes run at ``DEFAULT_QUAD``); the operator module's integrals run on
+    three constants of its own.
     """
 
     rel_tol: float = 1e-10
@@ -280,6 +288,14 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
 # degree of a panel's interpolant, on the Chebyshev points of the second kind
 # x_j = cos(pi j / 32), j = 0..32
 _CHEB_DEG = 32
+# the tolerances of a panel, relative to its |f| mass and absolute per unit
+# of its width (the floor where v - v(anchor) vanishes within a panel, through
+# subnormals or a derivative of limited smoothness), and the panel limit of a
+# table, which leaves room for the first panels of the nonlocal core's widest
+# table (w up to 350, panels at most 1/4 wide) and their bisections
+_TABLE_REL = 1e-13
+_TABLE_ABS = 1e-18
+_TABLE_PANELS = 1 << 13
 
 
 def _sorted_unique(x):
@@ -330,7 +346,7 @@ def _clenshaw(coef, i, x):
     return coef[0][i] + x * b1 - b2
 
 
-def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
+def antiderivative(v, k, cuts, anchor, what):
     """F(w) = the integral of (v(s) - v(anchor)) k(s) over [anchor, w], for w
     in [cuts[0], cuts[-1]]; v and k are numpy functions.
 
@@ -338,12 +354,12 @@ def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
     each panel, starting from the panels between the ``cuts`` (and
     ``anchor``), and v and k see at most ``NODE_BUDGET`` nodes per call.  A
     panel is bisected until its last four Chebyshev coefficients, times its
-    width, are within the larger of ``cfg.rel_tol`` times its |f| mass
-    (Clenshaw-Curtis weights on |f|), ``cfg.abs_tol`` times its width, and
+    width, are within the larger of ``_TABLE_REL`` times its |f| mass
+    (Clenshaw-Curtis weights on |f|), ``_TABLE_ABS`` times its width, and
     ``ROUNDING`` times its |v k| mass, or until it reaches float resolution.
     The last is the rounding of the integrand: each value of v carries
     ~eps |v|, which near the anchor, where v - v(anchor) vanishes, is no
-    longer small against |f|.  More than ``cfg.max_subdiv`` panels, or an
+    longer small against |f|.  More than ``_TABLE_PANELS`` panels, or an
     integrand that is not finite, raise ``NumericError``.
 
     The panel integrals are summed outward from the anchor on both sides, so
@@ -365,8 +381,8 @@ def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
         return (vx - v0) * kx, np.abs(vx * kx)
 
     while lo.size:
-        if n_kept + lo.size > cfg.max_subdiv:
-            raise NumericError(f"{what}: more than {cfg.max_subdiv} panels")
+        if n_kept + lo.size > _TABLE_PANELS:
+            raise NumericError(f"{what}: more than {_TABLE_PANELS} panels")
         half = 0.5 * (hi - lo)
         mid = lo + half
         x = mid[:, None] + half[:, None] * nodes
@@ -377,8 +393,7 @@ def antiderivative(v, k, cuts, anchor, cfg: QuadratureConfig, what):
         tail = np.abs(fx @ to_coef[-4:].T).sum(axis=1) * (hi - lo)
         mass = half * (np.abs(fx) @ cc_weights)
         rounding = ROUNDING * half * (vk @ cc_weights)
-        ok = tail <= np.maximum(np.maximum(cfg.rel_tol * mass, cfg.abs_tol * (hi - lo)),
-                                rounding)
+        ok = tail <= np.maximum(np.maximum(_TABLE_REL * mass, _TABLE_ABS * (hi - lo)), rounding)
         ok |= (mid <= lo) | (mid >= hi)
         kept.append((lo[ok], hi[ok], fx[ok]))
         n_kept += int(ok.sum())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, order, positive
 from .geometry import aux_H
 from .kernel import _kernel_sinh2_regular, gamma_abs_neg, kernel_sinh2
 from .quadrature import QuadratureConfig, DEFAULT_QUAD, _regula_falsi, alg_left, alg_tail
@@ -32,16 +32,9 @@ __all__ = [
 ]
 
 
-def _validate(R: float, gamma: float):
-    if not 0.0 < R < math.inf:
-        raise DomainError("R must be finite and positive")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie in (0, 1)")
-
-
 def i0_closed(R: float, gamma: float) -> float:
     """Near-field scale function, two-line Bessel-product closed form."""
-    _validate(R, gamma)
+    R, gamma = positive(R, "R"), order(gamma)
     gan = gamma_abs_neg(gamma)
     i12 = bessel_i(0.5, R)
     i32 = bessel_i(1.5, R)
@@ -58,7 +51,7 @@ def i0_closed(R: float, gamma: float) -> float:
 
 def iinf_closed(R: float, gamma: float) -> float:
     """Far-field scale function, closed form."""
-    _validate(R, gamma)
+    R, gamma = positive(R, "R"), order(gamma)
     gan = gamma_abs_neg(gamma)
     i12 = bessel_i(0.5, R)
     i32 = bessel_i(1.5, R)
@@ -93,7 +86,7 @@ def _tail(R: float, a: float, gamma: float, cfg: QuadratureConfig) -> float:
 
 def i0_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """I0(R) = 4 pi * integral_0^R rho^2 kernel(rho) sinh^2(rho) d rho."""
-    _validate(R, gamma)
+    R, gamma = positive(R, "R"), order(gamma)
     total = _near(R, gamma, cfg)
     if R > 1.0:
         total += alg_left(lambda rho: _FOUR_PI * rho * rho * kernel_sinh2(gamma, rho),
@@ -103,20 +96,21 @@ def i0_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) 
 
 def iinf_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """Iinf(R) = 4 pi R^2 * integral_R^inf kernel(rho) sinh^2(rho) d rho."""
-    _validate(R, gamma)
+    R, gamma = positive(R, "R"), order(gamma)
     return _tail(R, R, gamma, cfg)
 
 
-def i_total_quadrature(R: float, gamma: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """I(R) = I0(R) + Iinf(R) as a single quadrature of min(rho, R)^2 kernel."""
-    _validate(R, gamma)
+def i_total_quadrature(R: float, gamma: float) -> float:
+    """I(R) = I0(R) + Iinf(R) as a single quadrature of min(rho, R)^2 kernel,
+    at ``DEFAULT_QUAD``."""
+    R, gamma = positive(R, "R"), order(gamma)
     hi = max(R, 1.0) + 1.0
 
     def mid(rho):
         return _FOUR_PI * np.minimum(rho, R) ** 2 * kernel_sinh2(gamma, rho)
 
-    return (_near(R, gamma, cfg) + alg_left(mid, min(R, 1.0), hi, 0.0, cfg, points=[R])
-            + _tail(R, hi, gamma, cfg))
+    return (_near(R, gamma, DEFAULT_QUAD) + alg_left(mid, min(R, 1.0), hi, 0.0, points=[R])
+            + _tail(R, hi, gamma, DEFAULT_QUAD))
 
 
 @dataclass(frozen=True)
@@ -129,8 +123,8 @@ class ScaleValues:
     gamma: float
 
     def __post_init__(self):
-        if self.i0 <= 0.0 or self.iinf <= 0.0:
-            raise DomainError("scale values must be positive")
+        positive(self.i0, "I0")
+        positive(self.iinf, "Iinf")
         bound = (1.0 - self.gamma) / self.gamma * aux_H(self.R) * self.i0
         if self.iinf > bound * (1.0 + 1e-10):
             raise DomainError(
@@ -166,7 +160,8 @@ def r0_solve(R: float, gamma: float, rho0: float = 0.25) -> float:
     ``quadrature._regula_falsi`` run on log x down to a bracket 1e-11 wide,
     with the closed form continued below 1e-3 by its flat-space slope.
     """
-    _validate(R, gamma)
+    R, gamma = positive(R, "R"), order(gamma)
+    rho0 = float(rho0)
     if not 0.0 < rho0 < 1.0:
         raise DomainError("rho0 must lie in (0, 1)")
     target = math.log(_i0_normal(R, gamma) / 2.0)

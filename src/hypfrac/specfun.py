@@ -34,7 +34,8 @@ The evaluators are self-contained:
 Struve) sums for the antiderivatives of rho^(k-nu) K_nu(rho) {sinh, cosh, 1}.
 
 Every public function returns a finite float or raises a ``HypfracError``;
-it takes a numpy scalar as the float it holds.
+it takes a numpy scalar as the float it holds, by the input policy of
+``errors``.
 """
 
 import math
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UnsupportedRangeError
+from .errors import DomainError, NumericError, UnsupportedRangeError, finite, nonnegative, positive
 from .quadrature import NODE_BUDGET, _sorted_unique
 
 __all__ = [
@@ -105,11 +106,8 @@ _I_CANCELLATION = 1e-3
 
 
 def _check_order(nu: float, what: str) -> float:
-    """nu as a float (a numpy scalar would take numpy's arithmetic, which
-    warns where a float's raises), once checked."""
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise DomainError(f"{what} requires a finite order")
+    """nu as a finite float, once it is within the supported orders."""
+    nu = finite(nu, "nu")
     if abs(nu) > _MAX_ORDER:
         raise UnsupportedRangeError(f"{what} supports orders |nu| <= {_MAX_ORDER:g}")
     return nu
@@ -204,9 +202,7 @@ def bessel_i(nu: float, x: float) -> float:
 
     Accurate to ~1e-12 relative for nu in [-1, 10] and x in (0, 700).
     """
-    nu, x = _check_order(nu, "bessel_i"), float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError("bessel_i requires finite x >= 0")
+    nu, x = _check_order(nu, "bessel_i"), nonnegative(x, "x")
     if x == 0.0:
         if nu == 0.0:
             return 1.0
@@ -252,9 +248,7 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     expansion where nu^2 <= x, and elsewhere the series, whose length grows
     like x, up to x = 1e4 (``UnsupportedRangeError`` beyond).
     """
-    nu, x = _check_order(nu, "bessel_i_scaled"), float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError("bessel_i_scaled requires finite x > 0")
+    nu, x = _check_order(nu, "bessel_i_scaled"), positive(x, "x")
     if x > _I_SERIES_MAX and nu * nu <= x:
         return _hankel(abs(nu), x, -1.0)
     if x > _I_SERIES_LIMIT:
@@ -403,9 +397,7 @@ def bessel_k(nu: float, x: float) -> float:
     large x (nu^2 > x), whose rule would need more than 2^16 nodes, raise
     ``UnsupportedRangeError``.  K_nu underflows to 0 beyond x ~ 745.
     """
-    nu, x = _check_order(nu, "bessel_k"), float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError("bessel_k requires finite x > 0")
+    nu, x = _check_order(nu, "bessel_k"), positive(x, "x")
     return _k_scaled(nu, x) * math.exp(-x)
 
 
@@ -429,10 +421,7 @@ def bessel_k_scaled(nu: float, x):
         if not np.all((x > 0.0) & (x < np.inf)):
             raise DomainError("bessel_k_scaled requires finite x > 0")
         return _k_scaled(nu, x.ravel()).reshape(x.shape)
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise DomainError("bessel_k_scaled requires finite x > 0")
-    return _k_scaled(nu, x)
+    return _k_scaled(nu, positive(x, "x"))
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +433,7 @@ def struve_l(nu: float, x: float) -> float:
 
     Supported for x in (0, 30]; larger arguments raise UnsupportedRangeError.
     """
-    nu, x = _check_order(nu, "struve_l"), float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError("struve_l requires finite x >= 0")
+    nu, x = _check_order(nu, "struve_l"), nonnegative(x, "x")
     if x > 30.0:
         raise UnsupportedRangeError("struve_l supports x <= 30 only")
     if x == 0.0:
@@ -477,10 +464,9 @@ def _check_sc_order(k: int, nu: float):
 
 
 def _sc_sum(k: int, nu: float, rho: float, cosh_variant: bool) -> float:
-    nu, rho = float(nu), float(rho)
+    nu = float(nu)
     _check_sc_order(k, nu)
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    rho = positive(rho, "rho")
     i_plus = bessel_i(0.5, rho)
     i_minus = bessel_i(-0.5, rho)
     what = f"{'c' if cosh_variant else 's'}_integral at nu={nu}, rho={rho}"
@@ -523,9 +509,7 @@ def l_integral(two_k: int, nu: float, rho: float) -> float:
     """
     if two_k < 0 or two_k % 2 != 0:
         raise DomainError("l_integral requires an even nonnegative power 2k")
-    nu, rho = _check_order(nu, "l_integral"), float(rho)
-    if not 0.0 < rho < math.inf:
-        raise DomainError("rho must be positive and finite")
+    nu, rho = _check_order(nu, "l_integral"), positive(rho, "rho")
     if rho > 30.0:
         raise UnsupportedRangeError("l_integral supports rho <= 30 (Struve range)")
     k = two_k // 2
@@ -588,10 +572,7 @@ class RatioBoundsResult:
 def ratio_bounds_check(nu: float, x: float) -> RatioBoundsResult:
     """Check I_{nu+1/2}/I_{nu-1/2} < x/(sqrt(x^2+nu^2)+nu)   (nu >= 0)
     and   K_nu/K_{nu+1} <= x/(sqrt(x^2+(nu-1/2)^2)+nu+1/2)   (nu >= 1/2)."""
-    if x <= 0.0:
-        raise DomainError("ratio_bounds_check requires x > 0")
-    if nu < 0.0:
-        raise DomainError("ratio_bounds_check requires nu >= 0")
+    x, nu = positive(x, "x"), nonnegative(nu, "nu")
     i_lhs = bessel_i(nu + 0.5, x) / bessel_i(nu - 0.5, x)
     i_rhs = x / (math.hypot(x, nu) + nu)
     if nu >= 0.5:

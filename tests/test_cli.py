@@ -222,7 +222,7 @@ class TestBarrierOverflow:
         )
         assert code == 3
         assert out == ""
-        assert "numeric failure" in err and "OverflowError" in err
+        assert "numeric failure" in err and "overflows a float" in err
         assert "Traceback" not in err
 
 

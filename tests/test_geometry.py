@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypfrac.errors import DomainError, HypfracError
@@ -309,6 +309,12 @@ _any = st.one_of(st.floats(), st.floats(-2.0, 40.0))
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tau=_any, t=_any, b=_any, p=st.tuples(_any, _any, _any, _any), r=_any, R0=_any, w=_any)
+# inputs that once raised or warned: OverflowError in aux_S(800) and in
+# doubling_bounds(1e-300, 1) and (0.5, 400), an overflow RuntimeWarning in
+# ball_volume_quadrature(800)
+@example(tau=1.0, t=2.0, b=2.0, p=(1.0, 0.0, 0.0, 0.0), r=800.0, R0=1.0, w=0.0)
+@example(tau=1.0, t=2.0, b=2.0, p=(1.0, 0.0, 0.0, 0.0), r=1e-300, R0=1.0, w=0.0)
+@example(tau=1.0, t=2.0, b=2.0, p=(1.0, 0.0, 0.0, 0.0), r=0.5, R0=400.0, w=0.0)
 def test_geometry_entry_points_return_finite_or_raise_typed(tau, t, b, p, r, R0, w):
     m = _finite_or_typed(ModelParams, tau, t, b) or DEFAULT_MODEL
     _finite_or_typed(ModelParams.from_tau, tau)
@@ -319,3 +325,13 @@ def test_geometry_entry_points_return_finite_or_raise_typed(tau, t, b, p, r, R0,
     _finite_or_typed(ball_volume, r)
     _finite_or_typed(law_of_cosines, r, R0, w)
     _finite_or_typed(ring_sector_volume, r, R0, w)
+    for f in (aux_S, aux_H, aux_T, tilde_radius, ball_volume_quadrature):
+        _finite_or_typed(f, r)
+    _finite_or_typed(doubling_bounds, r, R0)
+
+
+@pytest.mark.parametrize("f, args", [(tilde_radius, (math.nan,)), (aux_H, (math.inf,)),
+                                     (doubling_bounds, (1.0, math.inf))])
+def test_non_finite_numbers_are_refused(f, args):
+    with pytest.raises(DomainError):
+        f(*args)

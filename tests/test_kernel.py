@@ -250,9 +250,9 @@ class TestInvarianceIntegral:
 
 
 def _finite_or_typed(fn, *args):
-    """fn(*args) must return a finite float (a 1-entry array for an array
-    argument) or raise a typed error; any other exception, and any
-    RuntimeWarning, fails the test."""
+    """fn(*args) must return a finite float, not a numpy scalar (a 1-entry
+    array for an array argument), or raise a typed error; any other
+    exception, and any RuntimeWarning, fails the test."""
     try:
         out = fn(*args)
     except HypfracError:
@@ -260,7 +260,7 @@ def _finite_or_typed(fn, *args):
     if isinstance(out, np.ndarray):
         assert out.shape == (1,) and np.isfinite(out[0]), (fn.__name__, args, out)
     else:
-        assert isinstance(out, float) and math.isfinite(out), (fn.__name__, args, out)
+        assert type(out) is float and math.isfinite(out), (fn.__name__, args, out)
 
 
 def _kernel_value(gamma, tau, rho):
@@ -280,13 +280,15 @@ def _kernel_value(gamma, tau, rho):
 @example(a=0.5, b=1e-200, c=1.0, n=3)
 @example(a=1e-200, b=0.5, c=0.25, n=3)
 def test_kernel_and_scale_entry_points_return_finite_or_raise_typed(a, b, c, n):
-    _finite_or_typed(_kernel_value, a, b, c)
-    _finite_or_typed(euclidean_limit_ratio, a, b, c)
-    _finite_or_typed(spectral_kernel, a, b, c)
-    _finite_or_typed(normalizing_constant, n, a)
-    _finite_or_typed(kernel_sinh2, a, b)
-    _finite_or_typed(kernel_sinh2, a, np.array([b]))
-    _finite_or_typed(i0_closed, a, b)
-    _finite_or_typed(iinf_closed, a, b)
-    _finite_or_typed(r0_solve, a, b)
-    _finite_or_typed(r0_solve, a, b, c)
+    # each call runs on floats, then on numpy scalars, which give a float too
+    for a, b, c in ((a, b, c), (np.float64(a), np.float64(b), np.float64(c))):
+        _finite_or_typed(_kernel_value, a, b, c)
+        _finite_or_typed(euclidean_limit_ratio, a, b, c)
+        _finite_or_typed(spectral_kernel, a, b, c)
+        _finite_or_typed(normalizing_constant, n, a)
+        _finite_or_typed(kernel_sinh2, a, b)
+        _finite_or_typed(kernel_sinh2, a, np.array([b]))
+        _finite_or_typed(i0_closed, a, b)
+        _finite_or_typed(iinf_closed, a, b)
+        _finite_or_typed(r0_solve, a, b)
+        _finite_or_typed(r0_solve, a, b, c)

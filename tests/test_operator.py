@@ -40,7 +40,8 @@ from hypfrac.operator import (
     second_difference,
     tabulated,
 )
-from hypfrac.operator import _PANEL_LIMIT, _TAIL_EPS, _graded_cuts, _sphere_integrals, _table
+from hypfrac.operator import (_PANEL_LIMIT, _TAIL_EPS, _graded_cuts, _pairwise_distance,
+                              _sphere_integrals, _table)
 from hypfrac.quadrature import QuadratureConfig, integrate
 from hypfrac.scale import i0_closed, iinf_closed
 
@@ -142,9 +143,9 @@ class TestScalarEvaluation:
         # the alpha = 128 floor overflows a float, in u(r) as in barrier_value
         spec = BarrierSpec(delta=0.5, alpha=128.0, R=1.0, gamma=0.99)
         for r in (0.5 * spec.kink_radius, 0.2):
-            with pytest.raises(OverflowError):
+            with pytest.raises(NumericError):
                 barrier_value(spec, r)
-            with pytest.raises(OverflowError):
+            with pytest.raises(NumericError):
                 barrier_profile(spec)(r)
 
 
@@ -812,6 +813,10 @@ class TestBarrier:
         with pytest.raises(DomainError):
             barrier_check(self.SPEC, [6.0], UNIT)
 
+    def test_value_refuses_an_infinite_radius(self):
+        with pytest.raises(DomainError):
+            barrier_value(self.SPEC, math.inf)
+
     @pytest.mark.parametrize("kw", [dict(alpha=math.nan), dict(alpha=math.inf),
                                     dict(R=math.nan), dict(R=math.inf), dict(R=1e308)])
     def test_spec_needs_finite_alpha_and_R(self, kw):
@@ -891,6 +896,21 @@ class TestEnvelope:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             envelope(np.zeros((0, 2)), np.zeros(0), self.R)
+
+    def test_distance_does_not_cancel(self):
+        # a point to itself, and to its neighbour 1e-10 rad away on the circle
+        # r = 1: the arccosh of cosh ra cosh rb - sinh ra sinh rb cos dphi gave
+        # 2.1e-8 for both
+        d = _pairwise_distance(np.array([[1.0, 0.3]]), np.array([[1.0, 0.3], [1.0, 0.3 + 1e-10]]))
+        assert d[0, 0] == 0.0
+        dphi = (0.3 + 1e-10) - 0.3
+        assert d[0, 1] == pytest.approx(2.0 * math.sinh(1.0) * math.sin(0.5 * dphi), rel=1e-12)
+
+    def test_distances_stay_floats(self):
+        # cosh d - 1 and its square, as in the law of cosines
+        pts = np.array([[_MAX_SPAN, 0.0]])
+        with pytest.raises(UnsupportedRangeError):
+            envelope(pts, np.zeros(1), 1.0)
 
     def test_convexity_surrogate_midpoint(self):
         # along radial geodesics: (G-P)(z) <= avg endpoints + H-correction

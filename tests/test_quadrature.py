@@ -137,13 +137,10 @@ def test_alg_tail_factor_past_the_float_range():
         alg_tail(lambda x: np.exp(-x), 1.0, 2.2e-311)
 
 
-TABLE = QuadratureConfig(1e-13, 1e-18, 1 << 13)
-
-
 def test_antiderivative_from_the_anchor():
     # the integral of (cos(s) - cos(2)) e^s over [2, w], on both sides of the
     # anchor; the first panels are far too wide, so they are bisected
-    F = antiderivative(np.cos, np.exp, [0.0, 5.0, 9.0], 2.0, TABLE, "test")
+    F = antiderivative(np.cos, np.exp, [0.0, 5.0, 9.0], 2.0, "test")
 
     def exact(w):
         return (math.exp(w) * (math.cos(w) + math.sin(w)) / 2.0 - math.cos(2.0) * math.exp(w)
@@ -164,7 +161,7 @@ def test_antiderivative_sees_the_node_budget():
         sizes.append(x.size)
         return np.exp(-x)
 
-    antiderivative(v, np.ones_like, np.linspace(0.0, 300.0, 1201), 0.0, TABLE, "test")
+    antiderivative(v, np.ones_like, np.linspace(0.0, 300.0, 1201), 0.0, "test")
     assert max(sizes) <= NODE_BUDGET and sum(sizes) > NODE_BUDGET
 
 
@@ -174,8 +171,7 @@ def test_antiderivative_panel_limit_is_a_numeric_error_in_bounded_memory():
     tracemalloc.start()
     try:
         with pytest.raises(NumericError, match="panels"):
-            antiderivative(lambda s: np.sin(1e8 * s), np.ones_like, [0.0, 2.0], 1.0, TABLE,
-                           "test")
+            antiderivative(lambda s: np.sin(1e8 * s), np.ones_like, [0.0, 2.0], 1.0, "test")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,7 +181,7 @@ def test_antiderivative_panel_limit_is_a_numeric_error_in_bounded_memory():
 def test_antiderivative_of_a_non_finite_integrand():
     with pytest.raises(NumericError, match="not finite"):
         antiderivative(lambda s: np.where(s > 0.5, np.inf, s), np.ones_like, [0.0, 1.0], 0.0,
-                       TABLE, "test")
+                       "test")
 
 
 class _Counted:

@@ -39,6 +39,7 @@ class TestFrozenReferences:
         for R in (336.9, 607.5):
             for f in (i0_closed, iinf_closed):
                 assert f(np.float64(R), 0.5) == f(R, 0.5)
+                assert type(f(np.float64(R), 0.5)) is float
 
 
 class TestClosedVsQuadrature:

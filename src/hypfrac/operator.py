@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (CalibrationError, DomainError, NumericError, UnsupportedRangeError,
-                     nonnegative, order, positive)
+                     finite, nonnegative, order, positive)
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log, kernel_sinh2
 from .quadrature import (_TABLE_ABS, _TABLE_PANELS, _TABLE_REL, NODE_BUDGET, ROUNDING,
@@ -261,18 +261,30 @@ def barrier_shifted_value(spec: BarrierSpec, R0: float) -> float:
 
     Only the region d >= kappa*delta*R is covered (below it the function is
     an unspecified smooth extension); nonnegative outside B_5R, nonpositive
-    in B_2R.
+    in B_2R.  ``NumericError`` where a power overflows a float.
     """
+    R0 = nonnegative(R0, "R0")
     if not R0 >= spec.kappa * spec.delta * spec.R:
         raise DomainError("shifted barrier is specified only for d >= kappa*delta*R")
-    return (25.0 / 9.0) ** spec.alpha - (5.0 * spec.R / R0) ** (2.0 * spec.alpha)
+    try:
+        return (25.0 / 9.0) ** spec.alpha - (5.0 * spec.R / R0) ** (2.0 * spec.alpha)
+    except (OverflowError, ZeroDivisionError):  # 5R / 0 where kappa delta R underflows
+        raise NumericError(f"the shifted barrier overflows a float at alpha={spec.alpha:g}, "
+                           f"R0={R0:g}") from None
 
 
 def barrier_profile(spec: BarrierSpec) -> RadialProfile:
     """The barrier as a radial profile; algebraic decay to 0 from below."""
 
     def tail_width(eps):
-        return 5.0 * spec.R * eps ** (-0.5 / spec.alpha) + 1.0
+        # the radius where |v| falls to eps; NumericError where it overflows a float
+        try:
+            width = 5.0 * spec.R * eps ** (-0.5 / spec.alpha) + 1.0
+        except OverflowError:
+            width = math.inf
+        if width == math.inf:
+            raise NumericError(f"the barrier's tail radius overflows a float at alpha={spec.alpha:g}")
+        return width
 
     def f(r):
         # spec.floor raises NumericError where the floor overflows a float,
@@ -860,11 +872,26 @@ class ArccosReport:
 
 
 def arccos_inequalities(alpha: float, R0: float, t: float) -> ArccosReport:
-    """Evaluate the three convexity bounds for the negative-power barrier."""
-    alpha, R0 = positive(alpha, "alpha"), positive(R0, "R0")
-    if not t * math.cosh(R0) > 1.0:
-        raise DomainError("need t > 1/cosh(R0)")
+    """Evaluate the three convexity bounds for the negative-power barrier;
+    ``NumericError`` where a side leaves the float range: cosh R0 beyond
+    R0 ~ 710.5, a power of a small R0 or d at large alpha, a large t."""
+    alpha, R0, t = positive(alpha, "alpha"), positive(R0, "R0"), finite(t, "t")
+    try:
+        lhs, rhs = _arccos_sides(alpha, R0, t)
+        ok = all(map(math.isfinite, lhs + rhs))
+    except (OverflowError, ZeroDivisionError):
+        ok = False
+    if not ok:
+        raise NumericError(f"the arccos inequalities overflow a float at alpha={alpha:g}, "
+                           f"R0={R0:g}, t={t:g}")
+    return ArccosReport(alpha, R0, t, lhs, rhs)
+
+
+def _arccos_sides(alpha, R0, t):
+    """The sides (lhs, rhs) of ``arccos_inequalities`` at checked floats."""
     ch, sh = math.cosh(R0), math.sinh(R0)
+    if not t * ch > 1.0:
+        raise DomainError("need t > 1/cosh(R0)")
     H = aux_H(R0)
     s = t * ch
     d = math.acosh(s) if s >= 1.0 else 0.0
@@ -887,7 +914,7 @@ def arccos_inequalities(alpha: float, R0: float, t: float) -> ArccosReport:
         * (t - 1.0) / (R0 ** 4 * sh * sh)
     )
 
-    return ArccosReport(alpha, R0, t, (lhs1, lhs2, lhs3), (rhs1, rhs2, rhs3))
+    return (lhs1, lhs2, lhs3), (rhs1, rhs2, rhs3)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 ``gk21_batch`` integrates many independent integrals at once with the
 Gauss-Kronrod 10/21 pair of QUADPACK (Piessens et al. 1983), bisecting
-panels in numpy instead of calling a Python integrand point by point.  Every
-adaptive integral of the package runs through ``integrate``: the engine, then
-the one reject rule.  Two maps onto [0, 1] turn an algebraic factor into a
-bounded integrand, for integrands that are numpy functions:
+panels in numpy instead of calling a Python integrand point by point, and
+calling it once per round of bisections: at the sizes of this package a call
+costs about as much as its nodes, so the first round evaluates the first
+panels and their halves together, and an integral accepted there costs one
+call.  Every adaptive integral of the package runs through ``integrate``: the
+engine, then the one reject rule.  Two maps onto [0, 1] turn an algebraic
+factor into a bounded integrand, for integrands that are numpy functions:
 
 * ``alg_left`` -- the integral of (x - a)^p f(x) over [a, b], p > -1, through
   x = a + (b - a) t^(1/(1+p)); p = 0 is a plain finite integral.
@@ -221,7 +224,12 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
     ``[lo[j], hi[j]]`` with ``owner[j] == i``.  ``f(x, own)`` receives a 2-D
     array of nodes, one row per panel, and for each row the index ``j`` of
     the initial panel it descends from, and returns the integrand at the
-    nodes; it is called with at most ``NODE_BUDGET`` nodes at a time.
+    nodes; it is called with at most ``NODE_BUDGET`` nodes at a time, and
+    once per round otherwise.  The first round evaluates the initial panels
+    and both halves of each (rows ``[lo, mid, lo]`` to ``[mid, hi, hi]``);
+    each later round, the halves of the panels still open, whose own values
+    the round before gave.  ``neval`` counts 63 nodes per initial panel and
+    42 per later bisection.
 
     A panel is never accepted on its own estimate.  It is bisected, and the
     halves confirm it: its error is ``max(|K_parent - K_left - K_right|,
@@ -249,16 +257,22 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
     value = np.zeros(n_owners)
     error = np.zeros(n_owners)
     done_mass = np.zeros(n_owners)
-    k = _gk21(f, lo, hi, root)[0]
+    k = None
     while lo.size:
         n = lo.size
         owner = owner_of[root]
         mid = 0.5 * (lo + hi)
-        ck, ce, cm = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                           np.concatenate([root, root]))
-        pair_k = ck[:n] + ck[n:]
-        pair_m = cm[:n] + cm[n:]
-        err = np.maximum(np.abs(k - pair_k), np.maximum(ce[:n], ce[n:]))
+        # rows [lo, mid] and [mid, hi], and in the first round the first panels
+        # [lo, hi] too, whose Kronrod values no earlier round has given
+        rows = 2 if k is not None else 3
+        ck, ce, cm = (a.reshape(rows, n) for a in _gk21(
+            f, np.concatenate([lo, mid, lo][:rows]), np.concatenate([mid, hi, hi][:rows]),
+            np.tile(root, rows)))
+        if k is None:
+            k = ck[2]
+        pair_k = ck[0] + ck[1]
+        pair_m = cm[0] + cm[1]
+        err = np.maximum(np.abs(k - pair_k), np.maximum(ce[0], ce[1]))
         counts = np.bincount(owner, minlength=n_owners)
         neval += 42 * counts
         mass = done_mass + np.bincount(owner, pair_m, n_owners)
@@ -278,7 +292,7 @@ def gk21_batch(f, lo, hi, owner, n_owners, rel_tol, abs_tol, limit):
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         root = np.concatenate([root[keep], root[keep]])
-        k = np.concatenate([ck[:n][keep], ck[n:][keep]])
+        k = np.concatenate([ck[0][keep], ck[1][keep]])
     return value, error, done_mass, neval
 
 

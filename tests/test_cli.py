@@ -225,6 +225,17 @@ class TestBarrierOverflow:
         assert "numeric failure" in err and "overflows a float" in err
         assert "Traceback" not in err
 
+    def test_tail_radius_overflow_is_a_numeric_failure(self, capsys):
+        # eps^(-1/(2 alpha)) at alpha = 1e-3; it once printed "numeric failure:
+        # OverflowError" through main's ArithmeticError fallback
+        code, out, err = run(
+            capsys, "--command", "barrier-check",
+            "--alpha-start", "1e-3", "--alpha-cap", "1e-3", "--n-samples", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: the barrier's tail radius overflows a float at alpha=0.001" in err
+
 
 class TestGammaLimit:
     def test_error_column_decreasing(self, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_or_typed
 from hypfrac.errors import DomainError, HypfracError
 from hypfrac.geometry import (
     BallPoint,
@@ -288,22 +290,6 @@ def test_law_of_cosines_triangle_window(r, R0, w1):
     assert dm >= abs(r - R0) - 1e-12
 
 
-def _finite_or_typed(fn, *args):
-    """fn(*args) when every number it returns is finite, None when it raises
-    a typed error; any other exception fails the test."""
-    try:
-        out = fn(*args)
-    except HypfracError:
-        return None
-    if isinstance(out, ModelParams):
-        assert all(map(math.isfinite, (out.tau, out.t, out.b)))
-    elif isinstance(out, BallPoint):
-        assert all(map(math.isfinite, out.y))
-    elif out is not None:
-        assert all(map(math.isfinite, np.atleast_1d(out)))
-    return out
-
-
 _any = st.one_of(st.floats(), st.floats(-2.0, 40.0))
 
 
@@ -316,18 +302,20 @@ _any = st.one_of(st.floats(), st.floats(-2.0, 40.0))
 @example(tau=1.0, t=2.0, b=2.0, p=(1.0, 0.0, 0.0, 0.0), r=1e-300, R0=1.0, w=0.0)
 @example(tau=1.0, t=2.0, b=2.0, p=(1.0, 0.0, 0.0, 0.0), r=0.5, R0=400.0, w=0.0)
 def test_geometry_entry_points_return_finite_or_raise_typed(tau, t, b, p, r, R0, w):
-    m = _finite_or_typed(ModelParams, tau, t, b) or DEFAULT_MODEL
-    _finite_or_typed(ModelParams.from_tau, tau)
-    y = _finite_or_typed(BallPoint, p[1:])
-    if y is not None:
-        _finite_or_typed(y.validate, m)
-    _finite_or_typed(HyperPoint(*p).validate, m)
-    _finite_or_typed(ball_volume, r)
-    _finite_or_typed(law_of_cosines, r, R0, w)
-    _finite_or_typed(ring_sector_volume, r, R0, w)
+    m = finite_or_typed(ModelParams, tau, t, b) or DEFAULT_MODEL
+    finite_or_typed(ModelParams.from_tau, tau)
+    y = finite_or_typed(BallPoint, p[1:])
+    # validate returns nothing: it passes or raises a typed error
+    for point in (y, HyperPoint(*p)):
+        with contextlib.suppress(HypfracError):
+            if point is not None:
+                point.validate(m)
+    finite_or_typed(ball_volume, r)
+    finite_or_typed(law_of_cosines, r, R0, w)
+    finite_or_typed(ring_sector_volume, r, R0, w)
     for f in (aux_S, aux_H, aux_T, tilde_radius, ball_volume_quadrature):
-        _finite_or_typed(f, r)
-    _finite_or_typed(doubling_bounds, r, R0)
+        finite_or_typed(f, r)
+    finite_or_typed(doubling_bounds, r, R0)
 
 
 @pytest.mark.parametrize("f, args", [(tilde_radius, (math.nan,)), (aux_H, (math.inf,)),

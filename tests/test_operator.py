@@ -148,6 +148,16 @@ class TestScalarEvaluation:
             with pytest.raises(NumericError):
                 barrier_profile(spec)(r)
 
+    def test_overflowing_shifted_barrier_and_tail_radius_raise(self):
+        # (5R/d)^(2 alpha) at alpha 200, and eps^(-1/(2 alpha)) at a small alpha
+        with pytest.raises(NumericError, match="alpha=200"):
+            barrier_shifted_value(BarrierSpec(0.5, 200.0, 1.0, 0.5), 0.13)
+        for alpha in (1e-3, 1e-300):
+            with pytest.raises(NumericError, match=f"alpha={alpha:g}"):
+                barrier_profile(BarrierSpec(0.5, alpha, 1.0, 0.5)).tail_radius(1e-14)
+        with pytest.raises(NumericError, match="alpha=1e-300"):
+            barrier_check(BarrierSpec(0.5, 1e-300, 1.0, 0.5), [1.0], EllipticityBounds())
+
 
 class TestSecondDifference:
     def test_constant_vanishes(self, rng):
@@ -859,6 +869,17 @@ class TestArccosInequalities:
     def test_domain(self):
         with pytest.raises(DomainError):
             arccos_inequalities(1.0, 1.0, 0.1)
+        # t = inf once gave lhs (-1.0, -0.724, nan) and rhs (-inf, -inf, -inf)
+        for t in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="t must be finite"):
+                arccos_inequalities(1.0, 1.0, t)
+
+    @pytest.mark.parametrize("R0, t", [(800.0, 1.0), (1e-300, 2.0), (1e-8, 1e300)])
+    def test_overflow_is_a_numeric_error(self, R0, t):
+        # cosh(800) raised a raw OverflowError, as did 1e-300^(-2 alpha - 2); and
+        # t = 1e300 gave a non-finite side
+        with pytest.raises(NumericError, match="overflow a float"):
+            arccos_inequalities(1.0, R0, t)
 
 
 class TestEnvelope:

@@ -30,6 +30,41 @@ def test_many_integrals_at_once():
     assert np.all(neval % 21 == 0) and neval[6] >= 2 * 63
 
 
+def test_first_panels_and_their_halves_in_one_call():
+    # accepted after its first bisection: the panel and both halves are one call
+    # of the integrand (three rows of 21 nodes), and cost 63 nodes as before
+    shapes = []
+
+    def f(x, own):
+        shapes.append(x.shape)
+        return np.exp(-x * x)
+
+    val, err, mass, neval = gk21_batch(f, [0.0], [1.0], [0], 1, 1e-10, 1e-14, 200)
+    assert shapes == [(3, 21)]
+    assert neval.tolist() == [63]
+    np.testing.assert_allclose(val, 0.5 * math.sqrt(math.pi) * math.erf(1.0), rtol=1e-14)
+    assert err[0] <= 1e-10 * mass[0]
+
+
+def test_integrate_values_are_pinned():
+    # values of the engine that evaluated the first panels and their halves in
+    # two calls; one call may round a row's gemv differently, by at most 1 ulp
+    def f(x, panel):
+        return np.where((panel == 0)[:, None], np.exp(-x * x),
+                        np.where((panel == 1)[:, None], np.sqrt(x), np.sin(10.0 * x)))
+
+    val, mass = integrate(f, [0.0, 0.0, 0.0], [1.0, 1.0, 3.0], [0, 1, 2], 3, QuadratureConfig(),
+                          "pinned")
+    np.testing.assert_array_max_ulp(val, [0.746824132812427, 0.6666666666667023,
+                                          0.08457485501124162], maxulp=1)
+    np.testing.assert_array_max_ulp(mass, [0.746824132812427, 0.6666666666667023,
+                                           1.9085528089815456], maxulp=1)
+    np.testing.assert_array_max_ulp(alg_tail(lambda x: np.cos(1.0 / x), 1.0, 0.5),
+                                    1.8090484758005443, maxulp=1)
+    np.testing.assert_array_max_ulp(alg_left(lambda x: np.exp(-x), 0.0, 2.0, -0.5),
+                                    1.6918067329451985, maxulp=1)
+
+
 def test_node_budget_bounds_every_call():
     sizes = []
 

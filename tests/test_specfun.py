@@ -6,6 +6,7 @@ import pytest
 import scipy.special as sps
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import finite_or_typed
 from hypfrac import specfun
 from hypfrac.errors import DomainError, HypfracError, NumericError, UnsupportedRangeError
 from hypfrac.specfun import (
@@ -457,14 +458,6 @@ class TestScaledBesselILargeX:
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
-def _finite_or_typed(f, *args):
-    try:
-        value = f(*args)
-    except HypfracError:
-        return
-    assert isinstance(value, float) and math.isfinite(value), (f.__name__, args, value)
-
-
 @settings(max_examples=400, deadline=None)
 @given(f=st.sampled_from([bessel_i, bessel_i_scaled, bessel_k, bessel_k_scaled, struve_l]),
        nu=ANY_FLOAT, x=ANY_FLOAT)
@@ -473,14 +466,14 @@ def _finite_or_typed(f, *args):
 @example(f=struve_l, nu=1.2967614853529988e308, x=0.5)
 def test_functions_return_finite_or_raise_typed(f, nu, x):
     # large orders at large x once asked bessel_k for billions of trapezoid nodes
-    _finite_or_typed(f, nu, x)
+    finite_or_typed(f, nu, x)
 
 
 @settings(max_examples=300, deadline=None)
 @given(f=st.sampled_from([s_integral, c_integral, l_integral]), k=st.integers(-1, 8),
        nu=ANY_FLOAT, rho=ANY_FLOAT)
 def test_integral_families_return_finite_or_raise_typed(f, k, nu, rho):
-    _finite_or_typed(f, k, nu, rho)
+    finite_or_typed(f, k, nu, rho)
 
 
 class TestWronskian:

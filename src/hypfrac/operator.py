@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CalibrationError, DomainError, NumericError, UnsupportedRangeError,
                      finite, nonnegative, order, positive)
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
-from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log, kernel_sinh2
+from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log
 from .quadrature import (_TABLE_ABS, _TABLE_PANELS, _TABLE_REL, NODE_BUDGET, ROUNDING,
                          QuadratureConfig, _regula_falsi, _sorted_unique, antiderivative,
                          integrate)
@@ -64,9 +64,10 @@ class RadialProfile:
     ``kink_radii`` lists radii where f is only Lipschitz; the declared C2
     class is understood away from those radii.  ``f`` maps a float array of
     radii to the array of values, of the same shape; ``u(r)`` applies it to
-    r and returns a float for a scalar r, an array for an array.  The
-    quadratures of this module call ``f`` on their node arrays; ``u(r)`` is
-    the per-point entry that the benchmark tracer counts.
+    r and returns a float for a scalar r, an array for an array, and refuses
+    a radius below 0 or nan (``DomainError``).  The quadratures of this
+    module call ``f`` on their node arrays, unchecked; ``u(r)`` is the
+    per-point entry that the benchmark tracer counts.
     """
 
     f: callable
@@ -79,8 +80,12 @@ class RadialProfile:
     name: str = "custom"
 
     def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        if not np.all(r >= 0.0):  # nan too
+            bad = r[~(r >= 0.0)].flat[0]
+            raise DomainError(f"profile '{self.name}' takes radii r >= 0, not {bad}")
         # np.ndim: f may return a Python float for a 0-d input
-        v = self.f(np.asarray(r, dtype=float))
+        v = self.f(r)
         return float(v) if np.ndim(v) == 0 else v
 
     def tail_radius(self, eps: float) -> float:
@@ -328,9 +333,11 @@ _FORWARD = QuadratureConfig(1e-11, 1e-13, _PANEL_LIMIT)
 _SPECTRAL = QuadratureConfig(1e-9, 1e-11, _PANEL_LIMIT)
 _TAIL_EPS = 1e-12
 # the first panels of the nonlocal core's antiderivative table are at most
-# _TABLE_WIDTH wide and halve toward R0 down to _TABLE_FINEST
-_TABLE_WIDTH = 0.25
+# _TABLE_WIDTH wide, and halve toward R0 down to _TABLE_FINEST and toward
+# each kink radius r_k down to r_k _KINK_FINEST
+_TABLE_WIDTH = 1.0
 _TABLE_FINEST = 2.0 ** -6
+_KINK_FINEST = 2.0 ** -7
 # what apply_fraclap and the Pucci operators run on, for reports
 NONLOCAL_TOLERANCES = {
     "radial_rel": _RADIAL.rel_tol, "radial_abs": _RADIAL.abs_tol,
@@ -368,10 +375,14 @@ def _table(u, R0, w_max):
     [0, w_max].  Its first panels break at R0, the kink radii and the edge of
     a bounded support, are at most _TABLE_WIDTH wide, and halve toward R0
     down to _TABLE_FINEST: F(R0 + r) and F(R0 - r), ~r^2 |u'|, carry the
-    rounding of the panels they lie on, against a difference ~r^3."""
-    ends = _sorted_unique(np.append(
-        _graded_cuts(0.0, w_max, {R0}, _TABLE_FINEST),
-        [p for p in (*u.kink_radii, u.support_radius) if 0.0 < p < w_max]))
+    rounding of the panels they lie on, against a difference ~r^3.  They
+    also halve toward each kink radius r_k down to r_k _KINK_FINEST, where a
+    steep barrier's ramp starts, which the table would otherwise reach by
+    bisecting one round per halving."""
+    kinks = [rk for rk in u.kink_radii if 0.0 < rk < w_max]
+    ends = _sorted_unique(np.concatenate(
+        [_graded_cuts(0.0, w_max, {R0}, _TABLE_FINEST), [np.clip(u.support_radius, 0.0, w_max)]]
+        + [_graded_cuts(0.0, w_max, {rk}, rk * _KINK_FINEST) for rk in kinks]))
     # each gap in m equal pieces
     gaps = np.diff(ends)
     m = np.ceil(gaps / _TABLE_WIDTH).astype(int)
@@ -481,13 +492,19 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     average of delta is taken as u(r) - u0.  The outer r-integral has three
     parts:
 
-    * below r = 1e-3 (or A/2 if smaller) the smooth factor of the
-      r^(1-2 gamma) singularity is frozen and integrated analytically;
+    * below r_f = 1e-3 (or A/2 if smaller) the smooth factor of the
+      r^(1-2 gamma) singularity is frozen at its value at r_f, and
+      integrated analytically: frozen r_f^(2-2 gamma) / (2 - 2 gamma), which
+      is the log-r integrand at t_f = log r_f over 2 - 2 gamma;
     * from there to A = R0 + min(tail radius, 80), near and mid field alike,
       one integral in log r, which flattens the singularity and the
       algebraic decay.  It is one integral with one tolerance so that the
       rounding noise of second differences near r = 1e-3 is weighed
-      against the whole radial mass, not against a small near field;
+      against the whole radial mass, not against a small near field.  The
+      frozen near field is its first panel [t_f - 1, t_f], on which t stays
+      at t_f and the density is divided by 2 - 2 gamma: the frozen node is
+      one more node of the radial integrand, read with the others in each
+      of its calls;
     * the far tail beyond A, where delta tends to (limit of u) - u(R0)
       uniformly, by its analytic kernel mass iinf_closed(A)/A^2.
 
@@ -495,9 +512,10 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     the jump-kernel table (``kernel._kernel_sinh2_log``), built once per
     process on first use for every order and contracted to gamma once per
     order: a Clenshaw sum per node in place of a Bessel K rule, within
-    ``KERNEL_TABLE_REL`` (5e-14) of ``kernel_sinh2``.  The frozen node, and
-    any radius outside the table's span (below ~7.8e-4 or beyond ~442),
-    take ``kernel_sinh2`` itself.
+    ``KERNEL_TABLE_REL`` (5e-14) of ``kernel_sinh2``, at the frozen node as
+    at every other.  Only a radius outside the table's span (below ~7.8e-4
+    or beyond ~442) takes ``kernel_sinh2`` itself, inside
+    ``_kernel_sinh2_log``.
 
     Outer panels are graded geometrically toward both kink images
     |R0 - r_k| and R0 + r_k, where the integrand of a steep barrier climbs
@@ -514,9 +532,11 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     whatever the panel count.  It runs at ``_RADIAL``, to its ``rel_tol`` of
     its |f| mass (absolute floor ``abs_tol``; of 1e3 times its value under
     stronger cancellation), is rejected beyond ten times that, and stops
-    refining at ``_PANEL_LIMIT`` panels.  The table's panels are resolved to
-    ``_TABLE_REL`` of their |f| mass, and more than ``_TABLE_PANELS`` panels
-    raise ``NumericError`` (constants of ``quadrature``).  The far-tail cut
+    refining at ``_PANEL_LIMIT`` panels.  The table's first panels are at
+    most ``_TABLE_WIDTH`` wide and graded toward R0 and each kink radius
+    (``_table``); its panels are resolved to ``_TABLE_REL`` of their |f|
+    mass, and more than ``_TABLE_PANELS`` panels raise ``NumericError``
+    (constants of ``quadrature``).  The far-tail cut
     sits where the profile's tail bound reaches ``_TAIL_EPS``.
     """
     R0 = nonnegative(R0, "R0")
@@ -535,31 +555,31 @@ def _nonlocal_integral(u, R0, gamma, pos, neg):
     # no sphere is resolved at R0 = 0 (see _sphere_integrals): no table
     F = _table(u, R0, A + R0) if R0 > 0.0 else None
 
-    def angular(r):
-        return _sphere_integrals(F, u, R0, u0, r, pos, neg)
-
-    def radial(t, own):
-        r = np.exp(t)
-        dens = 2.0 * math.pi * _kernel_sinh2_log(gamma, t) * r
-        return dens * angular(r.ravel()).reshape(r.shape)
-
-    smooth = (2.0 * math.pi * kernel_sinh2(gamma, r_frozen)
-              * r_frozen ** (2.0 * gamma - 1.0)
-              * angular(np.array([r_frozen]))[0])
-    total = smooth * r_frozen ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
-
     images = {abs(R0 - rk) for rk in u.kink_radii} | {R0 + rk for rk in u.kink_radii}
     # a ramp at a kink image is ~r_k / (2 alpha) wide: panels of width r_k
     # leave its last few halvings to the adaptive bisection
     finest = min(u.kink_radii, default=math.inf)
     cuts = np.log(_graded_cuts(r_frozen, A, images, finest))
+    # the frozen near field, radial(t_frozen) / (2 - 2 gamma), is the
+    # integral over a first panel [t_frozen - 1, t_frozen]
+    t_frozen = cuts[0]
+    cuts = np.append(t_frozen - 1.0, cuts)
+
+    def angular(r):
+        return _sphere_integrals(F, u, R0, u0, r, pos, neg)
+
+    def radial(t, own):
+        t = np.maximum(t, t_frozen)
+        r = np.exp(t)
+        dens = 2.0 * math.pi * _kernel_sinh2_log(gamma, t) * r
+        dens[own == 0] /= 2.0 - 2.0 * gamma
+        return dens * angular(r.ravel()).reshape(r.shape)
+
     val, _ = integrate(radial, cuts[:-1], cuts[1:], np.zeros(cuts.size - 1, int), 1, _RADIAL,
                        "radial integral")
-    total += val[0]
 
     tail_mass = iinf_closed(A, gamma) / (A * A)  # 4 pi * int_A^inf K sinh^2
-    total += _combine(u.limit_at_infinity - u0, pos, neg) * tail_mass
-    return float(total)
+    return float(val[0] + _combine(u.limit_at_infinity - u0, pos, neg) * tail_mass)
 
 
 def _require_c2_bounded(u: RadialProfile, what: str):

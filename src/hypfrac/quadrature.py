@@ -306,7 +306,7 @@ _CHEB_DEG = 32
 # of its width (the floor where v - v(anchor) vanishes within a panel, through
 # subnormals or a derivative of limited smoothness), and the panel limit of a
 # table, which leaves room for the first panels of the nonlocal core's widest
-# table (w up to 350, panels at most 1/4 wide) and their bisections
+# table (w up to 350, panels at most 1 wide) and their bisections
 _TABLE_REL = 1e-13
 _TABLE_ABS = 1e-18
 _TABLE_PANELS = 1 << 13

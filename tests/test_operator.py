@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import hypfrac
 from hypfrac.errors import CalibrationError, DomainError, NumericError, UnsupportedRangeError
 from hypfrac.geometry import _MAX_SPAN, acosh1p, aux_H
+from hypfrac.kernel import kernel_sinh2
 from hypfrac.operator import (
     ArccosReport,
     BarrierSpec,
@@ -40,8 +42,9 @@ from hypfrac.operator import (
     second_difference,
     tabulated,
 )
-from hypfrac.operator import (_PANEL_LIMIT, _TAIL_EPS, _graded_cuts, _pairwise_distance,
-                              _sphere_integrals, _table)
+from hypfrac.operator import (_PANEL_LIMIT, _R_FLOOR, _TAIL_EPS, _graded_cuts,
+                              _nonlocal_integral, _pairwise_distance, _sphere_integrals,
+                              _table)
 from hypfrac.quadrature import QuadratureConfig, integrate
 from hypfrac.scale import i0_closed, iinf_closed
 
@@ -138,6 +141,20 @@ class TestScalarEvaluation:
         for u in (constant_profile(1), gaussian_bump(), polynomial_bump(),
                   paraboloid(), tab, barrier_profile(spec)):
             assert type(u(0.5)) is float
+
+    @pytest.mark.parametrize("u, r", [
+        (barrier_profile(BarrierSpec(0.5, 2.0, 1.0, 0.99)), -1.0),
+        (barrier_profile(BarrierSpec(0.5, 2.0, 1.0, 0.99)), math.nan),
+        (barrier_profile(BarrierSpec(0.5, 64.0, 1.0, 0.99)), -1e-3),
+        (barrier_profile(BarrierSpec(0.5, 64.0, 1.0, 0.99)), math.nan),
+        (gaussian_bump(), -1.0), (gaussian_bump(), -1e-3), (gaussian_bump(), math.nan)])
+    def test_refuses_negative_and_nan_radii(self, u, r):
+        # u(r) refuses the radius and names the profile, at a float as in an array
+        for bad in (r, np.array([0.5, r])):
+            with pytest.raises(DomainError, match=f"profile '{u.name}'"):
+                u(bad)
+        # f, the evaluator the quadratures call on their node arrays, is unchecked
+        assert np.isnan(u.f(np.array([math.nan]))[0])
 
     def test_overflowing_barrier_raises(self):
         # the alpha = 128 floor overflows a float, in u(r) as in barrier_value
@@ -407,13 +424,13 @@ def test_pucci_positive_homogeneity(c, R0, gamma, family):
 # ``quadrature._regula_falsi``, whose arithmetic these values fix
 PINNED_PUCCI = [
     (None, 0.0, 0.3, -0.9292062753114535, -3.716825101245814),
-    (None, 0.5, 0.9, -2.0227397731092465, -8.090959092436986),
-    (None, 1.0, 0.9, 0.5939190954497938, -1.4911930610258046),
-    (None, 2.2, 0.3, 0.01100681778713475, 0.0013636804321103283),
-    (2.0, 0.13, 0.99, -152838273.93881744, -3627676560.485012),
-    (2.0, 1.0, 0.99, 387.3909831492895, -20452.714399997047),
-    (4.0, 0.5, 0.99, -12060144071864.352, -48256946903623.055),
-    (16.0, 2.2, 0.99, -1.157365204020607e+62, -4.629460816082428e+62),
+    (None, 0.5, 0.9, -2.0227397731092456, -8.090959092436982),
+    (None, 1.0, 0.9, 0.5939190954453648, -1.491193061039661),
+    (None, 2.2, 0.3, 0.011006817787134752, 0.0013636804321103292),
+    (2.0, 0.13, 0.99, -152838273.93881685, -3627676560.484996),
+    (2.0, 1.0, 0.99, 387.3909833710626, -20452.71439999699),
+    (4.0, 0.5, 0.99, -12060144071864.357, -48256946903623.055),
+    (16.0, 2.2, 0.99, -1.1573652040206071e+62, -4.6294608160824285e+62),
 ]
 
 
@@ -631,6 +648,76 @@ class TestAntiderivativeTable:
         for R0 in (0.0, 1e-9):
             got = apply_fraclap(gaussian_bump(width), R0, gamma)
             assert got == pytest.approx(st.multiplier_value(R0, gamma), rel=1.5 * gap)
+
+
+class TestNonlocalPasses:
+    """The numpy passes of the nonlocal core: the rounds of its
+    antiderivative table, and one sphere pass per call of the radial
+    integrand, the frozen node's included."""
+
+    @pytest.mark.parametrize("alpha, most", [(2.0, 1), (8.0, 2), (32.0, 3), (64.0, 5)])
+    def test_table_rounds_on_the_barrier(self, alpha, most):
+        # the first panels are graded toward the kink radius as toward R0, so
+        # the table is accepted within `most` profile calls besides the anchor's
+        u = barrier_profile(BarrierSpec(delta=0.5, alpha=alpha, R=1.0, gamma=0.99))
+        for R0 in np.linspace(0.5 / 4, 5.0, 22)[1:-1].tolist():
+            calls = []
+            counted = dataclasses.replace(u, f=lambda r: calls.append(r.size) or u.f(r))
+            _table(counted, R0, 2.0 * R0 + min(u.tail_radius(_TAIL_EPS), 80.0))
+            assert len(calls) - 1 <= most, R0
+
+    @pytest.mark.parametrize("op, args", [
+        (apply_fraclap, (gaussian_bump(0.8), 0.5, 0.6)),
+        (pucci_plus, (barrier_profile(BarrierSpec(0.5, 64.0, 1.0, 0.99)), 2.2, 0.99, UNIT)),
+        (pucci_plus, (barrier_profile(BarrierSpec(0.5, 64.0, 1.0, 0.99)), 2.2, 0.99, WIDE)),
+        (pucci_plus, (barrier_profile(BarrierSpec(0.5, 2.0, 1.0, 0.99)), 1.0, 0.99, WIDE))])
+    def test_one_sphere_pass_per_radial_call(self, monkeypatch, op, args):
+        spheres, radial = [], []
+
+        def sphere_pass(*a):
+            spheres.append(a[4].size)
+            return _sphere_integrals(*a)
+
+        def recording(f, *rest):
+            def counted(x, own):
+                radial.append(x.size)
+                return f(x, own)
+            return integrate(counted, *rest)
+
+        monkeypatch.setattr("hypfrac.operator._sphere_integrals", sphere_pass)
+        monkeypatch.setattr("hypfrac.operator.integrate", recording)
+        assert math.isfinite(op(*args))
+        assert radial and spheres == radial
+
+    @pytest.mark.parametrize("u, R0, gamma, pos, neg", [
+        (gaussian_bump(0.8), 0.0, 0.3, 1.0, 1.0),
+        (gaussian_bump(0.8), 0.5, 0.6, 1.0, 1.0),
+        (barrier_profile(BarrierSpec(0.5, 2.0, 1.0, 0.99)), 1.0, 0.99, 2.0, 0.5),
+        (barrier_profile(BarrierSpec(0.5, 16.0, 1.0, 0.99)), 2.2, 0.99, 0.5, 2.0)])
+    def test_folded_near_field(self, monkeypatch, u, R0, gamma, pos, neg):
+        # the first panel of the radial integral, [log r_f - 1, log r_f], holds
+        # the near field below r_f = 1e-3 with the smooth factor frozen at r_f:
+        # 2 pi kernel_sinh2(r_f) r_f^(2 gamma - 1) times the sphere at r_f,
+        # integrated against r^(1 - 2 gamma) over [0, r_f]
+        seen = {}
+
+        def recording(f, lo, hi, *rest):
+            seen.update(f=f, lo=lo, hi=hi)
+            return integrate(f, lo, hi, *rest)
+
+        monkeypatch.setattr("hypfrac.operator.integrate", recording)
+        _nonlocal_integral(u, R0, gamma, pos, neg)
+        t_f = math.log(_R_FLOOR)
+        assert (seen["lo"][0], seen["hi"][0]) == (t_f - 1.0, t_f)
+        folded = integrate(seen["f"], seen["lo"][:1], seen["hi"][:1], [0], 1,
+                           QuadratureConfig(), "first panel")[0][0]
+        top = 2.0 * R0 + min(u.tail_radius(_TAIL_EPS), 80.0)
+        table = _table(u, R0, top) if R0 > 0.0 else None
+        sphere = _sphere_integrals(table, u, R0, u(R0), np.array([_R_FLOOR]), pos, neg)[0]
+        frozen = (2.0 * math.pi * kernel_sinh2(gamma, _R_FLOOR)
+                  * _R_FLOOR ** (2.0 * gamma - 1.0) * sphere)
+        want = frozen * _R_FLOOR ** (2.0 - 2.0 * gamma) / (2.0 - 2.0 * gamma)
+        assert folded == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # one fresh process: the operator values it computes first (after other

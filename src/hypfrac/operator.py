@@ -18,7 +18,7 @@ from .errors import (CalibrationError, DomainError, NumericError, UnsupportedRan
                      finite, nonnegative, order, positive)
 from .geometry import _MAX_SPAN, acosh1p, aux_H, law_of_cosines
 from .kernel import KERNEL_TABLE_REL, _kernel_sinh2_log
-from .quadrature import (_TABLE_ABS, _TABLE_PANELS, _TABLE_REL, NODE_BUDGET, ROUNDING,
+from .quadrature import (_TABLE_ABS, _TABLE_PANELS, _TABLE_REL, NODE_BUDGET,
                          QuadratureConfig, _regula_falsi, _sorted_unique, antiderivative,
                          integrate)
 from .scale import i0_closed, iinf_closed
@@ -324,13 +324,12 @@ def second_difference(u: RadialProfile, R0: float, r: float, omega1: float) -> f
 # frozen at its value here, a relative modeling error of O(_R_FLOOR^2).
 _R_FLOOR = 1e-3
 # the panel limit of every integral of this module, the tolerances of the
-# nonlocal core's radial integral and of the spherical
-# transform's r- and lambda-integrals, and the tail bound that places the
-# nonlocal core's far-tail cut
+# nonlocal core's radial integral and of the spherical transform's direct
+# norm (the other side of its Plancherel check), and the tail bound that
+# places the nonlocal core's far-tail cut
 _PANEL_LIMIT = 200
 _RADIAL = QuadratureConfig(1e-8, 1e-12, _PANEL_LIMIT)
 _FORWARD = QuadratureConfig(1e-11, 1e-13, _PANEL_LIMIT)
-_SPECTRAL = QuadratureConfig(1e-9, 1e-11, _PANEL_LIMIT)
 _TAIL_EPS = 1e-12
 # the first panels of the nonlocal core's antiderivative table are at most
 # _TABLE_WIDTH wide, and halve toward R0 down to _TABLE_FINEST and toward
@@ -632,49 +631,30 @@ def pucci_minus(u: RadialProfile, R0: float, gamma: float,
 
 # radii at which the round trip must reproduce u
 _CHECK_RADII = (0.0, 0.4, 0.9)
-# beyond r_max the forward integrand |u(r)| r sinh(r) is below this, so the
-# cut-off tail of a forward value stays under the spectral integrals'
-# absolute tolerance
-_FORWARD_CUT = 1e-10
-
-
-def _forward_cut(u):
-    """r_max: the tail radius of u at 1e-14, moved out in steps of 1/4 while
-    |u(r)| r sinh(r) exceeds _FORWARD_CUT there.  A bound on u alone lets
-    the weight, ~1e7 at r = 15, lift a wide Gaussian's cut-off tail far
-    above the forward values it is to resolve."""
-    r = u.tail_radius(1e-14)
-    if math.isfinite(u.support_radius):
-        return r
-    # the steps below 700 (sinh overflows a float near 710), summed one at a
-    # time as a loop of r += 0.25 would
-    steps = math.ceil(4.0 * (700.0 - r)) if r < 700.0 else 0
-    rs = np.cumsum(np.r_[r, np.full(steps, 0.25)])
-    rs = rs[rs < 700.0]
-    with np.errstate(over="ignore"):
-        small = np.abs(u.f(rs)) * rs * np.sinh(rs) <= _FORWARD_CUT
-    if small.any():
-        return float(rs[small.argmax()])
-    raise CalibrationError(f"profile '{u.name}' does not decay against r sinh(r); the "
-                           "oracle needs a smooth rapidly-decaying profile")
-
-
-def _integrals(f, top, n, cfg, what):
-    """Values and |f| masses of n integrals over [0, top] at cfg; f(x, own) is
-    integrand own."""
-    return integrate(f, np.zeros(n), np.full(n, top), np.arange(n), n, cfg, what)
 
 
 class SphericalTransform:
-    """Radial spherical transform and its inverse.
+    """Radial spherical transform of H^3 and its inverse, as one FFT of g.
 
-    The forward transform integrates u against phi_lambda sinh^2; the inverse
-    integrates against phi_lambda lambda^2 with the inversion constant kappa
-    = 1/(2 pi^2), and the round trip at ``_CHECK_RADII`` must reproduce u to
-    1e-6 before use (``CalibrationError``).  Each spectral integral is one
-    batch of ``quadrature.integrate`` reading u_hat on its node array; nodes
-    not yet memoised are transformed in one batch.  Every integral goes
-    through its reject rule (``NumericError``).
+    With phi_lam(r) = sin(lam r) / (lam sinh r), the transform u_hat(lam) =
+    4 pi int u phi_lam sinh^2 dr is 2 pi / lam times the sine transform of
+    the odd function g(s) = sinh(s) u(|s|) on the line, and the inverse with
+    the exact constant kappa = 1/(2 pi^2) is g's inverse sine transform over
+    sinh R0.  g is sampled at s_j = j h, in FFT order, out to its reach
+    (where |u| sinh r falls to 1e-17 of its peak) plus 40, as the jump kernel
+    decays like e^-s; B = -Im fft(g) is zeroed where |B| <= 8 eps sum |g|,
+    its rounding floor.  h starts at 0.1 and halves until no kept entry lies
+    above half the Nyquist frequency, with ``NumericError`` past N = 2^20
+    (a C^2 profile of compact support, whose spectrum decays algebraically,
+    is refused so).  A multiplier m(xi) is then the one sum
+    (1/N) sum_k B_k m(xi_k) xi_k sinc(xi_k R0) R0 / sinh R0, at one R0 or an
+    array of them.  The round trip (m = 1) at ``_CHECK_RADII`` must
+    reproduce u to 1e-6 (``CalibrationError``).
+
+    The floor of a value is eps max|g|, and g peaks at ~e^(w^2/4) times the
+    value for a Gaussian of width w: 1e-12 relative up to width 4 and ~1e-9
+    at width 8, measured against the closed form; from width 10 on the round
+    trip misses and the transform is refused.
     """
 
     kappa = 1.0 / (2.0 * math.pi ** 2)
@@ -682,88 +662,81 @@ class SphericalTransform:
     def __init__(self, u: RadialProfile):
         _require_c2_bounded(u, "SphericalTransform")
         self.u = u
-        self.r_max = _forward_cut(u)
-        self._fwd_cache = {}
-        self.lam_max = self._find_lambda_cut()
-        self._check_round_trip()
+        # |u| sinh r on a grid of step 1/4 below 700, where sinh nears the float range
+        r = 0.25 * np.arange(2801.0)
+        with np.errstate(over="ignore"):
+            a = np.abs(u.f(r)) * np.sinh(r)
+        peak = a.max()
+        if not peak < math.inf or a[-1] > 1e-17 * peak:  # nan too
+            raise CalibrationError(f"profile '{u.name}' does not decay against sinh(r); "
+                                   "the oracle needs a smooth rapidly-decaying profile")
+        self.reach = float(r[np.flatnonzero(a > 1e-17 * peak).max(initial=0) + 1])
+        h = 0.1
+        while True:
+            n = 2 ** math.ceil(math.log2(2.0 * (self.reach + 40.0) / h))
+            if n > 2 ** 20:
+                raise NumericError(f"spherical transform of '{u.name}': the spectrum of g "
+                                   f"has not decayed by half the Nyquist frequency at N = {2 ** 20}")
+            s = h * np.arange(1.0, math.floor(self.reach / h) + 1.0)
+            g = u.f(s) * np.sinh(s)
+            odd = np.zeros(n)
+            odd[1:s.size + 1], odd[n - s.size:] = g, -g[::-1]
+            # the rfft half: B_k xi_k is even in k, and B is 0 at k = 0 and N/2
+            B = -np.fft.rfft(odd).imag
+            kept = np.flatnonzero(np.abs(B) > 8.0 * np.finfo(float).eps * np.abs(odd).sum())
+            if not np.any(kept > n // 4):
+                break
+            h /= 2.0
+        self.h, self._n, self._s, self._g = h, n, s, g
+        self._xi, self._B = 2.0 * math.pi / (n * h) * kept, B[kept]
+        check = np.array(_CHECK_RADII)
+        for r, back, want in zip(_CHECK_RADII, self.roundtrip(check).tolist(),
+                                 u.f(check).tolist()):
+            if abs(back - want) > 1e-6 * max(1.0, abs(want)):
+                raise CalibrationError(f"round trip missed at r={r}: got {back}, expected {want}")
 
     def forward(self, lam: float) -> float:
-        """u_hat(lam) = 4 pi * integral over [0, r_max] of u phi_lam sinh^2,
-        whose integrand u(r) sin(lam r) sinh(r) / lam is taken as
-        u(r) sinc(lam r) r sinh(r), to rel 1e-11 / abs 1e-13."""
-        return float(self._u_hat(np.array([lam], dtype=float))[0])
+        """u_hat(lam) as the trapezoid sum 2 pi h sum_j g_j s_j sinc(lam s_j)
+        over the line, twice its half s > 0."""
+        return 4.0 * math.pi * self.h * float(
+            self._g @ (self._s * np.sinc(lam * self._s / math.pi)))
 
-    def _transform(self, lam):
-        """Value and |integrand| mass of the integral of u(r) sinc(lam r) r
-        sinh(r) over [0, r_max] at every entry of the 1-D array lam."""
-        # np.sinc(t / pi) = sin(t)/t, 1 at t = 0
-        f = lambda r, own: (self.u.f(r) * np.sinc(lam[own, None] * r / math.pi)
-                            * r * np.sinh(r))
-        return _integrals(f, self.r_max, lam.size, _FORWARD, "forward transform")
-
-    def _u_hat(self, lam):
-        """u_hat at every entry of the array lam, each node integrated once."""
-        cache = self._fwd_cache
-        new = np.fromiter(set(lam.ravel().tolist()).difference(cache), float)
-        if new.size:
-            val = self._transform(new)[0]
-            cache.update(zip(new.tolist(), (4.0 * math.pi * val).tolist()))
-        return np.array([cache[x] for x in lam.ravel().tolist()]).reshape(lam.shape)
-
-    def _find_lambda_cut(self) -> float:
-        # the weight (1+lam^2)^2 dominates every multiplier used downstream; a
-        # value within the rounding floor of its integral, ROUNDING times the
-        # |integrand| mass, has decayed as far as it can be seen.  The probes
-        # stop at the cut: above it, a wide profile's r-range holds more
-        # periods of sinc(lam r) than the panel limit
-        for lam in (5.0 * 2.0 ** np.arange(6)).tolist():
-            (val,), (mass,) = self._transform(np.array([lam]))
-            if (4.0 * math.pi * abs(val) * (1.0 + lam * lam) ** 2 < 1e-10
-                    or abs(val) <= ROUNDING * mass):
-                return lam
-        raise CalibrationError("forward transform does not decay in lambda; the oracle "
-                               "needs a smooth rapidly-decaying profile")
-
-    def _spectral_integrals(self, radii, weight):
-        """integral of weight(lam) u_hat(lam) phi_lam(R0) lam^2 over
-        [0, lam_max] at every R0 in radii, in one batch."""
-        radii = np.array(radii, dtype=float)
-        if not np.all((radii >= 0.0) & (radii < math.inf)):
+    def _sum(self, R0, m):
+        """(1/N) sum_k B_k m_k xi_k sinc(xi_k R0) R0 / sinh R0 at a float R0
+        or at every entry of an array; R0 / sinh R0 = 2 R0 e^-R0 / (1 - e^-2R0)
+        underflows to 0 rather than overflow."""
+        R0 = np.asarray(R0, dtype=float)
+        if not np.all((R0 >= 0.0) & (R0 < math.inf)):
             raise DomainError("R0 must be finite and nonnegative")
-        # phi_lam(R0) = sinc(lam R0) R0 / sinh(R0), R0 / sinh(R0) = 2 R0 e^-R0 / (1 - e^-2R0)
-        scale = np.array([2.0 * r * math.exp(-r) / -math.expm1(-2.0 * r) if r else 1.0
-                          for r in radii.tolist()])
+        with np.errstate(invalid="ignore"):
+            scale = np.where(R0 > 0.0, 2.0 * R0 * np.exp(-R0) / -np.expm1(-2.0 * R0), 1.0)
+        # np.sinc(t / pi) = sin(t)/t; one row per R0, summed alike at any shape
+        phi = np.sinc(np.multiply.outer(R0, self._xi) / math.pi)
+        v = 2.0 / self._n * (phi * (self._B * m * self._xi)).sum(axis=-1) * scale
+        return float(v) if v.ndim == 0 else v
 
-        def f(lam, own):
-            phi = np.sinc(lam * radii[own, None] / math.pi) * scale[own, None]
-            return weight(lam) * self._u_hat(lam) * phi * lam * lam
+    def roundtrip(self, R0):
+        """u(R0) back from its transform, at a float R0 or an array."""
+        return self._sum(R0, 1.0)
 
-        return _integrals(f, self.lam_max, radii.size, _SPECTRAL, "spectral integral")[0]
-
-    def roundtrip(self, R0: float) -> float:
-        return self.kappa * float(self._spectral_integrals([R0], np.ones_like)[0])
-
-    def _check_round_trip(self):
-        got = self.kappa * self._spectral_integrals(_CHECK_RADII, np.ones_like)
-        for r, g in zip(_CHECK_RADII, got.tolist()):
-            w = self.u(r)
-            if abs(g - w) > 1e-6 * max(1.0, abs(w)):
-                raise CalibrationError(f"round trip missed at r={r}: got {g}, expected {w}")
-
-    def multiplier_value(self, R0: float, gamma: float) -> float:
-        """-(-Delta)^gamma u(R0) through the multiplier -(lam^2+1)^gamma."""
+    def multiplier_value(self, R0, gamma: float):
+        """-(-Delta)^gamma u(R0) through the multiplier (xi^2 + 1)^gamma, at a
+        float R0 or an array."""
+        gamma = float(gamma)
         if not 0.0 < gamma <= 1.0:
             raise DomainError("gamma must lie in (0, 1]")
-        return -self.kappa * float(self._spectral_integrals(
-            [R0], lambda lam: (lam * lam + 1.0) ** gamma)[0])
+        return -self._sum(R0, (self._xi * self._xi + 1.0) ** gamma)
 
     def plancherel_spectral(self) -> float:
-        """Spectral side of the squared norm, kappa * int u_hat^2 lam^2."""
-        return self.kappa * float(self._spectral_integrals([0.0], self._u_hat)[0])
+        """Spectral side of the squared norm, kappa int u_hat^2 lam^2 dlam:
+        2 pi h / N sum_k B_k^2 over the FFT, by Parseval."""
+        return 4.0 * math.pi * self.h / self._n * float(self._B @ self._B)
 
     def norm_sq_direct(self) -> float:
         f = lambda r, own: self.u.f(r) ** 2 * np.sinh(r) ** 2
-        return 4.0 * math.pi * float(_integrals(f, self.r_max, 1, _FORWARD, "direct norm")[0][0])
+        val, _ = integrate(f, np.zeros(1), np.full(1, self.reach), np.zeros(1, np.intp), 1,
+                           _FORWARD, "direct norm")
+        return 4.0 * math.pi * float(val[0])
 
 
 def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:

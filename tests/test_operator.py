@@ -288,24 +288,23 @@ class TestSpectralOracle:
         assert got == pytest.approx(want, rel=1e-3)
 
     def test_lambda_cut_by_width(self):
-        # a forward value within the rounding floor of its integral counts
-        # as decayed, which lets width 2 pass its round trip: its values from
-        # lambda 10 on are noise of 3e-13 to 2e-15, and the first on the floor
-        # is at 80
-        cuts = {w: SphericalTransform(gaussian_bump(w)).lam_max
-                for w in (0.5, 0.6, 1.0, 1.6, 1.8, 2.0)}
-        assert cuts == {0.5: 40.0, 0.6: 20.0, 1.0: 20.0, 1.6: 10.0, 1.8: 10.0, 2.0: 80.0}
+        # the grid step halves from 0.1 until the spectrum of g, above its
+        # rounding floor, lies below half the Nyquist frequency pi / (2 h):
+        # the narrow bumps' spectra reach past 15.7, so they take 0.05
+        steps = {w: SphericalTransform(gaussian_bump(w)).h
+                 for w in (0.5, 0.6, 1.0, 1.6, 1.8, 2.0)}
+        assert steps == {0.5: 0.05, 0.6: 0.05, 1.0: 0.1, 1.6: 0.1, 1.8: 0.1, 2.0: 0.1}
 
     def test_lambda_cut_of_other_profiles(self):
-        # profiles whose forward values decay under the weight (1 + lam^2)^2
-        # before they reach the rounding floor keep the cut of the weight
+        # the narrow bump exp(-4 r^2) carries the spectrum of two_bumps past
+        # half the Nyquist frequency of h = 0.1
         tail = lambda eps: math.sqrt(math.log(1.0 / eps)) + 1.0
         two_bumps = RadialProfile(f=lambda r: np.exp(-r * r) - 0.5 * np.exp(-4.0 * r * r),
                                   tail_width=tail)
         wave = RadialProfile(f=lambda r: np.exp(-r * r) * np.cos(2.0 * r), tail_width=tail)
-        for u, cut in ((two_bumps, 40.0), (wave, 20.0)):
+        for u, step in ((two_bumps, 0.05), (wave, 0.1)):
             st = SphericalTransform(u)
-            assert st.lam_max == cut
+            assert st.h == step
             assert st.multiplier_value(0.5, 0.6) == pytest.approx(
                 apply_fraclap(u, 0.5, 0.6), rel=1e-8)
 
@@ -316,12 +315,9 @@ class TestSpectralOracle:
 
     @pytest.mark.parametrize("width", [2.5, 3.0, 4.0, 5.0, 6.0])
     def test_wider_bumps_match_jump_integral(self, width):
-        # r_max bounds the forward integrand u(r) r sinh(r), not u alone: cut
-        # where u fell below 1e-14, these widths' forward values at large
-        # lambda were the cut-off tail (2.5 did not decay, 3 and 4 were
-        # rejected).  5 and 6 need the rounding floor of the reject rule: their
-        # forward values at lambda 5 converge to rounding, whose error estimate
-        # is more than ten times the absolute tolerance of the forward integrals
+        # g = sinh(s) u(|s|) is sampled out to where |u| sinh r falls to 1e-17
+        # of its peak, not where u alone does: for these widths that is far
+        # beyond the tail radius of u
         u = gaussian_bump(width)
         assert multiplier_oracle(u, 0.5, 0.6) == pytest.approx(
             apply_fraclap(u, 0.5, 0.6), rel=1e-9)
@@ -357,6 +353,51 @@ class TestSpectralOracle:
         st = SphericalTransform(gaussian_bump())
         assert st.multiplier_value(800.0, 0.5) == 0.0
         assert st.roundtrip(800.0) == 0.0
+
+    def test_array_of_evaluation_points(self):
+        # one sum serves a float R0 and an array of them, row by row alike
+        st = SphericalTransform(gaussian_bump(0.8))
+        R = np.array([0.0, 1e-6, 0.3, 0.5, 1.5, 4.0, 800.0])
+        for got, one in ((st.multiplier_value(R, 0.6), lambda r: st.multiplier_value(r, 0.6)),
+                         (st.roundtrip(R), st.roundtrip)):
+            assert got.shape == R.shape
+            want = np.array([one(r) for r in R.tolist()])
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        for bad in (-0.5, math.nan):
+            R_bad = np.array([0.5, bad])
+            with pytest.raises(DomainError):
+                st.multiplier_value(R_bad, 0.6)
+            with pytest.raises(DomainError):
+                st.roundtrip(R_bad)
+
+    @pytest.mark.parametrize("w, R0, gamma", [
+        (0.8, 0.0, 0.3), (0.8, 0.0, 0.99), (0.8, 1e-6, 0.3), (0.8, 0.5, 0.6),
+        (0.6, 1.5, 0.2), (2.0, 0.0, 0.9), (4.0, 0.5, 0.6), (8.0, 0.5, 0.6)])
+    def test_closed_form(self, w, R0, gamma):
+        """For u = exp(-r^2 / w^2), g(s) = sinh(s) u(|s|) has the sine
+        transform w sqrt(pi) e^(w^2/4) e^(-w^2 xi^2 / 4) sin(w^2 xi / 2), so
+
+          -(-Delta)^gamma u(R0) = -(w e^(w^2/4) / (2 sqrt(pi) sinh R0))
+              * int_{-inf}^{inf} e^(-w^2 xi^2 / 4) sin(w^2 xi / 2) sin(xi R0) (1 + xi^2)^gamma dxi,
+
+        with sin(xi R0) / sinh R0 -> xi at R0 = 0.  The integrand is even
+        and below e^-81 of its scale past xi = 18 / w; mpmath integrates it
+        at dps 30 (40 for w >= 4, where e^(w^2/4) cancels against the
+        integral), on panels two periods of sin(w^2 xi / 2) long.  Up to
+        width 4 the oracle is held to 1e-12, and width 8 to 1e-8: g peaks at
+        ~e^(w^2/4) times the value, and eps max|g| is the floor of its sum.
+        """
+        mp = mpmath.mp.clone()
+        mp.dps = 40 if w >= 4.0 else 30
+        w_, R0_, g_ = mp.mpf(w), mp.mpf(R0), mp.mpf(gamma)
+        sin_ratio = (lambda x: mp.sin(x * R0_) / mp.sinh(R0_)) if R0 else (lambda x: x)
+        f = lambda x: (mp.exp(-w_ * w_ * x * x / 4) * mp.sin(w_ * w_ * x / 2) * sin_ratio(x)
+                       * (1 + x * x) ** g_)
+        top = 18 / w_
+        integral = 2 * mp.quad(f, mp.linspace(0, top, int(w * w * top / (2 * mp.pi)) + 2))
+        want = float(-w_ * mp.exp(w_ * w_ / 4) / (2 * mp.sqrt(mp.pi)) * integral)
+        rel = 1e-8 if w > 4.0 else 1e-12
+        assert multiplier_oracle(gaussian_bump(w), R0, gamma) == pytest.approx(want, rel=rel)
 
 
 class TestPucci:
@@ -434,7 +475,8 @@ PINNED_PUCCI = [
 ]
 
 
-@pytest.mark.parametrize("alpha, R0, gamma, plus, minus", PINNED_PUCCI)
+@pytest.mark.parametrize("alpha, R0, gamma, plus, minus", PINNED_PUCCI,
+                         ids=[f"{a}-{R0}-{g}" for a, R0, g, _, _ in PINNED_PUCCI])
 def test_nonlinear_pucci_is_bit_identical(alpha, R0, gamma, plus, minus):
     # alpha None: gaussian_bump(.8); else the barrier (delta, R, gamma) = (.5, 1, .99)
     u = (gaussian_bump(0.8) if alpha is None
@@ -769,11 +811,17 @@ class TestRejectedQuadrature:
             apply_fraclap(self.NOISE, 0.7, 0.5)
 
     def test_unresolvable_transform_raises_numeric_error(self):
-        # the first forward integrals (lambda = 5 * 2^k) end with error
-        # estimates far above their values; that is a rejected
-        # quadrature, not a failed calibration
+        # the spectrum of g never decays below half the Nyquist frequency,
+        # however fine the grid: a refused transform, not a failed calibration
         with pytest.raises(NumericError) as exc:
             SphericalTransform(self.NOISE)
+        assert not isinstance(exc.value, CalibrationError)
+
+    def test_compact_c2_profile_is_refused_by_the_transform(self):
+        # the spectrum of a C^2 bump of compact support decays only
+        # algebraically: the grid is refined to its bound and refused there
+        with pytest.raises(NumericError, match="N = 1048576") as exc:
+            SphericalTransform(polynomial_bump())
         assert not isinstance(exc.value, CalibrationError)
 
 

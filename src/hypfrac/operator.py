@@ -65,9 +65,10 @@ class RadialProfile:
     class is understood away from those radii.  ``f`` maps a float array of
     radii to the array of values, of the same shape; ``u(r)`` applies it to
     r and returns a float for a scalar r, an array for an array, and refuses
-    a radius below 0 or nan (``DomainError``).  The quadratures of this
-    module call ``f`` on their node arrays, unchecked; ``u(r)`` is the
-    per-point entry that the benchmark tracer counts.
+    a radius below 0 or nan (``DomainError``) and a value that is not finite
+    (``NumericError``).  The quadratures of this module call ``f`` on their
+    node arrays, unchecked; ``u(r)`` is the per-point entry that the
+    benchmark tracer counts.
     """
 
     f: callable
@@ -86,26 +87,40 @@ class RadialProfile:
             raise DomainError(f"profile '{self.name}' takes radii r >= 0, not {bad}")
         # np.ndim: f may return a Python float for a 0-d input
         v = self.f(r)
+        finite = np.isfinite(v)
+        if not np.all(finite):
+            bad = r[~finite].flat[0]
+            raise NumericError(f"profile '{self.name}' is not finite at r = {bad}")
         return float(v) if np.ndim(v) == 0 else v
 
     def tail_radius(self, eps: float) -> float:
+        """A radius beyond which |u| <= eps, for eps in (0, 1); ``NumericError``
+        where it overflows a float."""
+        eps = float(eps)
+        if not 0.0 < eps < 1.0:
+            raise DomainError(f"profile '{self.name}': eps must lie in (0, 1), not {eps}")
         if math.isfinite(self.support_radius):
             return self.support_radius
         if self.tail_width is None:
             raise DomainError(
                 f"profile '{self.name}' has unbounded support and no tail bound"
             )
-        return self.tail_width(eps)
+        radius = self.tail_width(eps)
+        if not math.isfinite(radius):
+            raise NumericError(f"profile '{self.name}': the tail radius at eps={eps:g} "
+                               f"overflows a float")
+        return radius
 
 
 def constant_profile(value: float = 1.0) -> RadialProfile:
     """A constant; every jump integral of it vanishes identically."""
+    value = finite(value, "value")
     return RadialProfile(
         support_radius=math.inf,
         tail_width=lambda eps: 1.0,
         limit_at_infinity=value,
         name="constant",
-        f=lambda r: np.full(r.shape, float(value)),
+        f=lambda r: np.full(r.shape, value),
     )
 
 
@@ -130,38 +145,116 @@ def polynomial_bump(radius: float = 1.0) -> RadialProfile:
     radius = positive(radius, "radius")
 
     def f(r):
-        u = r / radius
-        return np.where(u < 1.0, (1.0 - u * u) ** 3, 0.0)
+        with np.errstate(over="ignore"):  # 0 where r / radius or u * u overflows
+            u = r / radius
+            return np.where(u < 1.0, (1.0 - u * u) ** 3, 0.0)
 
     return RadialProfile(support_radius=radius, name="polynomial-bump", f=f)
 
 
 def paraboloid(offset: float = 0.0, curvature: float = 1.0, R: float = 1.0) -> RadialProfile:
     """offset - curvature * r^2 / (2 R^2); unbounded, for envelope tests."""
+    offset, curvature = finite(offset, "offset"), finite(curvature, "curvature")
     R = positive(R, "R")
-    return RadialProfile(
-        support_radius=math.inf,
-        bounded=False,
-        name="paraboloid",
-        f=lambda r: offset - curvature * r * r / (2.0 * R * R),
-    )
+
+    def f(r):
+        # u(r) refuses the infinities and nans where r * r or 2 R^2 leaves the floats
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return offset - curvature * r * r / (2.0 * R * R)
+
+    return RadialProfile(support_radius=math.inf, bounded=False, name="paraboloid", f=f)
+
+
+def _not_a_knot(x, y):
+    """The cubic spline through (x_i, y_i) whose third derivative is continuous
+    at x_1 and x_{n-2} (not-a-knot, n >= 4), a function of radii in
+    [x_0, x_{n-1}]: ``scipy.interpolate.CubicSpline(x, y)``, computed in the
+    same order of operations, so that its values are scipy's.  ``NumericError``
+    where the slopes or the coefficients overflow a float."""
+    n = len(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, where not finite
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # the slopes s_i at the knots solve a tridiagonal system: row i of
+        # 1..n-2 makes the second derivative continuous at x_i,
+        #   dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+        #     = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i),
+        # and rows 0 and n-1 make the third continuous at x_1 and x_{n-2};
+        # dl[i] is row i+1's entry left of the diagonal d, du[i] row i's right of it
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        dl = np.append(dx[1:], d1).tolist()
+        d = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]]).tolist()
+        du = np.concatenate([[d0], dx[:-1], [0.0]]).tolist()
+        b = np.concatenate([
+            [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+            3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]]).tolist()
+    # one O(n) elimination on floats, with LAPACK gtsv's row interchanges
+    # (which scipy's solve calls): row i+1 becomes the pivot row where its
+    # entry is the larger, and du2 holds the fill-in two right of the diagonal
+    du2 = [0.0] * n
+    s = [0.0] * (n + 2)
+    try:
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(dl[i]):
+                fact = dl[i] / d[i]
+                d[i + 1] -= fact * du[i]
+                b[i + 1] -= fact * b[i]
+            else:
+                fact = d[i] / dl[i]
+                d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+                du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        for i in range(n - 1, -1, -1):
+            s[i] = (b[i] - du[i] * s[i + 1] - du2[i] * s[i + 2]) / d[i]
+    except ZeroDivisionError:  # a pivot rounded to 0, on subnormal spacings
+        s = [math.nan] * n
+    s = np.array(s[:n])
+    # each interval's cubic in powers of h = r - x_i, as scipy's Hermite form
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        coef = np.array([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx])
+    if not np.all(np.isfinite(coef)):
+        raise NumericError("profile 'tabulated': the spline's slopes overflow a float")
+    c0, c1, c2, c3 = coef
+
+    def spline(r):
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, n - 2)
+        h = r - x[i]
+        # summed term by term, as scipy's PPoly does: Horner's rule moves the
+        # value by up to 5e-14 of max|y| on rough samples
+        with np.errstate(over="ignore", invalid="ignore"):  # u(r) refuses a non-finite value
+            return c0[i] + c1[i] * h + c2[i] * (h * h) + c3[i] * (h * h * h)
+
+    return spline
 
 
 def tabulated(r_samples, values) -> RadialProfile:
-    """Cubic interpolation of samples; zero beyond the last sample."""
-    r_samples = np.asarray(r_samples, dtype=float)
+    """The not-a-knot cubic spline of samples, zero beyond the last sample
+    and the first sample's value below it.
+
+    Not-a-knot is scipy's default end condition, and its values are
+    ``scipy.interpolate.CubicSpline(r_samples, values, extrapolate=False)``'s.
+    It does not impose u'(0) = 0, which a radial profile needs to be smooth
+    on H^3 at the origin: that end condition (a clamped spline) would change
+    the values, and is a decision of its own.  The radii must be finite,
+    nonnegative and strictly increasing, and the values finite
+    (``DomainError``).
+    """
+    r_samples = np.array(r_samples, dtype=float)  # a copy, which the spline keeps
     values = np.asarray(values, dtype=float)
     if r_samples.ndim != 1 or r_samples.shape != values.shape or len(r_samples) < 4:
         raise DomainError("tabulated profile needs >= 4 matching samples")
-    # the one use of scipy in hypfrac: imported here, so that importing the
-    # package loads numpy and the standard library only
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(r_samples, values, extrapolate=False)
-    top = float(r_samples[-1])
+    if not (np.all(np.isfinite(r_samples)) and r_samples[0] >= 0.0
+            and np.all(np.diff(r_samples) > 0.0)):
+        raise DomainError("tabulated profile needs finite radii 0 <= r_0 < r_1 < ...")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("tabulated profile needs finite values")
+    spline = _not_a_knot(r_samples, values)
+    bottom, top = float(r_samples[0]), float(r_samples[-1])
 
     def f(r):
-        return np.where(r > top, 0.0, spline(np.clip(r, float(r_samples[0]), top)))
+        return np.where(r > top, 0.0, spline(np.clip(r, bottom, top)))
 
     return RadialProfile(support_radius=top, name="tabulated", f=f)
 

@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import finite_or_typed
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 import hypfrac
 from hypfrac.errors import CalibrationError, DomainError, NumericError, UnsupportedRangeError
@@ -174,6 +177,148 @@ class TestScalarEvaluation:
                 barrier_profile(BarrierSpec(0.5, alpha, 1.0, 0.5)).tail_radius(1e-14)
         with pytest.raises(NumericError, match="alpha=1e-300"):
             barrier_check(BarrierSpec(0.5, 1e-300, 1.0, 0.5), [1.0], EllipticityBounds())
+
+
+def _profile_at(factory, args, r):
+    """factory(*args) read at r: a float, the same radius as a numpy scalar,
+    and an array of it and 2r."""
+    u = factory(*args)
+    return u(r), u(np.float64(r)), u(np.array([r, 2.0 * r]))
+
+
+def _tail_radius(factory, args, eps):
+    return factory(*args).tail_radius(eps)
+
+
+_any = st.one_of(st.floats(), st.floats(-2.0, 40.0))
+# sample sets of 4 to 8: any radii, and radii that increase by drawn spacings
+_radii = st.one_of(
+    st.lists(_any, min_size=4, max_size=8),
+    st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=8).map(lambda dr: np.cumsum(dr).tolist()))
+_samples = _radii.flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(_any, min_size=len(r), max_size=len(r))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_any, b=_any, c=_any, samples=_samples, r=_any, eps=_any)
+# each raised a raw error, warned or gave a non-finite value at the parent:
+# scipy's ValueError for repeated or infinite radii and for a nan value, an
+# overflow warning in the spline's slopes, tail_radius at eps 0, 2 and nan,
+# constant_profile(inf), polynomial_bump(1e-300) at .5 and paraboloid() at 1e300
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 0.0, 1.0, 2.0], [1.0] * 4), r=0.5, eps=0.5)
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, math.inf], [1.0] * 4), r=0.5, eps=0.5)
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0, math.nan, 1.0, 1.0]),
+         r=0.5, eps=0.5)
+@example(a=1.0, b=1.0, c=1.0, samples=([-1.0, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+         r=0.5, eps=0.5)
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0, 1e308, -1e308, 1.0]),
+         r=0.5, eps=0.5)
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0] * 4), r=0.5, eps=0.0)
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0] * 4), r=0.5, eps=2.0)
+@example(a=1.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0] * 4), r=0.5, eps=math.nan)
+@example(a=math.inf, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0] * 4), r=1.0, eps=0.5)
+@example(a=1e-300, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0] * 4), r=0.5, eps=0.5)
+@example(a=0.0, b=1.0, c=1.0, samples=([0.0, 1.0, 2.0, 3.0], [1.0] * 4), r=1e300, eps=0.5)
+def test_profile_entry_points_return_finite_or_raise_typed(a, b, c, samples, r, eps):
+    # every factory on floats, then on numpy scalars; u(r) on a float, a
+    # numpy scalar and an array
+    for a, b, c in ((a, b, c), (np.float64(a), np.float64(b), np.float64(c))):
+        for factory, args in ((constant_profile, (a,)), (gaussian_bump, (a,)),
+                              (polynomial_bump, (a,)), (paraboloid, (a, b, c)),
+                              (tabulated, samples)):
+            finite_or_typed(_profile_at, factory, args, r)
+            finite_or_typed(_tail_radius, factory, args, eps)
+
+
+_BARRIER = barrier_profile(BarrierSpec(0.5, 2.0, 1.0, 0.99))
+
+
+@pytest.mark.parametrize("probe, error", [
+    pytest.param(lambda: tabulated([0.0, 0.0, 1.0, 2.0], [1.0] * 4), DomainError,
+                 id="repeated-radius"),
+    pytest.param(lambda: tabulated([0.0, 1.0, 2.0, math.inf], [1.0] * 4), DomainError,
+                 id="infinite-radius"),
+    pytest.param(lambda: tabulated([0.0, 1.0, 2.0, 3.0], [1.0, math.nan, 1.0, 1.0]),
+                 DomainError, id="nan-value"),
+    pytest.param(lambda: tabulated([-1.0, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]), DomainError,
+                 id="negative-radius"),
+    pytest.param(lambda: tabulated([0.0, 1.0, 2.0, 3.0], [1.0, 1e308, -1e308, 1.0]),
+                 NumericError, id="overflowing-slopes"),
+    pytest.param(lambda: gaussian_bump().tail_radius(0.0), DomainError, id="tail-eps-0"),
+    pytest.param(lambda: gaussian_bump().tail_radius(2.0), DomainError, id="tail-eps-2"),
+    pytest.param(lambda: gaussian_bump().tail_radius(math.nan), DomainError, id="tail-eps-nan"),
+    pytest.param(lambda: _BARRIER.tail_radius(0.0), DomainError, id="barrier-tail-eps-0"),
+    pytest.param(lambda: gaussian_bump().tail_radius(1e-310), NumericError,
+                 id="tail-overflow"),
+    pytest.param(lambda: constant_profile(math.inf), DomainError, id="infinite-constant"),
+    pytest.param(lambda: paraboloid(math.nan), DomainError, id="nan-offset"),
+    pytest.param(lambda: paraboloid(0.0, math.inf), DomainError, id="infinite-curvature"),
+    pytest.param(lambda: paraboloid()(1e300), NumericError, id="paraboloid-overflow"),
+    pytest.param(lambda: paraboloid()(np.array([1.0, 1e300])), NumericError,
+                 id="paraboloid-overflow-array"),
+])
+def test_profile_probes_raise_typed(probe, error):
+    with pytest.raises(error, match="profile|value|offset|curvature"):
+        probe()
+
+
+def test_tail_radius_is_unchanged_at_valid_eps():
+    # the eps check moves no value: the families' formulas, written out
+    assert gaussian_bump(0.7).tail_radius(1e-12) == 0.7 * math.sqrt(math.log(1.0 / 1e-12)) + 1.0
+    assert _BARRIER.tail_radius(np.float64(1e-10)) == 5.0 * 1e-10 ** (-0.25) + 1.0
+    assert constant_profile().tail_radius(0.5) == 1.0
+    assert polynomial_bump(2.0).tail_radius(1e-300) == 2.0
+
+
+class TestNotAKnotSpline:
+    """``tabulated`` against ``CubicSpline(extrapolate=False)``, the spline it
+    writes out in numpy: within 1e-14 of max|values| on [r_0, r_last]
+    (measured: equal, bit for bit, with scipy 1.17.1)."""
+
+    @staticmethod
+    def gap(r_samples, values, radii):
+        want = CubicSpline(r_samples, values, extrapolate=False)(radii)
+        got = tabulated(r_samples, values)(radii)
+        return np.max(np.abs(got - want)) / np.max(np.abs(values))
+
+    @pytest.mark.parametrize("r_samples, values", [
+        (np.linspace(0.0, 2.0, 30), np.exp(-np.linspace(0.0, 2.0, 30) ** 2)),
+        ([0.0, 0.5, 1.0, 1.5], [1.0, 0.8, 0.4, 0.0]),
+        (np.linspace(0.0, 2.0, 12), np.cos(np.linspace(0.0, 2.0, 12))),
+        (np.linspace(0.0, 2.0, 12), np.ones(12)),
+    ])
+    def test_samples_of_the_tabulated_tests(self, r_samples, values):
+        radii = np.linspace(r_samples[0], r_samples[-1], 1001)
+        assert self.gap(r_samples, values, radii) <= 1e-14
+        assert self.gap(r_samples, values, np.asarray(r_samples)) <= 1e-14
+
+    def test_random_sample_sets(self, rng):
+        # rough values on knots whose smallest spacing is >= 1e-2 of the
+        # largest: on near-coincident knots both solves' rounding grows with
+        # the system's condition number, and they no longer agree to 1e-14
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(4, 201))
+            spacing = rng.uniform(1e-2, 1.0, n - 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+            r_samples = rng.uniform(0.0, 5.0) + np.concatenate([[0.0], np.cumsum(spacing)])
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0)
+            radii = np.concatenate([r_samples, rng.uniform(r_samples[0], r_samples[-1], 200)])
+            worst = max(worst, self.gap(r_samples, values, radii))
+        assert worst <= 1e-14
+
+    def test_clipped_below_and_zero_beyond(self):
+        u = tabulated([0.5, 1.0, 1.5, 2.0], [3.0, 2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(u(np.array([0.0, 0.25, 0.5, 2.0, 2.0 + 1e-12, 7.0])),
+                                      [3.0, 3.0, 3.0, 0.5, 0.0, 0.0])
+
+    def test_built_in_linear_time(self):
+        # one O(n) sweep, no n x n matrix: 10^4 samples in ~6 ms on a 2-core
+        # VM; the bound is ten times a 50 ms budget, against a scheduler's
+        # stalls
+        r_samples = np.linspace(0.0, 100.0, 10_000)
+        start = time.perf_counter()
+        tabulated(r_samples, np.sin(r_samples))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSecondDifference:

@@ -33,15 +33,21 @@ __all__ = [
 
 
 def i0_closed(R: float, gamma: float) -> float:
-    """Near-field scale function, two-line Bessel-product closed form."""
+    """Near-field scale function, two-line Bessel-product closed form.
+
+    K_(gamma + 3/2) is read off the other two K by their recurrence,
+    K_(nu + 1) = K_(nu - 1) + (2 nu / R) K_nu (DLMF 10.29.1), whose terms
+    are both positive; where it overflows so does the closed form."""
     R, gamma = positive(R, "R"), order(gamma)
     gan = gamma_abs_neg(gamma)
     i12 = bessel_i(0.5, R)
     i32 = bessel_i(1.5, R)
     i52 = bessel_i(2.5, R)
-    k_hi = bessel_k(1.5 + gamma, R)
     k_mid = bessel_k(0.5 + gamma, R)
     k_lo = bessel_k(-0.5 + gamma, R)
+    k_hi = k_lo + (1.0 + 2.0 * gamma) / R * k_mid
+    if k_hi == math.inf:
+        raise NumericError(f"i0_closed overflows a float at R={R}")
     c1 = 2.0 ** gamma / ((1.0 - gamma) * gan)
     c2 = c1 / (2.0 - gamma)
     return R ** (3.0 - gamma) * (

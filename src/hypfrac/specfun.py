@@ -13,22 +13,26 @@ The evaluators are self-contained:
   refused;
   ``bessel_i_scaled`` goes on beyond 700 with Hankel's expansion where
   nu^2 <= x.  L sums its terms, of either sign at negative orders, by fsum.
+  ``bessel_i`` takes the orders of the scale functions, -1/2, 1/2, 3/2 and
+  5/2, in elementary form (``_i_half_integer``), not by the series.
 * ``bessel_k`` sums Hankel's expansion for x >= 20 where nu^2 <= x: one sum,
   ``_hankel``, serves I and K, which share its coefficients, and a float x
-  and an array of x alike.  Elsewhere it integrates exp(-x (cosh u - 1))
-  cosh(nu u) du, which is exp(x) K_nu(x), with the trapezoid rule.  The rule
-  converges geometrically for this analytic, double-exponentially decaying
-  integrand (Trefethen and Weideman, SIAM Review 56, 2014).  Its step is the
-  power of two 2^-level <= min(1/16, 1/(2 sqrt x)), shrinking like 1/sqrt(x)
-  so that the Laplace peak stays resolved at large x, and its nodes
-  u_j = j 2^-level are therefore shared by every x of one level.  The x-free
-  factors 1 - cosh u_j and log cosh(nu u_j) sit in a bounded cache of
-  tables, one per (|nu|, level, power-of-two length), built on first use; an
-  evaluation costs one multiply-add, one ``exp`` and one sum per node.  Arrays of x run
-  through the same tables, rows of one table together, in a batch form of
-  the rule that stays apart from the float form: it costs ~10 times as much
-  for a single x, and the barrier operators call both.  A rule longer than
-  2^16 nodes (a large order at large x) is refused.
+  and an array of x alike, bit for bit.  Its length is fixed per order, that
+  of the smallest x it serves, and it is nested from the inside.  Elsewhere
+  it integrates exp(-x (cosh u - 1)) cosh(nu u) du, which is exp(x) K_nu(x),
+  with the trapezoid rule.  The rule converges geometrically for this
+  analytic, double-exponentially decaying integrand (Trefethen and Weideman,
+  SIAM Review 56, 2014).  Its step is the power of two 2^-level <= min(1/16,
+  1/(2 sqrt x)), shrinking like 1/sqrt(x) so that the Laplace peak stays
+  resolved at large x, and its nodes u_j = j 2^-level are therefore shared by
+  every x of one level.  The x-free factors 1 - cosh u_j and log cosh(nu u_j)
+  sit in a bounded cache of tables, one per (|nu|, level, power-of-two
+  length), built on first use; an evaluation costs one multiply-add, one
+  ``exp`` and one sum per node.  Arrays of x run through the same tables,
+  rows of one table together, in a batch form of the rule that stays apart
+  from the float form: it costs ~10 times as much for a single x, and the
+  barrier operators call both.  A rule longer than 2^16 nodes (a large order
+  at large x) is refused.
 
 ``s_integral``/``c_integral``/``l_integral`` evaluate the finite Bessel(-
 Struve) sums for the antiderivatives of rho^(k-nu) K_nu(rho) {sinh, cosh, 1}.
@@ -80,7 +84,7 @@ _K_EXP_MAX = 698.0
 # then fall below _HANKEL_STOP of the sum within 24 terms, long before
 # k ~ 2x, where they would turn to grow
 _K_HANKEL_MIN = 20.0
-# eps / 4, a float: numpy's would turn a float's sum into numpy scalars
+# eps / 4: Hankel's expansion runs until a term falls below this of its sum
 _HANKEL_STOP = 2.0 ** -54
 # sqrt(pi / 2x) as this over sqrt(x): 2x overflows, and pi / 2x is subnormal,
 # near the top of the float range
@@ -92,6 +96,11 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 # grows like x, up to _I_SERIES_LIMIT
 _I_SERIES_MAX = 700.0
 _I_SERIES_LIMIT = 1e4
+# bessel_i takes these orders in elementary form (``_i_half_integer``), 3/2
+# and 5/2 from this x on, and below it by their series
+_I_HALF_INTEGER_ORDERS = (-0.5, 0.5, 1.5, 2.5)
+_I_ELEMENTARY_MIN = 4.0
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 # beyond this order, nu log(x / 2) in the series may overflow a float
@@ -99,6 +108,11 @@ _MAX_ORDER = 1e300
 # no series runs more terms: x = 1e4 takes ~6.2k; only an order far below 0
 # asks for more
 _SERIES_MAX_TERMS = 1 << 16
+# the series takes its terms directly from the largest, t_k, where t_k is a
+# normal float this far above the subnormals: a subnormal term then errs by
+# at most 2^-75 of t_k, and the 2^16 terms of the longest series by less
+# than 2^-59; below, it works in log space, at a cost of ~eps |log t_k|
+_TERM_FLOOR = 2.0 ** -1000
 # below nu = -1 the terms of I may alternate in sign: a sum below this
 # fraction of the largest |term| has lost more than three digits to
 # cancellation, and is refused
@@ -161,7 +175,7 @@ def _series(x: float, p: float, q: float, s: float):
         tk = half ** (2 * k + p) / math.gamma(k + q) / math.gamma(k + s)
     except ArithmeticError:  # out of the float range, or 0 ** (2k + p < 0)
         tk = 0.0
-    if 1e-300 < abs(tk) < 1e300 / top:
+    if _TERM_FLOOR <= abs(tk) < 1e300 / top:
         return 0.0, tk * terms
     if k + s < 0.0 and math.floor(-(k + s)) % 2 == 0:
         terms = -terms
@@ -197,10 +211,40 @@ def _i_series(nu: float, x: float, shift: float = 0.0) -> float:
         raise NumericError(f"bessel_i overflows a float at nu={nu}, x={x}") from None
 
 
+def _i_half_integer(nu: float, x: float) -> float:
+    """I_nu(x), x > 0, at nu = -1/2, 1/2, 3/2 or 5/2, in elementary form:
+    sqrt(2 / (pi x)) {cosh x, sinh x} (DLMF 10.39.1); from x = 4 on,
+    I_3/2 = I_-1/2 - I_1/2 / x and I_5/2 = I_1/2 - (3 / x) I_3/2
+    (10.29.1), which cancel less than 1 bit at 3/2 and 2.2 bits at 5/2;
+    below 4, sqrt(2 x / pi) x^n / (2n + 1)!! times the series
+    1 + x^2 / (2 (2n + 3)) (1 + x^2 / (4 (2n + 5)) (1 + ...)) of n = 1, 2
+    (10.25.2), nested from the inside: its terms are positive, and 16 of
+    them reach 2^-54 of the sum at x = 4."""
+    root = math.sqrt(x)
+    if nu == 0.5:
+        return _SQRT_2_OVER_PI * math.sinh(x) / root
+    if nu == -0.5:
+        return _SQRT_2_OVER_PI * math.cosh(x) / root
+    if x >= _I_ELEMENTARY_MIN:
+        i32 = _SQRT_2_OVER_PI * (math.cosh(x) - math.sinh(x) / x) / root
+        if nu == 1.5:
+            return i32
+        return _SQRT_2_OVER_PI * math.sinh(x) / root - 3.0 / x * i32
+    n = 1 if nu == 1.5 else 2
+    x2 = x * x
+    rest = 1.0
+    for k in range(16, 0, -1):
+        rest = 1.0 + x2 / (2 * k * (2 * k + 2 * n + 1)) * rest
+    lead = x * root * _SQRT_2_OVER_PI / 3.0
+    return lead * rest if n == 1 else lead * x / 5.0 * rest
+
+
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind I_nu(x), real order.
 
-    Accurate to ~1e-12 relative for nu in [-1, 10] and x in (0, 700).
+    At nu = -1/2, 1/2, 3/2 and 5/2, the orders of the scale functions, in
+    elementary form, to ~5e-16 relative; elsewhere by the ascending series,
+    accurate to ~1e-15 at small x and ~1e-13 near x = 700 for nu in [-1, 10].
     """
     nu, x = _check_order(nu, "bessel_i"), nonnegative(x, "x")
     if x == 0.0:
@@ -211,31 +255,47 @@ def bessel_i(nu: float, x: float) -> float:
         raise DomainError("I_nu(0) diverges for nu < 0")
     if x > _I_SERIES_MAX:
         raise NumericError("bessel_i overflows for x > 700; use bessel_i_scaled")
+    if nu in _I_HALF_INTEGER_ORDERS:
+        return _i_half_integer(nu, x)
     return _i_series(nu, x)
 
 
-def _hankel(nu: float, x, sign: float):
-    """Hankel's expansion, summed up to the first term below _HANKEL_STOP of
-    the sum: exp(x) K_nu(x) = sqrt(pi / 2x) sum_k a_k(nu) / x^k at sign +1
-    (DLMF 10.40.2), exp(-x) I_nu(x) = sum_k (-1)^k a_k(nu) / x^k / sqrt(2 pi x)
-    at sign -1 (10.40.1), a_k = a_(k-1) (4 nu^2 - (2k - 1)^2) / 8k, for
-    x >= _K_HANKEL_MIN and nu^2 <= x.  The exponentially small part is below
-    exp(-2x) relative.  The ratio is taken as (sign (nu - (k - 1/2)) / x)
-    ((nu + k - 1/2) / 2k), which neither overflows at large orders nor misses
-    the zero that ends the sum at a half-integer nu.  x is a float, or a 1-D
-    array whose entries take the same operations, ``live`` then an array:
-    each entry stops adding at its own first small term."""
-    batch = isinstance(x, np.ndarray)
-    term = total = 0.0 * x + 1.0  # 1.0, or ones like x
-    live = x > 0.0  # True, or all True
-    k = 1
-    while live.any() if batch else live:
+@lru_cache(maxsize=64)
+def _hankel_ratios(nu: float, sign: float) -> tuple:
+    """The term ratios c_k = sign (nu - h)((nu + h) / 2k), h = k - 1/2, of
+    Hankel's expansion at the order nu >= 0, innermost first: as many as
+    its smallest argument, max(20, nu^2) for K (sign +1) and max(700, nu^2)
+    for I (sign -1), needs for a term to fall below _HANKEL_STOP of the sum
+    (at most 24), or up to the zero that ends the sum at a half-integer nu.
+    Each product stays below nu^2, so none overflows at a large order."""
+    x = max(_K_HANKEL_MIN if sign > 0.0 else _I_SERIES_MAX, nu * nu)
+    ratios = []
+    term = total = 1.0
+    while abs(term) > _HANKEL_STOP * abs(total):
+        k = len(ratios) + 1
         h = k - 0.5
-        term = term * (sign * (nu - h) / x) * ((nu + h) / (2.0 * k)) * live
-        total = total + term
-        live = live & (abs(term) > _HANKEL_STOP * abs(total))
-        k += 1
-    root = np.sqrt(x) if batch else math.sqrt(x)
+        c = sign * (nu - h) * ((nu + h) / (2.0 * k))
+        if c == 0.0:
+            break
+        ratios.append(c)
+        term *= c / x
+        total += term
+    return tuple(reversed(ratios))
+
+
+def _hankel(nu: float, x, sign: float):
+    """Hankel's expansion, exp(x) K_nu(x) = sqrt(pi / 2x) sum_k a_k(nu) / x^k
+    at sign +1 (DLMF 10.40.2) and exp(-x) I_nu(x) = sum_k (-1)^k a_k(nu) / x^k
+    / sqrt(2 pi x) at sign -1 (10.40.1), a_k = a_(k-1) (4 nu^2 - (2k - 1)^2)
+    / 8k, for x >= _K_HANKEL_MIN and nu^2 <= x.  The exponentially small part
+    is below exp(-2x) relative.  The sum has a fixed length per (nu, sign),
+    that of its smallest x, and is nested from the inside,
+    1 + (c_1 / x)(1 + (c_2 / x)(1 + ...)): x is a float, or a 1-D array
+    whose entries take the same operations, bit for bit."""
+    total = 1.0
+    for c in _hankel_ratios(nu, sign):
+        total = 1.0 + (c / x) * total
+    root = np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
     if sign > 0.0:
         return total * (_SQRT_HALF_PI / root)
     return total / (math.sqrt(2.0 * math.pi) * root)
@@ -323,8 +383,10 @@ def _k_scaled(nu: float, x):
     if not isinstance(x, np.ndarray):
         return _hankel(nu, x, 1.0) if hankel else _k_trapezoid(nu, x)
     out = np.empty_like(x)
-    out[hankel] = _hankel(nu, x[hankel], 1.0)
-    out[~hankel] = _k_trapezoid_array(nu, x[~hankel])
+    if hankel.any():
+        out[hankel] = _hankel(nu, x[hankel], 1.0)
+    if not hankel.all():
+        out[~hankel] = _k_trapezoid_array(nu, x[~hankel])
     return out
 
 
@@ -405,11 +467,11 @@ def bessel_k_scaled(nu: float, x):
     """exp(x) * K_nu(x), stable for arbitrarily large x.
 
     For x >= 20 where nu^2 <= x, Hankel's expansion sqrt(pi / 2x)
-    sum_k a_k(nu) / x^k, summed until a term falls below eps/4 of the sum
-    (at most 24 terms).  Elsewhere the trapezoid rule on the nodes j 2^-level
-    (see the module docstring), with the step 2^-level <= min(1/16,
-    1/(2 sqrt x)) and at least 80 steps up to the cut where the integrand
-    has decayed by exp(-45).  x may be a numpy array; its entries then take
+    sum_k a_k(nu) / x^k, as many terms as take a term below eps/4 of the sum
+    at x = max(20, nu^2), the same at every x.  Elsewhere the trapezoid rule
+    on the nodes j 2^-level (see the module docstring), with the step
+    2^-level <= min(1/16, 1/(2 sqrt x)) and at least 80 steps up to the cut
+    where the integrand has decayed by exp(-45).  x may be a numpy array; its entries then take
     the same two routes, the expansion entry by entry, bit for bit as at a
     float, and the rule through the same node tables in batches, within a
     few ulp of the float rule.  Every entry must be finite and positive (``DomainError``); an

@@ -7,6 +7,14 @@ import pytest
 from hypfrac.errors import HypfracError
 
 
+def approx(expected, rel=1e-6, abs=0.0):
+    """``pytest.approx`` at the tolerance it states.  pytest's default
+    abs=1e-12 decides wherever rel |expected| < 1e-12, where it checks
+    nothing on a small value; here abs is 0 unless a test states its own.
+    rel defaults to pytest's 1e-6."""
+    return pytest.approx(expected, rel=rel, abs=abs)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240911)

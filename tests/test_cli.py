@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import approx
 from hypfrac.cli import build_parser, main
 from hypfrac.kernel import KERNEL_TABLE_REL
 from hypfrac.quadrature import DEFAULT_QUAD
@@ -32,7 +33,7 @@ class TestVerifyConstant:
         )
         assert code == 0
         rec = parse_csv(out)[0]
-        assert float(rec["expected"]) == pytest.approx(math.sqrt(2.0))
+        assert float(rec["expected"]) == approx(math.sqrt(2.0))
         assert float(rec["rel_error"]) <= 1e-6
 
     def test_default_grid_passes(self, capsys):
@@ -247,7 +248,7 @@ class TestGammaLimit:
         errs = [float(r["abs_error"]) for r in parse_csv(out)]
         assert errs == sorted(errs, reverse=True)
         recs = parse_csv(out)
-        assert float(recs[0]["reference"]) == pytest.approx(-6.0, rel=1e-6)
+        assert float(recs[0]["reference"]) == approx(-6.0, rel=1e-6)
 
     def test_tolerance_flags_leave_operator_unchanged(self, capsys):
         # the jump integral runs on the operator's fixed tolerances, so the

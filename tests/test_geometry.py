@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_or_typed
+from conftest import approx, finite_or_typed
 from hypfrac.errors import DomainError, HypfracError
 from hypfrac.geometry import (
     BallPoint,
@@ -58,19 +58,19 @@ class TestIsometry:
     def test_origin_maps_to_center(self):
         assert to_ball(origin()).y == (0.0, 0.0, 0.0)
         p = from_ball(BallPoint((0.0, 0.0, 0.0)))
-        assert p.coords == pytest.approx([1.0, 0.0, 0.0, 0.0])
+        assert p.coords == approx([1.0, 0.0, 0.0, 0.0])
 
     def test_polar_form(self):
         # tau(cosh r, sinh r w) maps to t tanh(r/2) w
         r = 1.0
         p = HyperPoint(math.cosh(r), math.sinh(r), 0.0, 0.0)
         y = to_ball(p)
-        assert y.y[0] == pytest.approx(2.0 * math.tanh(0.5), rel=1e-14)
+        assert y.y[0] == approx(2.0 * math.tanh(0.5), rel=1e-14)
 
     def test_inverse_formula_value(self):
         # plug y=(1,0,0), t=2, tau=1 into the displayed inverse
         p = from_ball(BallPoint((1.0, 0.0, 0.0)))
-        assert p.coords == pytest.approx([5.0 / 3.0, 4.0 / 3.0, 0.0, 0.0], rel=1e-14)
+        assert p.coords == approx([5.0 / 3.0, 4.0 / 3.0, 0.0, 0.0], rel=1e-14)
 
     def test_round_trip(self, rng):
         for _ in range(1000):
@@ -96,8 +96,8 @@ class TestDistance:
 
     def test_log3_example(self):
         p = from_ball(BallPoint((1.0, 0.0, 0.0)))
-        assert distance(p, origin()) == pytest.approx(math.log(3.0), rel=1e-14)
-        assert ball_distance_to_origin(BallPoint((1.0, 0.0, 0.0))) == pytest.approx(
+        assert distance(p, origin()) == approx(math.log(3.0), rel=1e-14)
+        assert ball_distance_to_origin(BallPoint((1.0, 0.0, 0.0))) == approx(
             math.log(3.0), rel=1e-14)
 
     def test_metric_axioms(self, rng):
@@ -142,7 +142,7 @@ class TestLawOfCosines:
         for r, R0 in [(1e-6, 4.2e-139), (2e-6, 1e-6), (1e-5, 1e-300)]:
             dm, dp = law_of_cosines(r, R0, 0.3)
             flat = math.sqrt(r * r + R0 * R0 - 2.0 * r * R0 * 0.3)
-            assert dm == pytest.approx(flat, rel=1e-9)
+            assert dm == approx(flat, rel=1e-9)
             assert abs(r - R0) - 1e-15 <= dm <= dp <= r + R0 + 1e-15
 
     def test_domain(self):
@@ -157,7 +157,7 @@ class TestVolume:
         assert ball_volume(0.0) == 0.0
 
     def test_closed_form(self):
-        assert ball_volume(1.0) == pytest.approx(math.pi * (math.sinh(2.0) - 2.0), rel=1e-14)
+        assert ball_volume(1.0) == approx(math.pi * (math.sinh(2.0) - 2.0), rel=1e-14)
 
     def test_euclidean_limit(self):
         for r in (1e-3, 1e-5):
@@ -166,7 +166,7 @@ class TestVolume:
 
     def test_quadrature_agrees(self):
         for r in (0.05, 0.7, 3.0):
-            assert ball_volume(r) == pytest.approx(ball_volume_quadrature(r), rel=1e-10)
+            assert ball_volume(r) == approx(ball_volume_quadrature(r), rel=1e-10)
 
     def test_strictly_increasing(self):
         vals = [ball_volume(r) for r in np.linspace(0.01, 5.0, 50)]
@@ -202,28 +202,28 @@ class TestAuxFunctions:
         assert aux_T(0.0) == 2.0
 
     def test_direct_values(self):
-        assert aux_H(1.0) == pytest.approx(1.0 / math.tanh(1.0), rel=1e-14)
-        assert aux_S(2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
+        assert aux_H(1.0) == approx(1.0 / math.tanh(1.0), rel=1e-14)
+        assert aux_S(2.0) == approx(math.sinh(2.0) / 2.0, rel=1e-14)
 
     def test_continuity_at_series_switch(self):
         for f in (aux_S, aux_H, aux_T):
-            assert f(1e-4 * (1 - 1e-9)) == pytest.approx(f(1e-4 * (1 + 1e-9)), rel=1e-10)
+            assert f(1e-4 * (1 - 1e-9)) == approx(f(1e-4 * (1 + 1e-9)), rel=1e-10)
 
     def test_tilde_radius_identity(self):
         for r in np.linspace(0.05, 10.0, 40):
-            assert aux_T(float(r)) * tilde_radius(float(r)) == pytest.approx(
+            assert aux_T(float(r)) * tilde_radius(float(r)) == approx(
                 float(r), rel=1e-14)
 
     def test_tilde_limits(self):
-        assert tilde_radius(1e-8) / 1e-8 == pytest.approx(0.5, rel=1e-6)
-        assert tilde_radius(50.0) == pytest.approx(math.atanh(0.5), rel=1e-10)
+        assert tilde_radius(1e-8) / 1e-8 == approx(0.5, rel=1e-6)
+        assert tilde_radius(50.0) == approx(math.atanh(0.5), rel=1e-10)
 
 
 class TestDyadicLadder:
     def test_defining_equation(self):
         lad = dyadic_ladder(1.0, 5)
         for a, b in zip(lad.radii, lad.radii[1:]):
-            assert ball_volume(b) == pytest.approx(ball_volume(a) / 8.0, rel=1e-12)
+            assert ball_volume(b) == approx(ball_volume(a) / 8.0, rel=1e-12)
 
     def test_euclidean_limit(self):
         lad = dyadic_ladder(1e-4, 1)
@@ -250,12 +250,12 @@ class TestRingSector:
                                (0.5, 36.0, 0.0)]:
             got = ring_sector_volume(r_in, r_out, w)
             want = (1.0 - w) / 2.0 * (ball_volume(r_out) - ball_volume(r_in))
-            assert got == pytest.approx(want, rel=1e-10), (r_in, r_out, w)
+            assert got == approx(want, rel=1e-10), (r_in, r_out, w)
 
     def test_quarter_at_half(self):
         full = ring_sector_volume(0.3, 0.9, -1.0)
         quarter = ring_sector_volume(0.3, 0.9, 0.5)
-        assert quarter / full == pytest.approx(0.25, rel=1e-12)
+        assert quarter / full == approx(0.25, rel=1e-12)
 
     def test_degenerate_cap(self):
         assert ring_sector_volume(0.5, 1.0, 1.0) == 0.0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
+from conftest import approx
 from hypfrac.errors import DomainError, HypfracError, NumericError
 from hypfrac.geometry import BallPoint
 from hypfrac.gyro import (
@@ -269,8 +270,8 @@ class TestExtremeRadius:
         assert np.allclose(gyration(at, bt, at).vec / t, gyration(a, b, a).vec,
                            rtol=0, atol=1e-14)
         assert cancellation_check(at, bt, tol=1e-14 * t)
-        assert boxminus_jacobian(at, bt) == pytest.approx(boxminus_jacobian(a, b), rel=1e-13)
-        assert measure_factor(at, bt) == pytest.approx(measure_factor(a, b), rel=1e-13)
+        assert boxminus_jacobian(at, bt) == approx(boxminus_jacobian(a, b), rel=1e-13)
+        assert measure_factor(at, bt) == approx(measure_factor(a, b), rel=1e-13)
 
     def test_rounding_onto_the_boundary_raises_typed(self):
         # a (+) (-a) is 0 / 0 here, and |b / t|^2 rounds to 1 for b [-] b
@@ -288,20 +289,20 @@ class TestExtremeRadius:
     def test_huge_radius_interior_sum(self):
         t = 1e300
         s = mobius_add(GyroElement((1e200, 0.0, 0.0), t), GyroElement((0.0, 1e200, 0.0), t))
-        assert s.vec == pytest.approx([1e200, 1e200, 0.0], rel=1e-15)
+        assert s.vec == approx([1e200, 1e200, 0.0], rel=1e-15)
 
 
 class TestJacobianAndMeasure:
     def test_trivial_translations(self, rng):
         z = sample(rng)
-        assert boxminus_jacobian(z, ZERO) == pytest.approx(1.0, rel=1e-15)
-        assert measure_factor(z, ZERO) == pytest.approx(1.0, rel=1e-15)
+        assert boxminus_jacobian(z, ZERO) == approx(1.0, rel=1e-15)
+        assert measure_factor(z, ZERO) == approx(1.0, rel=1e-15)
 
     def test_center_value(self, rng):
         y = sample(rng)
         want = (1.0 - y.norm() ** 2 / T ** 2) ** 3
-        assert boxminus_jacobian(ZERO, y) == pytest.approx(want, rel=1e-14)
-        assert measure_factor(ZERO, y) == pytest.approx(1.0, rel=1e-14)
+        assert boxminus_jacobian(ZERO, y) == approx(want, rel=1e-14)
+        assert measure_factor(ZERO, y) == approx(1.0, rel=1e-14)
 
     def test_jacobian_against_finite_differences(self, rng):
         for _ in range(200):
@@ -315,7 +316,7 @@ class TestJacobianAndMeasure:
                 fm = cosub(GyroElement(z.vec - e, T), y).vec
                 jac[:, j] = (fp - fm) / (2 * h)
             det = float(np.linalg.det(jac))
-            assert boxminus_jacobian(z, y) == pytest.approx(det, rel=1e-6)
+            assert boxminus_jacobian(z, y) == approx(det, rel=1e-6)
 
     def test_measure_chain_identity(self, rng):
         for _ in range(500):
@@ -324,13 +325,13 @@ class TestJacobianAndMeasure:
             chain = boxminus_jacobian(z, y) * (
                 (1 - z.norm() ** 2 / T ** 2) / (1 - w.norm() ** 2 / T ** 2)
             ) ** 3
-            assert measure_factor(z, y) == pytest.approx(chain, rel=1e-10)
+            assert measure_factor(z, y) == approx(chain, rel=1e-10)
 
 
 class TestEigenfunction:
     def test_center_value(self):
         ep = EigenParams(1.3, (0.0, 0.0, 1.0), T)
-        assert eigenfunction(ep, BallPoint((0.0, 0.0, 0.0))) == pytest.approx(1.0)
+        assert eigenfunction(ep, BallPoint((0.0, 0.0, 0.0))) == approx(1.0)
 
     def test_real_at_lambda_zero(self, rng):
         ep = EigenParams(0.0, (1.0, 0.0, 0.0), T)
@@ -346,7 +347,7 @@ class TestEigenfunction:
         ep0 = EigenParams(0.0, xi, T)
         for _ in range(50):
             y = BallPoint(sample(rng).vec)
-            assert abs(eigenfunction(ep, y)) == pytest.approx(
+            assert abs(eigenfunction(ep, y)) == approx(
                 eigenfunction(ep0, y).real, rel=1e-13)
 
     def test_unit_direction_required(self):
@@ -387,7 +388,7 @@ class TestEFactor:
     def test_translation_by_zero(self, rng):
         xi = np.array([0.0, 0.0, 1.0])
         z = sample(rng).vec
-        assert e_factor(0.9, xi, np.zeros(3), z, T) == pytest.approx(1.0 + 0.0j)
+        assert e_factor(0.9, xi, np.zeros(3), z, T) == approx(1.0 + 0.0j)
 
     def test_real_positive_at_lambda_zero(self, rng):
         xi = np.array([1.0, 0.0, 0.0])
@@ -455,7 +456,7 @@ class TestSphereIntegral:
         z = BallPoint((0.3, -0.2, 0.1))
         got = sphere_integral_E(1e-4, r, z, cfg=cfg)
         want = sphere_integral_E_reference(0.0, r)
-        assert got.real == pytest.approx(want, rel=1e-6)
+        assert got.real == approx(want, rel=1e-6)
 
     def test_near_boundary_is_bounded(self):
         # r = 1.9 of t = 2 at lam = 8: a steep integrand, in bounded memory

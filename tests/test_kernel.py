@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_or_typed
+from conftest import approx, finite_or_typed
 from hypfrac.errors import DomainError
 from hypfrac.kernel import (
     KERNEL_TABLE_REL,
@@ -30,10 +30,10 @@ from hypfrac.scale import i0_closed, iinf_closed, r0_solve
 class TestNormalizingConstant:
     def test_half_value(self):
         # Gamma(2) = 1 and |Gamma(-1/2)| = 2 sqrt(pi) give exactly 1/pi^2
-        assert normalizing_constant(3, 0.5) == pytest.approx(1.0 / math.pi ** 2, rel=1e-14)
+        assert normalizing_constant(3, 0.5) == approx(1.0 / math.pi ** 2, rel=1e-14)
 
     def test_gamma_abs_neg(self):
-        assert gamma_abs_neg(0.5) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
+        assert gamma_abs_neg(0.5) == approx(2.0 * math.sqrt(math.pi), rel=1e-14)
 
     def test_vanishes_like_one_minus_gamma(self):
         vals = [normalizing_constant(3, g) / (1.0 - g) for g in (0.9, 0.99, 0.999)]
@@ -44,7 +44,7 @@ class TestNormalizingConstant:
     def test_vanishes_like_gamma(self):
         # gamma |Gamma(-gamma)| -> 1, so C(3, gamma)/gamma -> Gamma(3/2)/pi^(3/2)
         want = math.gamma(1.5) / math.pi ** 1.5
-        assert normalizing_constant(3, 1e-5) / 1e-5 == pytest.approx(want, rel=1e-4)
+        assert normalizing_constant(3, 1e-5) / 1e-5 == approx(want, rel=1e-4)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -64,7 +64,7 @@ class TestKernelValue:
         for g in (0.3, 0.7):
             for rho in (1e-3, 0.5, 2.0, 50.0):
                 direct = kernel_value(KernelSpec(g), rho) * math.sinh(rho) ** 2
-                assert kernel_sinh2(g, rho) == pytest.approx(direct, rel=1e-12)
+                assert kernel_sinh2(g, rho) == approx(direct, rel=1e-12)
 
     def test_small_rho_power_law(self):
         # rho^2 K sinh^2 ~ rho^(1-2 gamma)
@@ -134,19 +134,19 @@ class TestSpectralKernel:
         t, lam = 2.0, math.pi / 2
         r1, r2 = 1.0, 5.0
         ratio = abs(spectral_kernel(lam, t, r2) / spectral_kernel(lam, t, r1))
-        assert ratio == pytest.approx(
+        assert ratio == approx(
             math.sinh(2 * r1 / t) / math.sinh(2 * r2 / t), rel=1e-12)
 
     def test_value(self):
         lam, t, rho = 1.3, 2.0, 0.7
         want = -(1 / (4 * math.pi ** 2)) * (2 / t) * lam * math.sin(lam * rho) / math.sinh(2 * rho / t)
-        assert spectral_kernel(lam, t, rho) == pytest.approx(want, rel=1e-15)
+        assert spectral_kernel(lam, t, rho) == approx(want, rel=1e-15)
 
     def test_tiny_t(self):
         # 2/t overflows here; the kernel itself is 0, and at rho = t a finite
         # -(1/(4 pi^2)) lam^2 2/sinh(2)
         assert spectral_kernel(1.0, 1e-320, 1.0) == 0.0
-        assert spectral_kernel(3.0, 1e-320, 1e-320) == pytest.approx(
+        assert spectral_kernel(3.0, 1e-320, 1e-320) == approx(
             -0.12571350289744920, rel=1e-15)
 
 
@@ -201,27 +201,27 @@ class TestKernelTable:
 class TestInvarianceIntegral:
     def test_multiplier_point(self):
         got = invariance_integral(1.0, 0.5, 2.0)
-        assert got == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        assert got == approx(math.sqrt(2.0), rel=1e-9)
 
     def test_lambda_zero_limit(self):
-        assert invariance_integral(0.0, 0.35, 2.0) == pytest.approx(1.0, rel=1e-9)
+        assert invariance_integral(0.0, 0.35, 2.0) == approx(1.0, rel=1e-9)
 
     def test_general_t(self):
         for (lam, g, t) in [(1.3, 0.35, 3.0), (0.7, 0.6, 1.0)]:
             got = invariance_integral(lam, g, t)
-            assert got == pytest.approx((lam * lam + 4.0 / (t * t)) ** g, rel=1e-8)
+            assert got == approx((lam * lam + 4.0 / (t * t)) ** g, rel=1e-8)
 
     def test_small_lambda_continuity(self):
         a = invariance_integral(1e-6, 0.5, 2.0)
         b = invariance_integral(0.0, 0.5, 2.0)
-        assert a == pytest.approx(b, rel=1e-8)
+        assert a == approx(b, rel=1e-8)
 
     def test_large_lambda(self):
         # the plane-wave average oscillates hundreds of times over the tail
         for lam in (32.0, 50.0, 100.0):
             for g in (0.2, 0.5, 0.8, 0.95):
                 want = (lam * lam + 1.0) ** g
-                assert invariance_integral(lam, g, 2.0) == pytest.approx(want, rel=1e-8)
+                assert invariance_integral(lam, g, 2.0) == approx(want, rel=1e-8)
 
     def test_extreme_gamma(self):
         # near 0 the tail map clamps x; near 1 the near map sends most
@@ -229,7 +229,7 @@ class TestInvarianceIntegral:
         for lam in (0.0, 1e-6, 1.0, 8.0, 50.0):
             for g in (0.001, 0.01, 0.5, 0.99, 0.999):
                 want = (lam * lam + 1.0) ** g
-                assert invariance_integral(lam, g, 2.0) == pytest.approx(want, rel=1e-8)
+                assert invariance_integral(lam, g, 2.0) == approx(want, rel=1e-8)
 
     def test_tight_tolerance(self):
         # 1 - sinc(a rho) rho / sinh(rho) keeps full precision where it
@@ -238,7 +238,7 @@ class TestInvarianceIntegral:
         for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 16.0):
             for g in (0.2, 0.5, 0.8, 0.95):
                 want = (lam * lam + 1.0) ** g
-                assert invariance_integral(lam, g, 2.0, cfg) == pytest.approx(want, rel=1e-12)
+                assert invariance_integral(lam, g, 2.0, cfg) == approx(want, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -247,7 +247,7 @@ class TestInvarianceIntegral:
     def test_loose_config_still_converges(self):
         cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-10, max_subdiv=100)
         got = invariance_integral(2.0, 0.8, 2.0, cfg)
-        assert got == pytest.approx(5.0 ** 0.8, rel=1e-7)
+        assert got == approx(5.0 ** 0.8, rel=1e-7)
 
 
 def _kernel_value(gamma, tau, rho):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import approx
 from hypfrac.errors import DomainError, NumericError
 from hypfrac.quadrature import (NODE_BUDGET, ROUNDING, QuadratureConfig, _regula_falsi, alg_left,
                                 alg_tail, antiderivative, gk21_batch, integrate)
@@ -125,7 +126,7 @@ def test_integrate_accepts_the_rounding_floor():
 def test_alg_left_at_extreme_exponents(p):
     # integral_0^1 x^p cos x dx = sum_k (-1)^k / ((2k)! (2k + 1 + p))
     want = sum((-1) ** k / (math.factorial(2 * k) * (2 * k + 1 + p)) for k in range(12))
-    assert alg_left(np.cos, 0.0, 1.0, p) == pytest.approx(want, rel=1e-10)
+    assert alg_left(np.cos, 0.0, 1.0, p) == approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("q", [0.001, 0.01, 0.5, 0.99])
@@ -133,13 +134,13 @@ def test_alg_tail_at_extreme_exponents(q):
     # integral_1^oo x^(-1-q) (1 + 1/x) dx; at q = 0.001 the map sends 95 %
     # of [0, 1] beyond the clamp x = 1e20
     got = alg_tail(lambda x: 1.0 + 1.0 / x, 1.0, q)
-    assert got == pytest.approx(1.0 / q + 1.0 / (1.0 + q), rel=1e-10)
+    assert got == approx(1.0 / q + 1.0 / (1.0 + q), rel=1e-10)
 
 
 def test_alg_left_breaks_at_points():
     # |x - 0.3| on [0, 1] is resolved at once when a panel ends at the kink
     got = alg_left(lambda x: np.abs(x - 0.3), 0.0, 1.0, 0.0, points=[0.3])
-    assert got == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2), rel=1e-14)
+    assert got == approx(0.5 * (0.3 ** 2 + 0.7 ** 2), rel=1e-14)
 
 
 def test_maps_reject_bad_arguments():
@@ -162,7 +163,7 @@ def test_reject_rule_at_the_largest_absolute_tolerance():
     # ten times the granted tolerance would overflow; the error is divided instead
     val, _ = integrate(lambda x, own: np.sin(x), [0.0], [1.0], [0], 1,
                        QuadratureConfig(0.5, 1.7e308), "test")
-    assert val[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
+    assert val[0] == approx(1.0 - math.cos(1.0), rel=1e-12)
 
 
 def test_alg_tail_factor_past_the_float_range():

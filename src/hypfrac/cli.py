@@ -52,16 +52,6 @@ USAGE_ERROR = 2
 ASSERTION_ERROR = 1
 NUMERIC_ERROR = 3
 
-COMMANDS = (
-    "verify-constant",
-    "scale-sweep",
-    "kernel-table",
-    "gyro-check",
-    "barrier-check",
-    "gamma-limit",
-)
-
-
 def _fmt(x):
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -109,9 +99,12 @@ def _used_tolerances(args):
     return {}  # kernel-table and gyro-check run no quadrature
 
 
-def _emit(args, records, columns, passed, meta, started):
+def _emit(args, records, passed, meta, started):
+    """Write the records, as CSV under the header of the first record's keys
+    (every command returns at least one, each with the same keys), or as JSON."""
     out = io.StringIO()
     if args.format == "csv":
+        columns = list(records[0])
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
@@ -165,8 +158,7 @@ def _cmd_verify_constant(args, cfg):
                 "lambda": lam, "gamma": g, "integral": got,
                 "expected": want, "rel_error": rel, "pass": rec_ok,
             })
-    cols = ["lambda", "gamma", "integral", "expected", "rel_error", "pass"]
-    return records, cols, ok
+    return records, ok
 
 
 def _cmd_scale_sweep(args, cfg):
@@ -192,9 +184,7 @@ def _cmd_scale_sweep(args, cfg):
                 "r0": r0_solve(r, g, args.rho0),
                 "oracle_match": oracle_ok, "monotonicity": mono_ok,
             })
-    cols = ["R", "gamma", "i0_closed", "i0_quad", "iinf_closed", "iinf_quad",
-            "r0", "oracle_match", "monotonicity"]
-    return records, cols, ok
+    return records, ok
 
 
 def _cmd_kernel_table(args, cfg):
@@ -215,8 +205,7 @@ def _cmd_kernel_table(args, cfg):
             "euclid_ratio": euclidean_limit_ratio(g, rho, tau),
             "decreasing": decreasing,
         })
-    cols = ["rho", "gamma", "tau", "kernel", "euclid_ratio", "decreasing"]
-    return records, cols, ok
+    return records, ok
 
 
 def _gyro_cases(rng, t, scale):
@@ -284,8 +273,7 @@ def _cmd_gyro_check(args, cfg):
             "law": law, "cases": n, "max_residual": res,
             "tolerance": lim, "pass": law_ok,
         })
-    cols = ["law", "cases", "max_residual", "tolerance", "pass"]
-    return records, cols, ok
+    return records, ok
 
 
 def _cmd_barrier_check(args, cfg):
@@ -310,8 +298,7 @@ def _cmd_barrier_check(args, cfg):
     ok = found is not None and all(
         reports[a].all_nonpositive for a in reports if a >= found
     )
-    cols = ["alpha", "R0", "margin", "nonpositive"]
-    return records, cols, ok
+    return records, ok
 
 
 def _cmd_gamma_limit(args, cfg):
@@ -328,8 +315,7 @@ def _cmd_gamma_limit(args, cfg):
             "gamma": g, "fraclap": val, "reference": reference, "abs_error": err,
         })
     ok = all(b < a for a, b in zip(errors, errors[1:]))
-    cols = ["gamma", "fraclap", "reference", "abs_error"]
-    return records, cols, ok
+    return records, ok
 
 
 _DISPATCH = {
@@ -347,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypfrac",
         description="Desk-scale verification of fractional-Laplacian machinery on H^3",
     )
-    p.add_argument("--command", required=True, choices=COMMANDS)
+    p.add_argument("--command", required=True, choices=list(_DISPATCH))
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--seed", type=int, default=1234)
@@ -396,7 +382,7 @@ def main(argv=None) -> int:
         cfg = QuadratureConfig(
             rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_subdiv=args.max_subdiv
         )
-        records, cols, ok = _DISPATCH[args.command](args, cfg)
+        records, ok = _DISPATCH[args.command](args, cfg)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -411,7 +397,7 @@ def main(argv=None) -> int:
     except HypfracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    _emit(args, records, cols, ok, meta, started)
+    _emit(args, records, ok, meta, started)
     return 0 if ok else ASSERTION_ERROR
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericError, finite, order, positive
+from .geometry import _taylor_rest
 from .quadrature import (QuadratureConfig, DEFAULT_QUAD, _chebyshev_matrices, _clenshaw,
                          alg_left, alg_tail)
 from .specfun import _finite, bessel_k, bessel_k_scaled
@@ -240,15 +241,6 @@ def spectral_kernel(lam: float, t: float, rho: float) -> float:
     else:
         damp = 2.0 * s * math.exp(-s) if s < math.inf else 0.0
     return _finite(-lam * (lam * sinc) * damp / (4.0 * math.pi ** 2), "spectral_kernel")
-
-
-def _taylor_rest(z2, sign):
-    """1 + sign z2/20 + z2^2/(20*42) + ... to 5e-17 for z2 = z^2 <= 1: z^2/6 times it is
-    1 - sin(z)/z at sign -1 and (sinh(z) - z)/z at sign +1."""
-    out = 1.0
-    for d in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
-        out = 1.0 + sign * z2 / d * out
-    return out
 
 
 def _one_minus_product(a: float, rho):

@@ -874,10 +874,6 @@ class BarrierReport:
     def all_nonpositive(self) -> bool:
         return all(m <= 0.0 for m in self.margins)
 
-    @property
-    def worst_margin(self) -> float:
-        return max(self.margins)
-
 
 @lru_cache(maxsize=16)
 def _barrier_front(R: float, gamma: float):

@@ -73,8 +73,11 @@ class TestGyroElement:
     def test_mismatched_t(self, rng):
         a = sample(rng)
         b = GyroElement((0.1, 0.0, 0.0), 3.0)
-        with pytest.raises(DomainError):
-            mobius_add(a, b)
+        # the operations built on mobius_add and gyration refuse through them
+        for op in (mobius_add, coadd, cosub, cosub_compositional, cancellation_check,
+                   lambda a, b: gyration(a, a, b)):
+            with pytest.raises(DomainError, match="share the same ball radius"):
+                op(a, b)
 
     def test_immutable_slotted_value(self):
         a = GyroElement((0.5, -0.25, 1.0), T)

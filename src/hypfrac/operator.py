@@ -61,11 +61,13 @@ class RadialProfile:
 
     ``support_radius`` is math.inf for unbounded supports; ``tail_width``
     then converts a tolerance eps into a radius beyond which |f| <= eps.
-    ``kink_radii`` lists radii where f is only Lipschitz; the declared C2
-    class is understood away from those radii.  ``f`` maps a float array of
-    radii to the array of values, of the same shape; ``u(r)`` applies it to
-    r and returns a float for a scalar r, an array for an array, and refuses
-    a radius below 0 or nan (``DomainError``) and a value that is not finite
+    ``kink_radii`` lists radii where f is only Lipschitz, or jumps (as
+    ``tabulated`` does at its last sample); the declared C2 class holds
+    between those radii, and the nonlocal core breaks its panels there.
+    ``f`` maps a float array of radii to the array of values, of the same
+    shape; ``u(r)`` applies it to r and returns a float for a scalar r, an
+    array for an array, and refuses a radius below 0 or nan
+    (``DomainError``) and a value that is not finite
     (``NumericError``).  The quadratures of this module call ``f`` on their
     node arrays, unchecked; ``u(r)`` is the per-point entry that the
     benchmark tracer counts.
@@ -239,7 +241,9 @@ def tabulated(r_samples, values) -> RadialProfile:
     on H^3 at the origin: that end condition (a clamped spline) would change
     the values, and is a decision of its own.  The radii must be finite,
     nonnegative and strictly increasing, and the values finite
-    (``DomainError``).
+    (``DomainError``).  Its ``kink_radii`` are r_0, where the clip below
+    begins, when r_0 > 0, and the last sample radius, beyond which the
+    profile is 0: a kink there, and a jump unless the last value is 0.
     """
     r_samples = np.array(r_samples, dtype=float)  # a copy, which the spline keeps
     values = np.asarray(values, dtype=float)
@@ -256,7 +260,8 @@ def tabulated(r_samples, values) -> RadialProfile:
     def f(r):
         return np.where(r > top, 0.0, spline(np.clip(r, bottom, top)))
 
-    return RadialProfile(support_radius=top, name="tabulated", f=f)
+    return RadialProfile(support_radius=top, name="tabulated", f=f,
+                         kink_radii=(bottom, top) if bottom > 0.0 else (top,))
 
 
 _PROFILE_FAMILIES = {
@@ -839,7 +844,14 @@ def multiplier_oracle(u: RadialProfile, R0: float, gamma: float) -> float:
 
 def laplace_beltrami_radial(u: RadialProfile, R0: float) -> float:
     """Radial Laplace-Beltrami stencil u'' + 2 coth(r) u' at steps 1e-4 and
-    5e-5, Richardson-refined; at the origin this is 3 u''(0)."""
+    5e-5, Richardson-refined; at the origin this is 3 u''(0).
+
+    Below R0 = 1e-5 it is the origin's stencil: there u(R0 + h) - u(h - R0)
+    rounds to 0 or loses its digits, and 2 coth(R0) multiplies what is left
+    (gaussian_bump at 1e-12 read 7.4e-2 off, at 1e-310 nan).  The radial
+    Laplacian is even and smooth in R0, so the origin's value is O(R0^2) off:
+    8.7e-10 for gaussian_bump at 1e-5, where the stencil is 3.1e-8 off.
+    """
     R0 = nonnegative(R0, "R0")
 
     def second(rr, hh):
@@ -849,7 +861,7 @@ def laplace_beltrami_radial(u: RadialProfile, R0: float) -> float:
         return (u(rr + hh) - u(abs(rr - hh))) / (2.0 * hh)
 
     def stencil(hh):
-        if R0 == 0.0:
+        if R0 < 1e-5:
             return 3.0 * second(0.0, hh)
         return second(R0, hh) + 2.0 / math.tanh(R0) * first(R0, hh)
 
@@ -1009,7 +1021,10 @@ def polar_grid(r_max: float, n_r: int, n_phi: int):
     r_max = positive(r_max, "r_max")
     if n_r < 2 or n_phi < 3:
         raise DomainError("polar_grid needs n_r >= 2, n_phi >= 3")
-    radii = np.linspace(0.0, r_max, n_r)[1:]
+    # near the top of the float range linspace overflows forming its last
+    # radius, which it then sets to r_max: every radius is finite
+    with np.errstate(over="ignore"):
+        radii = np.linspace(0.0, r_max, n_r)[1:]
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     rr, pp = np.meshgrid(radii, phis, indexing="ij")
     pts = np.column_stack([rr.ravel(), pp.ravel()])

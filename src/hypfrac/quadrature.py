@@ -100,13 +100,25 @@ def _on_unit(g, points, cfg, what):
     return float(val[0])
 
 
+def _decades(e, n):
+    """The t-images 10^(-k e), k = 1..n, of n decades of a map's variable, where
+    they lie in (1/8, 1): a map through t^(1/e) or t^(-1/e), e small, crowds each
+    decade into a window ~e ln 10 wide below t = 1, inside one first panel of
+    ``_on_unit``, where GK21 and its halves can agree on a sampling that steps
+    over the decades' mass, so that an error of O(e) of the integral passes
+    unreported.  Below 1/8 the panels of ``_on_unit`` are as fine."""
+    return [t for t in (10.0 ** (-k * e) for k in range(1, n + 1)) if 0.125 < t < 1.0]
+
+
 def alg_left(f, a, b, p, cfg: QuadratureConfig = DEFAULT_QUAD, points=(), what="alg_left"):
     """Integral of (x - a)^p f(x) over [a, b], p > -1, f a numpy function.
 
     Through x = a + (b - a) t^(1/(1+p)) it is (b - a)^(1+p)/(1+p) times the
     integral of f(x(t)) over t in [0, 1], bounded wherever f is; the first
-    panels break at the ``points`` inside (a, b).  As p -> -1, t^(1/(1+p))
-    underflows on much of [0, 1], so f must take its limit at x = a.
+    panels break at the ``points`` inside (a, b), and at the images of
+    x - a = (b - a) 10^-k, k = 1..16 (``_decades``), which keep the integral
+    uniform as p -> -1.  As p -> -1, t^(1/(1+p)) underflows on much of
+    [0, 1], so f must take its limit at x = a.
     """
     if p <= -1.0:
         raise DomainError("algebraic weight exponent must exceed -1")
@@ -114,16 +126,19 @@ def alg_left(f, a, b, p, cfg: QuadratureConfig = DEFAULT_QUAD, points=(), what="
         raise DomainError(f"{what} requires b > a")
     s, c = 1.0 / (1.0 + p), (b - a) ** (1.0 + p) / (1.0 + p)
     cuts = [((x - a) / (b - a)) ** (1.0 + p) for x in points if a < x < b]
-    return _on_unit(lambda t, own: c * f(a + (b - a) * t ** s), cuts, cfg, what)
+    return _on_unit(lambda t, own: c * f(a + (b - a) * t ** s), cuts + _decades(1.0 + p, 16),
+                    cfg, what)
 
 
 def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
     """Integral of x^(-1-q) h(x) over [a, oo), a > 0, q > 0, h a numpy function.
 
     Through x = a t^(-1/q) it is a^(-q)/q times the integral of h(x(t)) over
-    t in [0, 1].  x is clamped at X = 1e20, which a t^(-1/q) passes on much of
-    [0, 1] when q is small, so h must be flat to O(1/x) out there; the
-    clamped part is then O((a/X)^q / X) of the integral.
+    t in [0, 1]; the first panels break at the images of x = a 10^k, k = 1..20
+    (``_decades``), which keep the integral uniform as q -> 0.  x is clamped
+    at X = 1e20, which a t^(-1/q) passes on much of [0, 1] when q is small,
+    so h must be flat to O(1/x) out there; the clamped part is then
+    O((a/X)^q / X) of the integral.
     """
     if not (a > 0.0 and q > 0.0):
         raise DomainError(f"{what} requires a > 0 and q > 0")
@@ -139,7 +154,7 @@ def alg_tail(h, a, q, cfg: QuadratureConfig = DEFAULT_QUAD, what="alg_tail"):
             x = np.minimum(a * t ** (-1.0 / q), 1e20)
         return c * h(x)
 
-    return _on_unit(g, (), cfg, what)
+    return _on_unit(g, _decades(q, 20), cfg, what)
 
 
 # ----------------------------------------------------------------------

@@ -231,6 +231,15 @@ class TestInvarianceIntegral:
                 want = (lam * lam + 1.0) ** g
                 assert invariance_integral(lam, g, 2.0) == approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("g", [1e-9, 1e-6, 1e-3, 0.5, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_uniform_in_the_order(self, g):
+        # as 2 - 2 gamma or gamma -> 0 the maps crowd every decade of rho into
+        # one first panel below t = 1, which lost O(gamma) and O(1 - gamma) of
+        # the integral (9.1e-7 at gamma 1e-6, 6.7e-6 at 1 - 1e-6); the decades'
+        # images as first cuts hold it to 1.2e-12
+        for lam in (0.0, 1.0, 8.0, 100.0):
+            assert invariance_integral(lam, g, 2.0) == approx((lam * lam + 1.0) ** g, rel=2e-12)
+
     def test_tight_tolerance(self):
         # 1 - sinc(a rho) rho / sinh(rho) keeps full precision where it
         # cancels, so the error estimates do not stall on rounding noise

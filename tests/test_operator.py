@@ -230,6 +230,44 @@ def test_profile_entry_points_return_finite_or_raise_typed(a, b, c, samples, r, 
             finite_or_typed(_tail_radius, factory, args, eps)
 
 
+def _barrier_at(spec, r, eps):
+    """The barrier's entries that take a spec and one radius or tolerance."""
+    return (barrier_value(spec, r), barrier_shifted_value(spec, r),
+            _profile_at(barrier_profile, (spec,), r), _tail_radius(barrier_profile, (spec,), eps))
+
+
+# delta, alpha, R, gamma and kappa: each in its range, or any float
+_spec_args = st.tuples(*(st.one_of(st.floats(lo, hi), _any)
+                         for lo, hi in ((0.0, 1.0), (1e-3, 300.0), (1e-3, 1e3), (0.0, 1.0), (0.0, 0.25))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=_spec_args, r=_any, omega1=st.one_of(st.floats(-1.0, 1.0), _any), t=_any, eps=_any,
+       n_r=st.integers(-2, 64), n_phi=st.integers(-2, 64))
+# laplace_beltrami_radial was nan at R0 = 1e-310, where the stencil's first
+# difference of u rounds to 0 and 2 coth(R0) overflows
+@example(spec=(0.5, 2.0, 1.0, 0.99, 0.25), r=1e-310, omega1=0.5, t=1.5, eps=0.5, n_r=4, n_phi=4)
+# polar_grid warned of an overflow inside np.linspace at r_max = 1.8e308
+@example(spec=(0.5, 2.0, 1.0, 0.99, 0.25), r=0.5, omega1=0.5, t=1.7976931348623157e308, eps=0.5,
+         n_r=7, n_phi=3)
+def test_operator_entry_points_return_finite_or_raise_typed(spec, r, omega1, t, eps, n_r, n_phi):
+    # every entry on floats, then on numpy scalars
+    bump = gaussian_bump()
+    for spec, r, omega1, t, eps in ((spec, r, omega1, t, eps),
+                                    (tuple(map(np.float64, spec)), np.float64(r),
+                                     np.float64(omega1), np.float64(t), np.float64(eps))):
+        built = finite_or_typed(BarrierSpec, *spec)
+        profiles = [bump]
+        if built is not None:
+            finite_or_typed(_barrier_at, built, r, eps)
+            profiles.append(barrier_profile(built))
+        for u in profiles:
+            finite_or_typed(second_difference, u, t, r, omega1)
+            finite_or_typed(laplace_beltrami_radial, u, r)
+        finite_or_typed(arccos_inequalities, spec[1], r, t)
+        finite_or_typed(polar_grid, t, n_r, n_phi)
+
+
 _BARRIER = barrier_profile(BarrierSpec(0.5, 2.0, 1.0, 0.99))
 
 
@@ -311,6 +349,16 @@ class TestNotAKnotSpline:
         np.testing.assert_array_equal(u(np.array([0.0, 0.25, 0.5, 2.0, 2.0 + 1e-12, 7.0])),
                                       [3.0, 3.0, 3.0, 0.5, 0.0, 0.0])
 
+    def test_declares_its_kink_radii(self):
+        # r_0 > 0, where the clip below begins, and the last sample, beyond
+        # which the profile is 0; the nonlocal core breaks its panels there
+        # (6.5 -> 3.2 ms for apply_fraclap at R0 1.9, gamma .9 on the cosine)
+        assert tabulated([0.5, 1.0, 1.5, 2.0], [3.0, 2.0, 1.0, 0.5]).kink_radii == (0.5, 2.0)
+        r = np.linspace(0.0, 2.0, 12)
+        u = tabulated(r, np.cos(r))
+        assert u.kink_radii == (2.0,) and all(type(rk) is float for rk in u.kink_radii)
+        assert tabulated(r, np.linspace(1.0, 0.0, 12)).kink_radii == (2.0,)
+
     def test_built_in_linear_time(self):
         # one O(n) sweep, no n x n matrix: 10^4 samples in ~6 ms on a 2-core
         # VM; the bound is ten times a 50 ms budget, against a scheduler's
@@ -346,6 +394,20 @@ class TestSecondDifference:
         want = du / math.tanh(R0) / 2
         vals = [second_difference(u, R0, r, 0.0) / r ** 2 for r in (1e-2, 1e-3)]
         assert vals[1] == approx(want, rel=1e-4)
+
+
+@pytest.mark.parametrize("R0", [1e-310, 1e-300, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 0.5, 2.0])
+def test_laplace_beltrami_stencil_against_its_closed_form(R0):
+    # Delta e^(-r^2) = e^(-r^2) (4 r^2 - 2 - 4 r coth r); below R0 = 1e-5 the
+    # stencil read u(R0 + h) - u(h - R0) through its rounding, times 2 coth R0:
+    # nan at 1e-310, 7.4e-2 off at 1e-12, 1.25e-7 off at 1e-6
+    want = math.exp(-R0 * R0) * (4.0 * R0 * R0 - 2.0 - 4.0 * aux_H(R0))
+    assert laplace_beltrami_radial(gaussian_bump(), R0) == approx(want, rel=1e-7)
+
+
+def test_laplace_beltrami_at_the_origin_is_unchanged():
+    # what gamma-limit prints as its reference at the README's R0 = 0
+    assert laplace_beltrami_radial(gaussian_bump(), 0.0) == -5.999999963535174
 
 
 class TestFracLap:
